@@ -229,6 +229,9 @@ def run_trial(
     counts = trial.counts
     table = protocol.transitions
     randbelow = rng.randbelow
+    # Iterated twice (notify, then events), so a one-shot iterable must be
+    # materialized here or its events are lost.
+    observers = tuple(observers)
     notify_fns = [obs.notify for obs in observers]
     events: dict[str, int] = {}
     event_name, event_pred = stop_event if stop_event is not None else (None, None)

@@ -13,8 +13,14 @@ ever changes output under any schedule" holds iff every reachable
 configuration carries the identical per-agent output vector.
 
 Expected hitting times solve the first-step linear system over the reachable
-space in exact rational arithmetic; a floating-point fallback with residual
-reporting is available for spaces too large for comfortable Fraction work.
+space in exact rational arithmetic, one strongly connected component of the
+non-target subgraph at a time, in topological order with sinks first.  A
+component's unknowns depend only on its own and on already-solved
+components, so an acyclic chain (every catalog protocol, apart from
+self-loops) costs O(edges) Fraction operations and only components with
+cycles fall back to an elimination on their own block.  The dense
+floating-point solver, which allocates m*m floats for m transient
+configurations, is a cross-check with residual reporting, not a fallback.
 """
 
 from __future__ import annotations
@@ -22,11 +28,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import LEADER, Interaction, Protocol, output_vector
+from .core import (
+    LEADER,
+    Interaction,
+    Protocol,
+    apply_interaction_inplace,
+    output_vector,
+    sample_interaction,
+)
+from .rng import Splitmix64
 
 DEFAULT_BUDGET = 10**7
 
@@ -274,6 +288,55 @@ def _check_absorbing(space: ConfigurationSpace, targets: frozenset[int]) -> None
         )
 
 
+def _components_sinks_first(
+    space: ConfigurationSpace, root: int, targets: frozenset[int]
+) -> Iterator[list[int]]:
+    """Strongly connected components of the non-target subgraph reachable
+    from ``root``, each yielded after every component it can reach.
+
+    Iterative Tarjan (SIAM J. Comput. 1972): a component is complete, and
+    popped, only once the search has finished everything reachable from it,
+    which is exactly the sinks-first order back-substitution needs.
+    """
+    order: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    work: list[tuple[int, Iterator[int]]] = []
+
+    def visit(i: int) -> None:
+        order[i] = low[i] = len(order)
+        stack.append(i)
+        on_stack.add(i)
+        work.append((i, iter(space.successors[i])))
+
+    visit(root)
+    while work:
+        i, successors = work[-1]
+        for j in successors:
+            if j in targets:
+                continue
+            if j not in order:
+                visit(j)
+                break
+            if j in on_stack:
+                low[i] = min(low[i], order[j])
+        else:
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[i])
+            if low[i] == order[i]:
+                component = []
+                while True:
+                    j = stack.pop()
+                    on_stack.discard(j)
+                    component.append(j)
+                    if j == i:
+                        break
+                yield component
+
+
 def expected_hitting_steps(
     space: ConfigurationSpace, target: Callable[[Config], bool]
 ) -> Fraction:
@@ -283,35 +346,45 @@ def expected_hitting_steps(
     h(C) = 1 + (1/(n(n-1))) * sum over ordered interactions of h(successor)
     elsewhere, in rational arithmetic.  Raises :class:`NonAbsorbingError` if
     some reachable configuration cannot reach the target.
+
+    Components of the non-target subgraph are solved sinks first, each as
+    one block whose right-hand side is N = n(n-1) plus its exits into solved
+    components.  With c_ij the number of ordered interactions taking C_i to
+    C_j, a configuration alone in its component is the 1x1 block
+    h(i) = (N + sum_{j != i} c_ij h(j)) / (N - c_ii).
     """
     targets = frozenset(i for i, c in enumerate(space.configs) if target(c))
     _check_absorbing(space, targets)
     if space.initial_index in targets:
         return Fraction(0)
 
-    transient = [i for i in range(len(space)) if i not in targets]
-    pos = {i: r for r, i in enumerate(transient)}
-    m = len(transient)
     total = space.n * (space.n - 1)
-
-    rows = [[Fraction(0) for _ in range(m)] for _ in range(m)]
-    rhs = [Fraction(total) for _ in range(m)]
-    for r, i in enumerate(transient):
-        rows[r][r] += Fraction(total)
-        for j, count in space.successors[i].items():
-            if j not in targets:
-                rows[r][pos[j]] -= Fraction(count)
-    solution = _solve_fractions(rows, rhs)
-    return solution[pos[space.initial_index]]
+    solved: dict[int, Fraction] = dict.fromkeys(targets, Fraction(0))
+    for component in _components_sinks_first(space, space.initial_index, targets):
+        pos = {i: r for r, i in enumerate(component)}
+        m = len(component)
+        rows = [[Fraction(0) for _ in range(m)] for _ in range(m)]
+        rhs = [Fraction(total) for _ in range(m)]
+        for r, i in enumerate(component):
+            rows[r][r] += Fraction(total)
+            for j, count in space.successors[i].items():
+                if j in pos:
+                    rows[r][pos[j]] -= Fraction(count)
+                else:
+                    rhs[r] += count * solved[j]
+        for i, value in zip(component, _solve_fractions(rows, rhs)):
+            solved[i] = value
+    return solved[space.initial_index]
 
 
 def expected_hitting_steps_float(
     space: ConfigurationSpace, target: Callable[[Config], bool]
 ) -> tuple[float, float]:
-    """Floating-point fallback solver; returns (value, max residual).
+    """Dense floating-point cross-check solver; returns (value, max residual).
 
-    Same system as :func:`expected_hitting_steps` via numpy; the residual is
-    the max absolute row error of the solution, reported so callers can judge
+    Same system as :func:`expected_hitting_steps`, solved in one piece via
+    numpy (m*m floats for m transient configurations); the residual is the
+    max absolute row error of the solution, reported so callers can judge
     conditioning instead of trusting silently.
     """
     targets = frozenset(i for i, c in enumerate(space.configs) if target(c))
@@ -341,10 +414,7 @@ def closed_form_pairwise(n: int) -> float:
     n(n-1) * sum_{k=2..n} 1/(k(k-1)), which telescopes to (n-1)**2."""
     if n < 2:
         raise ValueError("population size must be >= 2")
-    total = Fraction(n * (n - 1)) * sum(
-        (Fraction(1, k * (k - 1)) for k in range(2, n + 1)), Fraction(0)
-    )
-    return float(total)
+    return float((n - 1) ** 2)
 
 
 def random_walk_outputs_stable(
@@ -353,9 +423,6 @@ def random_walk_outputs_stable(
     """Monte Carlo probe: does a random walk from ``config`` ever change any
     agent's output within ``steps`` interactions?  Used to sanity-check safe
     verdicts from the exhaustive side."""
-    from .core import apply_interaction_inplace, sample_interaction
-    from .rng import Splitmix64
-
     protocol = space.protocol
     rng = Splitmix64(seed)
     states = list(config)
@@ -370,8 +437,6 @@ def random_walk_outputs_stable(
 
 def replay_path(protocol: Protocol, config: Config, path: Sequence[Interaction]) -> Config:
     """Apply a witness path and return the resulting configuration."""
-    from .core import apply_interaction_inplace
-
     states = list(config)
     for e in path:
         apply_interaction_inplace(protocol, states, e)

@@ -285,6 +285,17 @@ def test_exact_leave_init_has_no_safe_configurations(tmp_path):
     assert doc["expected_stabilization_steps"] is None
 
 
+def test_exact_pairwise_twelve_finishes(tmp_path):
+    # 4095 configurations lie well inside the default budget, so the command
+    # must return (n-1)^2 rather than hang in the solve.
+    out = tmp_path / "exact.json"
+    assert main(["exact", "--protocol", "pairwise-elimination", "--n", "12",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["reachable_configurations"] == 4095
+    assert doc["expected_stabilization_steps"]["rational"] == "121"
+
+
 def test_exact_budget_env_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("POPSIM_BUDGET", "10")
     code = main(["exact", "--protocol", "pairwise-elimination", "--n", "8"])

@@ -229,6 +229,19 @@ def test_float_solver_agrees_with_exact():
         assert residual < 1e-9
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_float_solver_agrees_on_a_cyclic_chain(n):
+    # Token swaps make multi-configuration strongly connected components, so
+    # this exercises the block solve, not just one-configuration steps.
+    space = enumerate_reachable(leader_swap_protocol(), n)
+    target = lambda c: c.count(0) <= 1  # at most one fresh agent
+    exact_value = expected_hitting_steps(space, target)
+    value, residual = expected_hitting_steps_float(space, target)
+    assert exact_value > 0
+    assert value == pytest.approx(float(exact_value), rel=1e-12)
+    assert residual < 1e-9
+
+
 def test_closed_form_examples():
     assert closed_form_pairwise(2) == 1.0
     assert closed_form_pairwise(3) == 4.0
