@@ -44,7 +44,7 @@ from .influence import (
     first_exceed_time,
     write_size_series,
 )
-from .protocols import load_protocol, make_protocol
+from .protocols import CATALOG, load_protocol, make_protocol
 from .rng import derive_seed
 from .stats import ceil_rational_power, coupon_spec, expected_coupon_sum, summarize, variance_coupon_sum
 
@@ -93,20 +93,29 @@ def _resolve_protocol(args, n: int) -> Protocol:
     return make_protocol(args.protocol, n)
 
 
-def _stop_plan(protocol: Protocol, threshold: Optional[int]):
+def _catalog_name(protocol: Protocol, n: int) -> Optional[str]:
+    """The catalog name of ``protocol`` if it equals that catalog entry at
+    this n in every field, else None; a protocol file may take any name."""
+    build = CATALOG.get(protocol.name)
+    return protocol.name if build is not None and build(n) == protocol else None
+
+
+def _stop_plan(protocol: Protocol, n: int, threshold: Optional[int]):
     """Choose the named stop event for a plain run of this protocol.
 
     pairwise-elimination freezes once one leader remains, so the one-leader
     event is its stabilization; other leader-outputting protocols get the
     more honest name ``one_leader``.  The epidemic stops when everyone is
     infected; leave-init stops at the initial-state threshold when one is
-    given, otherwise runs to the step budget.
+    given, otherwise runs to the step budget.  The three special cases apply
+    only to the catalog protocols themselves.
     """
-    if protocol.name == "pairwise-elimination":
+    name = _catalog_name(protocol, n)
+    if name == "pairwise-elimination":
         return "stabilized", "one_leader"
-    if protocol.name == "one-way-epidemic":
+    if name == "one-way-epidemic":
         return "all_infected", "all_infected"
-    if protocol.name == "leave-init":
+    if name == "leave-init":
         return ("init_below_threshold", "init_below") if threshold is not None else (None, None)
     if protocol.output_states(LEADER):
         return "one_leader", "one_leader"
@@ -128,7 +137,7 @@ def _make_stop_predicate(kind: Optional[str], protocol: Protocol, n: int, thresh
 
 
 def _initial_override(protocol: Protocol, n: int):
-    if protocol.name == "one-way-epidemic":
+    if _catalog_name(protocol, n) == "one-way-epidemic":
         # Seed exactly one infected agent; the protocol itself starts all-susceptible.
         return [1] + [0] * (n - 1)
     return None
@@ -136,7 +145,7 @@ def _initial_override(protocol: Protocol, n: int):
 
 def _run_job(job) -> dict:
     """One trial of the plain-run sweep; top level so worker processes can pickle it."""
-    protocol, n, trial_idx, seed, max_steps, event_name, stop_kind, threshold = job
+    protocol, n, trial_idx, seed, max_steps, event_name, stop_kind, threshold, initial = job
     pred = _make_stop_predicate(stop_kind, protocol, n, threshold)
     rec = run_trial(
         protocol,
@@ -144,7 +153,7 @@ def _run_job(job) -> dict:
         seed,
         max_steps=max_steps,
         stop_event=(event_name, pred) if pred is not None else None,
-        initial=_initial_override(protocol, n),
+        initial=initial,
     )
     row = {
         "trial": trial_idx,
@@ -260,11 +269,12 @@ def cmd_run(args) -> int:
     for n in sizes:
         protocol = _resolve_protocol(args, n)
         threshold = threshold_count(args.threshold, n) if args.threshold else None
-        event_name, stop_kind = _stop_plan(protocol, threshold)
+        event_name, stop_kind = _stop_plan(protocol, n, threshold)
+        initial = _initial_override(protocol, n)
         if event_name is not None and f"{event_name}_step" not in event_columns:
             event_columns.append(f"{event_name}_step")
         jobs = [
-            (protocol, n, t, derive_seed(args.seed, t), args.max_steps, event_name, stop_kind, threshold)
+            (protocol, n, t, derive_seed(args.seed, t), args.max_steps, event_name, stop_kind, threshold, initial)
             for t in range(args.trials)
         ]
         rows.extend(_map_jobs(_run_job, jobs, args.jobs))
@@ -280,7 +290,7 @@ def cmd_run(args) -> int:
                 max_steps=args.max_steps,
                 stop_event=(event_name, pred) if pred is not None else None,
                 observers=[recorder],
-                initial=_initial_override(protocol, n),
+                initial=initial,
             )
             recorded_log = recorder.log
     columns = ["trial", "seed", "n", "steps", "parallel_time", "truncated", *event_columns]

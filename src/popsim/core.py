@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .rng import Splitmix64
+from .rng import Splitmix64, pair_stream
 
 LEADER = "L"
 FOLLOWER = "F"
@@ -144,9 +144,9 @@ def default_step_budget(n: int) -> int:
 class Trial:
     """Mutable engine state for one execution; owned by exactly one run."""
 
-    __slots__ = ("protocol", "n", "states", "counts", "step", "rng")
+    __slots__ = ("protocol", "n", "states", "counts", "step")
 
-    def __init__(self, protocol: Protocol, n: int, states: Configuration, rng: Splitmix64):
+    def __init__(self, protocol: Protocol, n: int, states: Configuration):
         self.protocol = protocol
         self.n = n
         self.states = states
@@ -154,7 +154,6 @@ class Trial:
         for s in states:
             self.counts[s] += 1
         self.step = 0
-        self.rng = rng
 
 
 @dataclass
@@ -189,10 +188,12 @@ def run_trial(
 ) -> TrialRecord:
     """Run one seeded execution from the all-initial configuration.
 
-    Each step samples one interaction, applies it, then notifies every
-    observer with ``notify(trial, interaction, old_pair, new_pair)``.  The
-    run halts at the first step where ``stop`` or the ``stop_event``
-    predicate holds (checked before the first interaction as well), or after
+    Each step takes the next pair of ``pair_stream(seed, n)`` (the pairs
+    ``sample_interaction`` draws from ``Splitmix64(seed)``), applies it, then
+    notifies every observer with ``notify(trial, interaction, old_pair,
+    new_pair)``.  The run halts at the first step where ``stop`` or the
+    ``stop_event`` predicate holds (checked before the first interaction as
+    well), or after
     ``max_steps`` interactions, whichever comes first.  Hitting the step
     budget without a predicate firing marks the record as truncated rather
     than raising.
@@ -224,11 +225,9 @@ def run_trial(
         if any(not 0 <= s < protocol.num_states for s in states):
             raise ValueError("initial configuration has out-of-range states")
 
-    rng = Splitmix64(seed)
-    trial = Trial(protocol, n, states, rng)
+    trial = Trial(protocol, n, states)
     counts = trial.counts
     table = protocol.transitions
-    randbelow = rng.randbelow
     # Iterated twice (notify, then events), so a one-shot iterable must be
     # materialized here or its events are lost.
     observers = tuple(observers)
@@ -237,7 +236,7 @@ def run_trial(
     event_name, event_pred = stop_event if stop_event is not None else (None, None)
 
     stopped = False
-    while True:
+    for u, v in pair_stream(seed, n):
         if event_pred is not None and event_pred(trial):
             events[event_name] = trial.step
             stopped = True
@@ -248,9 +247,6 @@ def run_trial(
         if trial.step >= max_steps:
             break
 
-        u = randbelow(n)
-        k = randbelow(n - 1)
-        v = k if k < u else k + 1
         a = states[u]
         b = states[v]
         a2, b2 = table[a][b]

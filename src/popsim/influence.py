@@ -198,9 +198,6 @@ class LayeredGraph:
     def num_nodes(self) -> int:
         return self.n * (self.depth + 1)
 
-    def out_degree(self, node: tuple[int, int]) -> int:
-        return sum(1 for src, _ in self.edges if src == node)
-
     def sources_reaching(self, v: int) -> frozenset[int]:
         """Layer-0 agents from which ``(v, depth)`` is reachable.
 

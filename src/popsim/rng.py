@@ -13,9 +13,22 @@ integer operations per draw.
 Bounded integers are drawn by taking the top bits of an output word and
 rejecting values outside the range, which is exactly uniform (no modulo
 bias).  For power-of-two bounds the rejection never triggers.
+
+splitmix64 is counter-based: word i of the stream seeded with s is
+``mix64(s + (i + 1) * GOLDEN_GAMMA)`` modulo 2**64.  :func:`pair_stream`
+uses this to compute a block of words at once with numpy's wrapping
+``uint64`` arithmetic, then turns them into the same ordered pairs that
+``Splitmix64.randbelow`` and ``core.sample_interaction`` would draw one at a
+time.  numpy's own generators are never used, so the stream is unchanged;
+the scalar generator stays the reference the block stream is tested against.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from typing import Iterator
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -74,3 +87,59 @@ class Splitmix64:
         occur; downstream inverse-transform samplers rely on ``0 < u < 1``.
         """
         return ((self.next64() >> 11) + 0.5) * 1.1102230246251565e-16  # 2**-53
+
+
+# Blocks start small so that short trials compute few unused words, and double
+# up to a cap that bounds the memory of a long run.
+FIRST_BLOCK = 32
+MAX_BLOCK = 4096
+_BLOCK_OFFSETS = np.arange(1, MAX_BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_UMIX_A, _UMIX_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
+
+
+def pair_stream(seed: int, n: int) -> Iterator[tuple[int, int]]:
+    """Endless ordered pairs ``(u, v)`` of distinct agents in ``[0, n)``.
+
+    The stream is exactly the sequence of ``sample_interaction(rng, n)``
+    results for ``rng = Splitmix64(seed)``: the initiator u is drawn at bound
+    n, then k at bound n-1, and the responder is k skipping over u.  Words
+    are computed in blocks and a block's pairs are formed by one pass over
+    the top bits of its words, so an initiator accepted in one block can get
+    its responder from the next.
+    """
+    if not 2 <= n <= 1 << 64:
+        raise ValueError("pair streams need 2 <= n <= 2**64 agents")
+    return chain.from_iterable(_pair_blocks(seed & MASK64, n))
+
+
+def _pair_blocks(state: int, n: int) -> Iterator[list[tuple[int, int]]]:
+    bits = (n - 1).bit_length()  # randbelow(n) keeps the top ``bits`` bits
+    drop = bits - (n - 2).bit_length()  # 1 when randbelow(n - 1) keeps one bit less
+    shift = np.uint64(64 - bits)
+    n1 = n - 1
+    size = FIRST_BLOCK
+    u = -1  # an accepted initiator still waiting for its k draw
+    while True:
+        # mix64 of the next ``size`` states, as Splitmix64.next64 computes them
+        x = _BLOCK_OFFSETS[:size] + np.uint64(state)
+        state = (state + size * GOLDEN_GAMMA) & MASK64
+        x ^= x >> _U30
+        x *= _UMIX_A
+        x ^= x >> _U27
+        x *= _UMIX_B
+        if bits > 31:  # x ^ (x >> 31) leaves the top 31 bits of x as they are
+            x ^= x >> _U31
+        pairs = []
+        append = pairs.append
+        for r in (x >> shift).tolist():
+            if u < 0:
+                if r < n:
+                    u = r
+            else:
+                k = r >> drop
+                if k < n1:
+                    append((u, k if k < u else k + 1))
+                    u = -1
+        yield pairs
+        size = min(2 * size, MAX_BLOCK)

@@ -112,6 +112,44 @@ def test_run_protocol_file(tmp_path):
     assert all(r["one_leader_step"] == r["steps"] for r in rows)
 
 
+EPIDEMIC_DOC = {
+    "name": "one-way-epidemic",
+    "states": ["S", "I"],
+    "initial": "S",
+    "outputs": {"S": "F", "I": "F"},
+    "rules": [["S", "I", "I", "I"], ["I", "S", "I", "I"]],
+}
+
+
+def test_run_file_named_like_catalog_gets_no_catalog_behaviour(tmp_path):
+    # Three states, and infection spreads as in the epidemic, but it is not
+    # the catalog epidemic: no seeded agent, no all-infected stop.
+    doc = dict(EPIDEMIC_DOC, states=["S", "I", "X"], outputs={"S": "F", "I": "F", "X": "F"})
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(doc))
+    out, log = tmp_path / "run.csv", tmp_path / "trial0.log"
+    code = main(["run", "--protocol-file", str(path), "--n", "8", "--trials", "5",
+                 "--seed", "3", "--max-steps", "300", "--out", str(out), "--save-log", str(log)])
+    assert code == 0
+    header = out.read_text().splitlines()[1].split(",")
+    assert "all_infected_step" not in header
+    _, rows = read_csv(out)
+    assert [(r["steps"], r["truncated"]) for r in rows] == [("300", "0")] * 5
+    assert len(log.read_text().splitlines()) == 301
+
+
+def test_run_file_equal_to_catalog_epidemic_keeps_its_behaviour(tmp_path):
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(EPIDEMIC_DOC))
+    from_file, from_catalog = tmp_path / "file.csv", tmp_path / "catalog.csv"
+    common = ["--n", "16", "--trials", "5", "--seed", "3"]
+    assert main(["run", "--protocol-file", str(path), *common, "--out", str(from_file)]) == 0
+    assert main(["run", "--protocol", "one-way-epidemic", *common, "--out", str(from_catalog)]) == 0
+    assert from_file.read_bytes() == from_catalog.read_bytes()
+    _, rows = read_csv(from_file)
+    assert all(r["all_infected_step"] == r["steps"] and r["truncated"] == "0" for r in rows)
+
+
 def test_run_save_log_round_trip(tmp_path):
     out = tmp_path / "run.csv"
     log_path = tmp_path / "trial0.log"

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -6,6 +7,7 @@ from popsim import (
     Interaction,
     Protocol,
     Splitmix64,
+    TrialRecord,
     apply_interaction,
     apply_interaction_inplace,
     configuration_digest,
@@ -196,14 +198,76 @@ def test_runs_are_deterministic():
 
 
 def test_engine_draws_match_sample_interaction():
-    # The engine inlines the sampling arithmetic; replaying sample_interaction
-    # on the same seed must give the identical schedule.
-    proto = leave_init(5)
-    recorder = ScheduleRecorder(5)
-    run_trial(proto, 5, seed=31, max_steps=40, observers=[recorder])
-    rng = Splitmix64(31)
-    replay = [sample_interaction(rng, 5) for _ in range(40)]
-    assert recorder.log.entries == replay
+    # The engine takes its pairs from the block stream; replaying
+    # sample_interaction on the same seed must give the identical schedule,
+    # across block boundaries too (at n=513 about half the initiator draws
+    # are rejected).
+    for n, steps in ((5, 40), (513, 5000)):
+        proto = leave_init(n)
+        recorder = ScheduleRecorder(n)
+        run_trial(proto, n, seed=31, max_steps=steps, observers=[recorder])
+        rng = Splitmix64(31)
+        replay = [sample_interaction(rng, n) for _ in range(steps)]
+        assert recorder.log.entries == replay
+
+
+def reference_run(protocol, n, seed, *, max_steps, stop_event=None, stop=None):
+    """The engine's loop with one sample_interaction call per step: predicates
+    first, then the budget, then the draw."""
+    states = [protocol.initial_state] * n
+    counts = [states.count(s) for s in range(protocol.num_states)]
+    trial = SimpleNamespace(states=states, counts=counts, step=0)
+    rng = Splitmix64(seed)
+    events, stopped = {}, False
+    while True:
+        if stop_event is not None and stop_event[1](trial):
+            events[stop_event[0]] = trial.step
+            stopped = True
+            break
+        if stop is not None and stop(trial):
+            stopped = True
+            break
+        if trial.step >= max_steps:
+            break
+        u, v = sample_interaction(rng, n)
+        for agent, new in zip((u, v), protocol.transitions[states[u]][states[v]]):
+            counts[states[agent]] -= 1
+            counts[new] += 1
+            states[agent] = new
+        trial.step += 1
+    return TrialRecord(
+        seed=seed,
+        n=n,
+        steps_taken=trial.step,
+        event_steps=events,
+        final_digest=configuration_digest(states),
+        truncated=(stop is not None or stop_event is not None) and not stopped,
+    )
+
+
+def cyclic_protocol():
+    # the initiator advances mod 3, so the final configuration depends on
+    # which agent initiated each step
+    table = tuple(tuple(((a + 1) % 3, b) for b in range(3)) for a in range(3))
+    return Protocol(3, 0, table, ("F", "F", "F"), name="cycle")
+
+
+# At n=2 every pair takes exactly two words, so the blocks of 32, 64 and 128
+# words end after steps 16, 48 and 112.
+@pytest.mark.parametrize("budget", [0, 1, 15, 16, 17, 48, 112, 113])
+def test_budget_and_block_boundaries_match_scalar_engine(budget):
+    proto = cyclic_protocol()
+    variants = [
+        {},
+        {"stop": lambda t: False},
+        {"stop_event": ("at_16", lambda t: t.step == 16)},
+        {"stop_event": ("at_48", lambda t: t.step == 48), "stop": lambda t: t.step == 16},
+        {"stop_event": ("init_left", lambda t: t.counts[0] == 0)},
+    ]
+    for n in (2, 7):
+        for kwargs in variants:
+            got = run_trial(proto, n, seed=budget, max_steps=budget, **kwargs)
+            assert got == reference_run(proto, n, budget, max_steps=budget, **kwargs)
 
 
 def test_observer_sees_old_and_new_states():

@@ -1,6 +1,11 @@
-import pytest
+from itertools import islice
 
-from popsim.rng import GOLDEN_GAMMA, MASK64, Splitmix64, derive_seed, mix64
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from popsim.core import sample_interaction
+from popsim.rng import FIRST_BLOCK, GOLDEN_GAMMA, MASK64, Splitmix64, derive_seed, mix64, pair_stream
 
 # Published splitmix64 outputs for seed 0; any deviation means the algorithm
 # drifted and every recorded trace in the wild silently changes meaning.
@@ -74,3 +79,51 @@ def test_derive_seed_distinct_per_index():
 def test_derive_seed_rejects_negative_index():
     with pytest.raises(ValueError):
         derive_seed(0, -1)
+
+
+# --------------------------------------------------------------- pair stream
+
+# Sizes where both bounds share a shift (1000, 4096), where n-1 is a power of
+# two so the k draw uses one bit less (3, 5, 17, 1025, 16385, 2**33 + 1),
+# where bound n-1 is 1 (2), where about half the initiator draws are
+# rejected (513), and above 2**31, where the last mixing step reaches the
+# top bits.
+STREAM_SIZES = (2, 3, 5, 17, 513, 1000, 1024, 1025, 4096, 16384, 16385, 2**33 + 1, 2**40 + 3, 2**64)
+
+
+def scalar_pairs(seed, n, count):
+    rng = Splitmix64(seed)
+    return [tuple(sample_interaction(rng, n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", STREAM_SIZES)
+def test_pair_stream_matches_sample_interaction(n):
+    count = 20_000
+    # Each pair takes at least two words, so these pairs run through blocks
+    # of FIRST_BLOCK * 2**i words for i = 0..4 and on: four doublings or more.
+    assert 2 * count > FIRST_BLOCK * (2**5 - 1)
+    assert list(islice(pair_stream(12345, n), count)) == scalar_pairs(12345, n, count)
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1, 2**64 + 5])
+def test_pair_stream_wraps_seeds_like_splitmix64(seed):
+    assert list(islice(pair_stream(seed, 1000), 3000)) == scalar_pairs(seed, 1000, 3000)
+    assert list(islice(pair_stream(seed, 7), 50)) == list(islice(pair_stream(seed & MASK64, 7), 50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=70),
+    seed=st.integers(min_value=-(2**65), max_value=2**65),
+    count=st.integers(min_value=0, max_value=400),
+)
+def test_pair_stream_property(n, seed, count):
+    assert list(islice(pair_stream(seed, n), count)) == scalar_pairs(seed, n, count)
+
+
+def test_pair_stream_rejects_sizes_the_scalar_draws_reject():
+    for n in (0, 1, 2**64 + 1):
+        with pytest.raises(ValueError):
+            pair_stream(0, n)
+        with pytest.raises(ValueError):
+            sample_interaction(Splitmix64(0), n)
