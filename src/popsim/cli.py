@@ -127,6 +127,9 @@ def _make_stop_predicate(kind: Optional[str], protocol: Protocol, n: int, thresh
         return None
     if kind == "one_leader":
         leaders = protocol.output_states(LEADER)
+        if len(leaders) == 1:
+            (s,) = leaders
+            return lambda trial: trial.counts[s] == 1
         return lambda trial: sum(trial.counts[s] for s in leaders) == 1
     if kind == "all_infected":
         return lambda trial: trial.counts[1] == n

@@ -141,6 +141,18 @@ def default_step_budget(n: int) -> int:
     return 64 * n * max(1, math.ceil(math.log(n)))
 
 
+def step_budget(n: int, max_steps: Optional[int]) -> int:
+    """The interaction budget of one trial: ``max_steps``, or the default
+    budget when it is None.  Rejects n < 2 and negative budgets."""
+    if n < 2:
+        raise ValueError("population size must be >= 2")
+    if max_steps is None:
+        return default_step_budget(n)
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    return max_steps
+
+
 class Trial:
     """Mutable engine state for one execution; owned by exactly one run."""
 
@@ -209,12 +221,7 @@ def run_trial(
     Determinism: two runs with identical arguments produce identical
     interaction sequences, event steps, and final digests.
     """
-    if n < 2:
-        raise ValueError("population size must be >= 2")
-    if max_steps is None:
-        max_steps = default_step_budget(n)
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+    max_steps = step_budget(n, max_steps)
 
     if initial is None:
         states = [protocol.initial_state] * n

@@ -23,6 +23,19 @@ Sets are represented as arbitrary-precision integers used as bit vectors
 (bit u set means agent u belongs), so a union is one word-parallel ``|`` and
 a size is one ``bit_count()``.  Memory is n*n/8 bytes per table; tables are
 capped at n <= 2**17, which keeps exactness instead of trading it for scale.
+
+First crossings of a size threshold (:func:`first_exceed_time`) run on a
+stream kernel: it ORs the masks of each pair of ``rng.pair_stream`` and
+applies no protocol, since influence does not depend on states; an agent's
+mask is made at its first interaction.  Next to each mask it keeps an upper
+bound on the set's size; a merged set's bound is the sum of the two
+participants' bounds, and only a sum above the threshold pays for a
+``bit_count()``, whose exact result then replaces it (when one agent is
+tracked, only its steps pay; other bounds are capped at n).  The bound
+never falls below the true size, so no crossing is skipped.
+:class:`InfluencerObserver` driven by ``core.run_trial`` stays the
+reference: it counts every step, records size series, and runs whenever
+other observers need the protocol's states.
 """
 
 from __future__ import annotations
@@ -32,7 +45,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .core import Interaction, Protocol, TrialRecord, run_trial
+from .core import Interaction, Protocol, TrialRecord, run_trial, step_budget
+from .rng import pair_stream
 
 MAX_TRACKED_AGENTS = 1 << 17
 
@@ -105,6 +119,13 @@ def demo_log() -> InteractionLog:
     return InteractionLog(5, list(DEMO_SCHEDULE_N5))
 
 
+def _check_tracked_size(n: int) -> None:
+    if n < 1:
+        raise ValueError("population size must be >= 1")
+    if n > MAX_TRACKED_AGENTS:
+        raise ValueError(f"influencer tracking is capped at n <= {MAX_TRACKED_AGENTS}")
+
+
 class InfluencerTable:
     """Forward influencer sets for every agent, updated incrementally.
 
@@ -115,10 +136,7 @@ class InfluencerTable:
     __slots__ = ("n", "step", "masks")
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("population size must be >= 1")
-        if n > MAX_TRACKED_AGENTS:
-            raise ValueError(f"influencer tracking is capped at n <= {MAX_TRACKED_AGENTS}")
+        _check_tracked_size(n)
         self.n = n
         self.step = 0
         self.masks: list[int] = [1 << v for v in range(n)]
@@ -263,6 +281,13 @@ class ScheduleRecorder:
         self.log.entries.append(e)
 
 
+def _check_crossing_query(n: int, threshold: Optional[float], agent: Optional[int]) -> None:
+    if threshold is not None and threshold < 1:
+        raise ValueError("threshold must be >= 1")
+    if agent is not None and not 0 <= agent < n:
+        raise ValueError(f"agent {agent} out of range for n={n}")
+
+
 class InfluencerObserver:
     """Observer that maintains an :class:`InfluencerTable` during a run.
 
@@ -281,10 +306,7 @@ class InfluencerObserver:
         agent: Optional[int] = None,
         track_series: bool = False,
     ):
-        if threshold is not None and threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if agent is not None and not 0 <= agent < n:
-            raise ValueError(f"agent {agent} out of range for n={n}")
+        _check_crossing_query(n, threshold, agent)
         self.table = InfluencerTable(n)
         self.threshold = threshold
         self.agent = agent
@@ -328,17 +350,44 @@ def first_exceed_time(
     missing key with ``truncated=True`` means the step budget ran out first
     (a legitimate outcome, not an error).  ``agent`` switches from
     first-crossing-by-anyone to first crossing by that one agent.
+
+    Without ``extra_observers`` the stream kernel runs: ``protocol`` is not
+    used and no configuration is simulated, so the record's ``final_digest``
+    is ``""``; every other field equals the observer route's.  With
+    ``extra_observers`` the trial runs through ``core.run_trial`` with an
+    :class:`InfluencerObserver`, so the observers see the protocol's states.
     """
-    obs = InfluencerObserver(n, threshold=threshold, agent=agent)
-    observers = [obs, *extra_observers]
-    return run_trial(
-        protocol,
-        n,
-        seed,
-        max_steps=max_steps,
-        stop=lambda trial: obs.first_exceed_step is not None,
-        observers=observers,
-    )
+    extra_observers = tuple(extra_observers)
+    if extra_observers:
+        obs = InfluencerObserver(n, threshold=threshold, agent=agent)
+        return run_trial(
+            protocol,
+            n,
+            seed,
+            max_steps=max_steps,
+            stop=lambda trial: obs.first_exceed_step is not None,
+            observers=[obs, *extra_observers],
+        )
+    _check_crossing_query(n, threshold, agent)
+    _check_tracked_size(n)
+    budget = step_budget(n, max_steps)
+    # An agent's mask stays 0 until its first interaction and stands for
+    # {v} until then, so a trial allocates only the sets it reaches.
+    masks = [0] * n
+    bound = [1] * n  # bound[v] >= the size of v's set
+    for step, (u, v) in zip(range(1, budget + 1), pair_stream(seed, n)):
+        merged = (masks[u] or 1 << u) | (masks[v] or 1 << v)
+        masks[u] = masks[v] = merged
+        size = bound[u] + bound[v]
+        if size > threshold:
+            if agent is None or agent == u or agent == v:
+                size = merged.bit_count()
+                if size > threshold:
+                    return TrialRecord(seed, n, step, {INFLUENCER_EVENT: step})
+            elif size > n:  # popcount skipped; no set has more than n members
+                size = n
+        bound[u] = bound[v] = size
+    return TrialRecord(seed, n, budget, truncated=True)
 
 
 def write_size_series(observer: InfluencerObserver, path: Union[str, Path]) -> None:

@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
 
 import pytest
 
-from popsim.cli import main, threshold_count
+from popsim.cli import _make_stop_predicate, main, threshold_count
+from popsim.core import LEADER, Trial, run_trial
 from popsim.exact import closed_form_pairwise
+from popsim.protocols import protocol_from_dict
 
 PAIRWISE_DOC = {
     "name": "custom-pairwise",
@@ -110,6 +113,33 @@ def test_run_protocol_file(tmp_path):
     _, rows = read_csv(out)
     # file protocols get the generic one-leader event name
     assert all(r["one_leader_step"] == r["steps"] for r in rows)
+
+
+TWO_LEADER_DOC = {
+    "name": "two-leader-states",
+    "states": ["A", "B", "F"],
+    "initial": "A",
+    "outputs": {"A": "L", "B": "L", "F": "F"},
+    "rules": [["A", "A", "B", "F"], ["B", "B", "A", "F"], ["A", "B", "A", "F"], ["B", "A", "B", "F"]],
+}
+
+
+@pytest.mark.parametrize("doc", [PAIRWISE_DOC, TWO_LEADER_DOC])
+def test_one_leader_stop_agrees_with_leader_sum(doc):
+    protocol = protocol_from_dict(doc)
+    n = 5
+    pred = _make_stop_predicate("one_leader", protocol, n, None)
+
+    def by_sum(trial):
+        return protocol.count_output(trial.counts, LEADER) == 1
+
+    for states in itertools.product(range(protocol.num_states), repeat=n):
+        trial = Trial(protocol, n, list(states))
+        assert pred(trial) == by_sum(trial)
+    for seed in range(20):
+        assert run_trial(protocol, n, seed, stop_event=("e", pred)) == run_trial(
+            protocol, n, seed, stop_event=("e", by_sum)
+        )
 
 
 EPIDEMIC_DOC = {
@@ -249,6 +279,32 @@ def test_influencer_series_export(tmp_path):
     lines = series.read_text().splitlines()
     assert lines[0] == "step,max_size,participant_size"
     assert len(lines) > 1
+
+
+def _influencer_outputs(tmp_path, name, argv):
+    out = tmp_path / f"{name}.csv"
+    assert main(["influencer", *argv, "--out", str(out)]) == 0
+    return out.read_bytes(), (tmp_path / f"{name}-summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("agent", [[], ["--agent", "3"]])
+def test_influencer_jobs_do_not_change_output(tmp_path, agent):
+    base = ["--n", "16", "--n", "40", "--trials", "9", "--seed", "12", *agent]
+    serial = _influencer_outputs(tmp_path, "serial", base)
+    parallel = _influencer_outputs(tmp_path, "parallel", base + ["--jobs", "2"])
+    assert serial == parallel
+
+
+def test_influencer_series_ends_at_trial_zero_crossing(tmp_path):
+    # the series comes from the observer route, t_min from the stream kernel
+    out, series = tmp_path / "inf.csv", tmp_path / "series.csv"
+    code = main(["influencer", "--n", "200", "--trials", "3", "--seed", "8",
+                 "--out", str(out), "--series-out", str(series)])
+    assert code == 0
+    _, rows = read_csv(out)
+    last = series.read_text().splitlines()[-1].split(",")
+    assert last[0] == rows[0]["t_min"]
+    assert int(last[2]) > int(rows[0]["threshold"])
 
 
 # ----------------------------------------------------------------------- coupon

@@ -22,6 +22,7 @@ from popsim import (
 from popsim.influence import (
     DEMO_SCHEDULE_N5,
     INFLUENCER_EVENT,
+    MAX_TRACKED_AGENTS,
     InfluencerObserver,
     InfluencerTable,
     InteractionLog,
@@ -264,6 +265,67 @@ def test_first_exceed_matches_offline_replay():
         if crossing is None and table.max_size() > threshold:
             crossing = j + 1
     assert crossing == reported == rec.steps_taken
+
+
+def _both_routes(n, seed, threshold, **kwargs):
+    """first_exceed_time on the stream kernel and, forced by an extra
+    observer, on the InfluencerObserver route."""
+    kernel = first_exceed_time(leave_init(n), n, seed, threshold, **kwargs)
+    observed = first_exceed_time(
+        leave_init(n), n, seed, threshold, extra_observers=[ScheduleRecorder(n)], **kwargs
+    )
+    return kernel, observed
+
+
+def _fields(rec):
+    return rec.event_steps, rec.steps_taken, rec.truncated
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 1000])
+def test_stream_kernel_matches_observer_route(n):
+    thresholds = sorted({1, 1.5, math.ceil(n ** (2 / 3)), n / 2 + 0.25, n - 0.5, n})
+    for agent in (None, 0, n - 1):
+        for i, threshold in enumerate(thresholds):
+            seed = derive_seed(n, i)
+            # Threshold n is out of reach, so the budget runs out.  At n=1000
+            # the default budget is 448000 steps; a shorter one stands in.
+            first_budget = 3 * n if threshold >= n and n > 64 else None
+            kernel, observed = _both_routes(n, seed, threshold, agent=agent, max_steps=first_budget)
+            assert _fields(kernel) == _fields(observed)
+            assert kernel.final_digest == ""
+            t_min = kernel.event_steps.get(INFLUENCER_EVENT)
+            if t_min is None:
+                assert threshold >= n and kernel.truncated
+                budgets = [0, 3 * n]
+            else:
+                assert t_min == kernel.steps_taken and not kernel.truncated
+                budgets = [0, t_min - 1, t_min]
+            for max_steps in budgets:
+                kernel, observed = _both_routes(n, seed, threshold, agent=agent, max_steps=max_steps)
+                assert _fields(kernel) == _fields(observed)
+                crossed = t_min is not None and max_steps >= t_min
+                # a crossing exactly at the budget is not truncated
+                assert kernel.truncated == (not crossed)
+                assert kernel.steps_taken == (t_min if crossed else max_steps)
+
+
+@pytest.mark.parametrize(
+    "n, threshold, kwargs",
+    [
+        (4, 0.5, {}),
+        (4, 0, {}),
+        (4, 2, {"max_steps": -1}),
+        (1, 1, {}),
+        (MAX_TRACKED_AGENTS + 1, 2, {}),
+        (4, 2, {"agent": 4}),
+    ],
+)
+def test_both_routes_reject_bad_arguments(n, threshold, kwargs):
+    with pytest.raises(ValueError):
+        first_exceed_time(leave_init(2), n, 0, threshold, **kwargs)
+    with pytest.raises(ValueError):
+        first_exceed_time(leave_init(2), n, 0, threshold,
+                          extra_observers=[ScheduleRecorder(n)], **kwargs)
 
 
 def test_single_agent_mode_waits_for_that_agent():
