@@ -93,86 +93,56 @@ def _resolve_protocol(args, n: int) -> Protocol:
     return make_protocol(args.protocol, n)
 
 
-def _catalog_name(protocol: Protocol, n: int) -> Optional[str]:
-    """The catalog name of ``protocol`` if it equals that catalog entry at
-    this n in every field, else None; a protocol file may take any name."""
-    build = CATALOG.get(protocol.name)
-    return protocol.name if build is not None and build(n) == protocol else None
+def _one_leader_stop(protocol: Protocol):
+    """Stop predicate: exactly one agent outputs the leader symbol."""
+    leaders = protocol.output_states(LEADER)
+    if len(leaders) == 1:
+        (s,) = leaders
+        return lambda trial: trial.counts[s] == 1
+    return lambda trial: sum(trial.counts[s] for s in leaders) == 1
 
 
-def _stop_plan(protocol: Protocol, n: int, threshold: Optional[int]):
-    """Choose the named stop event for a plain run of this protocol.
+def _run_plan(protocol: Protocol, n: int, threshold: Optional[int]):
+    """The ``(stop_event, initial)`` arguments of a plain run of ``protocol``.
 
-    pairwise-elimination freezes once one leader remains, so the one-leader
-    event is its stabilization; other leader-outputting protocols get the
-    more honest name ``one_leader``.  The epidemic stops when everyone is
-    infected; leave-init stops at the initial-state threshold when one is
-    given, otherwise runs to the step budget.  The three special cases apply
-    only to the catalog protocols themselves.
+    A protocol equal in every field to its catalog entry at this n gets the
+    entry's stop event and start; a protocol file may take any name, so one
+    that only borrows a catalog name is planned like any other file.  Other
+    leader-outputting protocols stop at the event ``one_leader``; the rest
+    run to the step budget.
     """
-    name = _catalog_name(protocol, n)
-    if name == "pairwise-elimination":
-        return "stabilized", "one_leader"
-    if name == "one-way-epidemic":
-        return "all_infected", "all_infected"
-    if name == "leave-init":
-        return ("init_below_threshold", "init_below") if threshold is not None else (None, None)
+    entry = CATALOG.get(protocol.name)
+    if entry is not None and entry.build(n) == protocol:
+        stop = entry.stop(n, threshold)
+        stop_event = (entry.event, stop) if stop is not None else None
+        return stop_event, entry.start(n)
     if protocol.output_states(LEADER):
-        return "one_leader", "one_leader"
+        return ("one_leader", _one_leader_stop(protocol)), None
     return None, None
 
 
-def _make_stop_predicate(kind: Optional[str], protocol: Protocol, n: int, threshold: Optional[int]):
-    if kind is None:
-        return None
-    if kind == "one_leader":
-        leaders = protocol.output_states(LEADER)
-        if len(leaders) == 1:
-            (s,) = leaders
-            return lambda trial: trial.counts[s] == 1
-        return lambda trial: sum(trial.counts[s] for s in leaders) == 1
-    if kind == "all_infected":
-        return lambda trial: trial.counts[1] == n
-    if kind == "init_below":
-        init = protocol.initial_state
-        return lambda trial: trial.counts[init] < threshold
-    raise AssertionError(f"unknown stop kind {kind}")
-
-
-def _initial_override(protocol: Protocol, n: int):
-    if _catalog_name(protocol, n) == "one-way-epidemic":
-        # Seed exactly one infected agent; the protocol itself starts all-susceptible.
-        return [1] + [0] * (n - 1)
-    return None
-
-
 def _run_job(job) -> dict:
-    """One trial of the plain-run sweep; top level so worker processes can pickle it."""
-    protocol, n, trial_idx, seed, max_steps, event_name, stop_kind, threshold, initial = job
-    pred = _make_stop_predicate(stop_kind, protocol, n, threshold)
-    rec = run_trial(
-        protocol,
-        n,
-        seed,
-        max_steps=max_steps,
-        stop_event=(event_name, pred) if pred is not None else None,
-        initial=initial,
-    )
+    """One trial of ``run`` or ``coupon``; top level so worker processes can
+    pickle it.  The stop predicate cannot be pickled, so the worker plans."""
+    protocol, n, threshold, trial_idx, seed, max_steps = job
+    stop_event, initial = _run_plan(protocol, n, threshold)
+    rec = run_trial(protocol, n, seed, max_steps=max_steps, stop_event=stop_event, initial=initial)
     row = {
         "trial": trial_idx,
         "seed": seed,
         "n": n,
+        "f": threshold,
         "steps": rec.steps_taken,
-        "parallel_time": rec.steps_taken / n,
+        "parallel_time": rec.parallel_time,
         "truncated": int(rec.truncated),
     }
-    if event_name is not None:
-        row[f"{event_name}_step"] = rec.event_steps.get(event_name, "")
+    if stop_event is not None:
+        row[f"{stop_event[0]}_step"] = rec.event_steps.get(stop_event[0], "")
     return row
 
 
 def _influencer_job(job) -> dict:
-    protocol, n, trial_idx, seed, max_steps, threshold, agent = job
+    protocol, n, threshold, trial_idx, seed, max_steps, agent = job
     rec = first_exceed_time(
         protocol, n, seed, threshold, max_steps=max_steps, agent=agent
     )
@@ -190,29 +160,27 @@ def _influencer_job(job) -> dict:
     }
 
 
-def _coupon_job(job) -> dict:
-    protocol, n, trial_idx, seed, max_steps, threshold = job
-    pred = _make_stop_predicate("init_below", protocol, n, threshold)
-    rec = run_trial(
-        protocol, n, seed, max_steps=max_steps, stop_event=("init_below_threshold", pred)
-    )
-    return {
-        "n": n,
-        "trial": trial_idx,
-        "seed": seed,
-        "f": threshold,
-        "steps": rec.steps_taken,
-        "parallel_time": rec.steps_taken / n,
-        "truncated": int(rec.truncated),
-    }
-
-
 def _map_jobs(fn, jobs_list, workers: int):
     if workers <= 1 or len(jobs_list) <= 1:
         return [fn(job) for job in jobs_list]
     chunk = max(1, len(jobs_list) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs_list, chunksize=chunk))
+
+
+def _sweep(args, job, *extra):
+    """Run ``job`` on every trial of every ``--n``, yielding
+    ``(n, protocol, threshold, rows)`` per size with the rows in trial order
+    whatever ``--jobs``.  A job is ``(protocol, n, threshold, trial, seed,
+    max_steps, *extra)``; threshold is None when no ``--threshold`` is set."""
+    for n in args.n:
+        protocol = _resolve_protocol(args, n)
+        threshold = threshold_count(args.threshold, n) if args.threshold is not None else None
+        jobs = [
+            (protocol, n, threshold, t, derive_seed(args.seed, t), args.max_steps, *extra)
+            for t in range(args.trials)
+        ]
+        yield n, protocol, threshold, _map_jobs(job, jobs, args.jobs)
 
 
 def _format_cell(value) -> str:
@@ -265,33 +233,24 @@ def _summary_row(n: int, threshold: int, ratios: list[float]) -> dict:
 
 
 def cmd_run(args) -> int:
-    sizes = args.n
     recorded_log = None
     rows = []
     event_columns: list[str] = []
-    for n in sizes:
-        protocol = _resolve_protocol(args, n)
-        threshold = threshold_count(args.threshold, n) if args.threshold else None
-        event_name, stop_kind = _stop_plan(protocol, n, threshold)
-        initial = _initial_override(protocol, n)
-        if event_name is not None and f"{event_name}_step" not in event_columns:
-            event_columns.append(f"{event_name}_step")
-        jobs = [
-            (protocol, n, t, derive_seed(args.seed, t), args.max_steps, event_name, stop_kind, threshold, initial)
-            for t in range(args.trials)
-        ]
-        rows.extend(_map_jobs(_run_job, jobs, args.jobs))
+    for n, protocol, threshold, results in _sweep(args, _run_job):
+        rows.extend(results)
+        stop_event, initial = _run_plan(protocol, n, threshold)
+        if stop_event is not None and f"{stop_event[0]}_step" not in event_columns:
+            event_columns.append(f"{stop_event[0]}_step")
         if args.save_log and recorded_log is None:
             # Replay trial 0 with a recorder; observers draw no randomness, so
             # the trajectory is identical to the sweep's trial 0.
             recorder = ScheduleRecorder(n)
-            pred = _make_stop_predicate(stop_kind, protocol, n, threshold)
             run_trial(
                 protocol,
                 n,
                 derive_seed(args.seed, 0),
                 max_steps=args.max_steps,
-                stop_event=(event_name, pred) if pred is not None else None,
+                stop_event=stop_event,
                 observers=[recorder],
                 initial=initial,
             )
@@ -307,14 +266,7 @@ def cmd_influencer(args) -> int:
     trial_rows = []
     summary_rows = []
     series_done = False
-    for n in args.n:
-        protocol = _resolve_protocol(args, n)
-        threshold = threshold_count(args.threshold, n)
-        jobs = [
-            (protocol, n, t, derive_seed(args.seed, t), args.max_steps, threshold, args.agent)
-            for t in range(args.trials)
-        ]
-        results = _map_jobs(_influencer_job, jobs, args.jobs)
+    for n, protocol, threshold, results in _sweep(args, _influencer_job, args.agent):
         ratios = [row.pop("_ratio_value") for row in results]
         trial_rows.extend(results)
         summary_rows.append(_summary_row(n, threshold, [r for r in ratios if r is not None]))
@@ -325,7 +277,7 @@ def cmd_influencer(args) -> int:
                 n,
                 derive_seed(args.seed, 0),
                 max_steps=args.max_steps,
-                stop=lambda trial: obs.first_exceed_step is not None,
+                stop_event=(INFLUENCER_EVENT, lambda trial: obs.first_exceed_step is not None),
                 observers=[obs],
             )
             write_size_series(obs, args.series_out)
@@ -355,14 +307,7 @@ def _summary_path(args) -> Optional[str]:
 def cmd_coupon(args) -> int:
     trial_rows = []
     summary_rows = []
-    for n in args.n:
-        protocol = make_protocol("leave-init", n)
-        threshold = threshold_count(args.threshold, n)
-        jobs = [
-            (protocol, n, t, derive_seed(args.seed, t), args.max_steps, threshold)
-            for t in range(args.trials)
-        ]
-        results = _map_jobs(_coupon_job, jobs, args.jobs)
+    for n, _, threshold, results in _sweep(args, _run_job):
         trial_rows.extend(results)
 
         spec = coupon_spec(n, threshold)
@@ -464,18 +409,31 @@ def cmd_export_graph(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --trials and --jobs: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _add_common(parser, *, sizes=True, trials=True):
+    """Shared flags; ``trials`` marks the sweeps, which alone take --format
+    (exact writes JSON and export-graph text)."""
     if sizes:
         parser.add_argument("--n", type=int, action="append", required=True,
                             help="population size (repeatable)")
     if trials:
-        parser.add_argument("--trials", type=int, default=1)
+        parser.add_argument("--trials", type=_positive_int, default=1)
         parser.add_argument("--seed", type=int, default=0,
                             help="sweep seed base; per-trial seeds derive from it")
         parser.add_argument("--max-steps", type=int, default=None)
-        parser.add_argument("--jobs", type=int, default=1)
+        parser.add_argument("--jobs", type=_positive_int, default=1)
+        parser.add_argument("--format", choices=["csv", "json", "gnuplot"], default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json", "gnuplot"], default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stop once fewer than this many agents remain initial")
     p_coupon.add_argument("--summary-out", default=None)
     _add_common(p_coupon)
-    p_coupon.set_defaults(func=cmd_coupon)
+    p_coupon.set_defaults(func=cmd_coupon, protocol="leave-init")
 
     p_exact = sub.add_parser("exact", help="exhaustive reachability, safety, and hitting time")
     p_exact.add_argument("--protocol", default=None)

@@ -83,24 +83,19 @@ class Protocol:
 
 
 def apply_interaction(protocol: Protocol, config: Sequence[int], e: Interaction) -> Configuration:
-    """Pure variant: returns a new configuration, input untouched.
+    """Return the configuration after interaction ``e``; the input is untouched.
 
     Only the two participants' entries may differ from the input.
     """
-    new = list(config)
-    apply_interaction_inplace(protocol, new, e)
-    return new
-
-
-def apply_interaction_inplace(protocol: Protocol, states: Configuration, e: Interaction) -> None:
-    """In-place variant of :func:`apply_interaction`; mutates ``states``."""
     u, v = e
-    n = len(states)
+    n = len(config)
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"agent index out of range for n={n}: {e}")
     if u == v:
         raise ValueError("initiator and responder must be distinct")
-    states[u], states[v] = protocol.transitions[states[u]][states[v]]
+    new = list(config)
+    new[u], new[v] = protocol.transitions[config[u]][config[v]]
+    return new
 
 
 def sample_interaction(rng: Splitmix64, n: int) -> Interaction:
@@ -122,13 +117,6 @@ def output_vector(protocol: Protocol, config: Sequence[int]) -> list[str]:
     """Element-wise application of the output function."""
     outputs = protocol.outputs
     return [outputs[s] for s in config]
-
-
-def parallel_time(steps: int, n: int) -> float:
-    """Steps divided by the population size."""
-    if n < 1:
-        raise ValueError("population size must be >= 1")
-    return steps / n
 
 
 def configuration_digest(states: Sequence[int]) -> str:
@@ -193,7 +181,6 @@ def run_trial(
     seed: int,
     *,
     max_steps: Optional[int] = None,
-    stop: Optional[StopPredicate] = None,
     stop_event: Optional[tuple[str, StopPredicate]] = None,
     observers: Iterable = (),
     initial: Optional[Sequence[int]] = None,
@@ -203,15 +190,12 @@ def run_trial(
     Each step takes the next pair of ``pair_stream(seed, n)`` (the pairs
     ``sample_interaction`` draws from ``Splitmix64(seed)``), applies it, then
     notifies every observer with ``notify(trial, interaction, old_pair,
-    new_pair)``.  The run halts at the first step where ``stop`` or the
-    ``stop_event`` predicate holds (checked before the first interaction as
-    well), or after
-    ``max_steps`` interactions, whichever comes first.  Hitting the step
-    budget without a predicate firing marks the record as truncated rather
-    than raising.
-
-    ``stop_event`` is a ``(name, predicate)`` pair; the step at which it
-    first holds is recorded in ``event_steps``.  Observers exposing an
+    new_pair)``.  ``stop_event`` is a ``(name, predicate)`` pair: the run
+    halts at the first step where the predicate holds (checked before the
+    first interaction as well) and records that step in ``event_steps``
+    under ``name``, or it halts after ``max_steps`` interactions, whichever
+    comes first.  Hitting the step budget without the predicate firing marks
+    the record as truncated rather than raising.  Observers exposing an
     ``events()`` method contribute further named event steps.
 
     ``initial`` optionally overrides the starting configuration (the model's
@@ -246,9 +230,6 @@ def run_trial(
     for u, v in pair_stream(seed, n):
         if event_pred is not None and event_pred(trial):
             events[event_name] = trial.step
-            stopped = True
-            break
-        if stop is not None and stop(trial):
             stopped = True
             break
         if trial.step >= max_steps:
@@ -286,5 +267,5 @@ def run_trial(
         steps_taken=trial.step,
         event_steps=events,
         final_digest=configuration_digest(states),
-        truncated=(stop is not None or stop_event is not None) and not stopped,
+        truncated=stop_event is not None and not stopped,
     )

@@ -32,15 +32,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    LEADER,
-    Interaction,
-    Protocol,
-    apply_interaction_inplace,
-    output_vector,
-    sample_interaction,
-)
-from .rng import Splitmix64
+from .core import LEADER, Interaction, Protocol, apply_interaction, output_vector, run_trial
 
 DEFAULT_BUDGET = 10**7
 
@@ -77,18 +69,6 @@ class ConfigurationSpace:
     @property
     def initial_index(self) -> int:
         return 0
-
-    def reachable_from(self, i: int) -> frozenset[int]:
-        """Indices reachable from config ``i`` (including ``i``)."""
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            for k in self.successors[j]:
-                if k not in seen:
-                    seen.add(k)
-                    frontier.append(k)
-        return frozenset(seen)
 
 
 def enumerate_reachable(
@@ -239,12 +219,6 @@ def is_safe(space: ConfigurationSpace, config: Config, leader_symbol: str = LEAD
 
 def safety_verdicts(space: ConfigurationSpace, leader_symbol: str = LEADER) -> list[SafetyVerdict]:
     return [is_safe(space, c, leader_symbol) for c in space.configs]
-
-
-def safe_indices(space: ConfigurationSpace, leader_symbol: str = LEADER) -> frozenset[int]:
-    return frozenset(
-        i for i, c in enumerate(space.configs) if is_safe(space, c, leader_symbol).safe
-    )
 
 
 def _solve_fractions(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -422,22 +396,22 @@ def random_walk_outputs_stable(
 ) -> bool:
     """Monte Carlo probe: does a random walk from ``config`` ever change any
     agent's output within ``steps`` interactions?  Used to sanity-check safe
-    verdicts from the exhaustive side."""
+    verdicts from the exhaustive side.  The walk is ``run_trial``'s, started
+    at ``config``; it runs to the budget iff no output changed."""
     protocol = space.protocol
-    rng = Splitmix64(seed)
-    states = list(config)
-    base = output_vector(protocol, states)
-    for _ in range(steps):
-        e = sample_interaction(rng, space.n)
-        apply_interaction_inplace(protocol, states, e)
-        if output_vector(protocol, states) != base:
-            return False
-    return True
+    base = output_vector(protocol, config)
+
+    def changed(trial) -> bool:
+        return output_vector(protocol, trial.states) != base
+
+    return run_trial(
+        protocol, space.n, seed, max_steps=steps, initial=config, stop_event=("changed", changed)
+    ).truncated
 
 
 def replay_path(protocol: Protocol, config: Config, path: Sequence[Interaction]) -> Config:
     """Apply a witness path and return the resulting configuration."""
-    states = list(config)
+    states = config
     for e in path:
-        apply_interaction_inplace(protocol, states, e)
+        states = apply_interaction(protocol, states, e)
     return tuple(states)

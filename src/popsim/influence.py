@@ -21,8 +21,10 @@ test suite:
 
 Sets are represented as arbitrary-precision integers used as bit vectors
 (bit u set means agent u belongs), so a union is one word-parallel ``|`` and
-a size is one ``bit_count()``.  Memory is n*n/8 bytes per table; tables are
-capped at n <= 2**17, which keeps exactness instead of trading it for scale.
+a size is one ``bit_count()``.  An agent's mask is made at its first
+interaction, so memory grows with the sets a run reaches, up to n*n/8 bytes
+per table; tables are capped at n <= 2**17, which keeps exactness instead of
+trading it for scale.
 
 First crossings of a size threshold (:func:`first_exceed_time`) run on a
 stream kernel: it ORs the masks of each pair of ``rng.pair_stream`` and
@@ -131,6 +133,9 @@ class InfluencerTable:
 
     Invariants: agent v always belongs to its own set, and each set only ever
     grows (an update replaces the two participants' sets by their union).
+    As in the stream kernel of :func:`first_exceed_time`, ``masks[v]`` stays
+    0, standing for {v}, until v's first interaction, so a table allocates
+    only the sets a run reaches.
     """
 
     __slots__ = ("n", "step", "masks")
@@ -139,25 +144,24 @@ class InfluencerTable:
         _check_tracked_size(n)
         self.n = n
         self.step = 0
-        self.masks: list[int] = [1 << v for v in range(n)]
+        self.masks: list[int] = [0] * n
 
     def update(self, e: Interaction) -> None:
         """Absorb the next log entry; both participants get the merged set."""
         masks = self.masks
-        merged = masks[e.initiator] | masks[e.responder]
-        masks[e.initiator] = merged
-        masks[e.responder] = merged
+        u, v = e
+        masks[u] = masks[v] = (masks[u] or 1 << u) | (masks[v] or 1 << v)
         self.step += 1
 
     def size(self, v: int) -> int:
-        return self.masks[v].bit_count()
+        return (self.masks[v] or 1 << v).bit_count()
 
     def members(self, v: int) -> frozenset[int]:
-        mask = self.masks[v]
+        mask = self.masks[v] or 1 << v
         return frozenset(u for u in range(self.n) if (mask >> u) & 1)
 
     def max_size(self) -> int:
-        return max(m.bit_count() for m in self.masks)
+        return max(self.size(v) for v in range(self.n))
 
 
 def forward_sets(log: InteractionLog, t: Optional[int] = None) -> InfluencerTable:
@@ -365,7 +369,7 @@ def first_exceed_time(
             n,
             seed,
             max_steps=max_steps,
-            stop=lambda trial: obs.first_exceed_step is not None,
+            stop_event=(INFLUENCER_EVENT, lambda trial: obs.first_exceed_step is not None),
             observers=[obs, *extra_observers],
         )
     _check_crossing_query(n, threshold, agent)

@@ -4,15 +4,21 @@ Catalog names (also accepted by the CLI): ``pairwise-elimination``,
 ``leave-init``, ``one-way-epidemic``.  Every constructor takes the population
 size n, since protocol definitions are in general allowed to depend on it;
 the built-ins here use constant state sets and only validate n.
+
+A catalog entry carries the experiment as well as the protocol: the name of
+the event a plain run stops at, the stop predicate over a trial's per-state
+counts, and the start (the epidemic's one infected agent).  The CLI applies
+them only to a protocol equal to the entry's in every field, so a protocol
+file that borrows a catalog name gets none of them.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Optional, Union
 
-from .core import FOLLOWER, LEADER, Protocol
+from .core import FOLLOWER, LEADER, Configuration, Protocol, StopPredicate
 
 
 class ProtocolLoadError(ValueError):
@@ -70,9 +76,9 @@ def one_way_epidemic(n: int) -> Protocol:
 
     States: 0 = susceptible (initial), 1 = infected; both output F.  The rule
     is symmetric in the two roles, so with k infected agents the probability
-    that one step infects someone new is 2k(n-k)/(n(n-1)).  Experiments seed
-    one infected agent through run_trial's ``initial`` override (the protocol
-    itself starts all-susceptible like any other).
+    that one step infects someone new is 2k(n-k)/(n(n-1)).  The protocol
+    starts all-susceptible like any other; its catalog entry's ``start`` seeds
+    agent 0 infected, which runs pass to run_trial's ``initial`` override.
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
@@ -86,16 +92,45 @@ def one_way_epidemic(n: int) -> Protocol:
     )
 
 
-CATALOG: dict[str, Callable[[int], Protocol]] = {
-    "pairwise-elimination": pairwise_elimination,
-    "leave-init": leave_init,
-    "one-way-epidemic": one_way_epidemic,
+class CatalogEntry(NamedTuple):
+    """A catalog protocol and the experiment a plain run makes of it.
+
+    ``build(n)`` constructs the protocol.  ``stop(n, threshold)`` returns the
+    predicate of the stop event named ``event``, or None when the run goes to
+    its step budget.  ``start(n)`` returns the initial configuration, or None
+    for all-initial.
+    """
+
+    build: Callable[[int], Protocol]
+    event: str
+    stop: Callable[[int, Optional[int]], Optional[StopPredicate]]
+    start: Callable[[int], Optional[Configuration]] = lambda n: None
+
+
+CATALOG: dict[str, CatalogEntry] = {
+    # Leaders only ever demote each other, so one leader is stabilization.
+    "pairwise-elimination": CatalogEntry(
+        pairwise_elimination, "stabilized", lambda n, threshold: lambda trial: trial.counts[0] == 1
+    ),
+    # Drains the initial state; without a threshold it runs to the budget.
+    "leave-init": CatalogEntry(
+        leave_init,
+        "init_below_threshold",
+        lambda n, threshold: None if threshold is None else lambda trial: trial.counts[0] < threshold,
+    ),
+    # Spreads from one seeded infected agent until everyone is infected.
+    "one-way-epidemic": CatalogEntry(
+        one_way_epidemic,
+        "all_infected",
+        lambda n, threshold: lambda trial: trial.counts[1] == n,
+        lambda n: [1] + [0] * (n - 1),
+    ),
 }
 
 
 def make_protocol(name: str, n: int) -> Protocol:
     try:
-        return CATALOG[name](n)
+        return CATALOG[name].build(n)
     except KeyError:
         known = ", ".join(sorted(CATALOG))
         raise ValueError(f"unknown protocol {name!r} (catalog: {known})") from None

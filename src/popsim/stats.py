@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -162,10 +161,6 @@ class BlockParams:
         return cls(n=n, r=r, kappa=threshold // r, threshold=threshold)
 
 
-def block_params(n: int) -> BlockParams:
-    return BlockParams.for_population(n)
-
-
 def block_lower_bound(params: BlockParams) -> int:
     """Sum over whole blocks of floor((r/2) * E[steps at the block's top index]).
 
@@ -239,16 +234,3 @@ def ks_critical_value(alpha: float, n_a: int, n_b: int) -> float:
     c = math.sqrt(math.log(2.0 / alpha) / 2.0)
     return c * math.sqrt((n_a + n_b) / (n_a * n_b))
 
-
-def exact_fraction_p_leave(i: int, n: int) -> Fraction:
-    """p_leave as an exact rational, for oracle comparisons."""
-    if n < 2 or not 0 <= i <= n:
-        raise ValueError("out of range")
-    return Fraction(i * (2 * n - i - 1), n * (n - 1))
-
-
-def exact_fraction_p_epidemic(k: int, n: int) -> Fraction:
-    """p_epidemic as an exact rational, for oracle comparisons."""
-    if n < 2 or not 1 <= k <= n:
-        raise ValueError("out of range")
-    return Fraction(2 * k * (n - k), n * (n - 1))

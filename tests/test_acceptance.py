@@ -26,7 +26,6 @@ from popsim.cli import main
 from popsim.exact import (
     enumerate_reachable,
     expected_hitting_steps,
-    safe_indices,
     safety_verdicts,
 )
 from popsim.influence import INFLUENCER_EVENT, InteractionLog, demo_log
@@ -89,7 +88,7 @@ def test_criterion_2_exact_solver_vs_closed_form_and_monte_carlo():
         for n in (2, 3, 4, 5):
             proto = pairwise_elimination(n)
             space = enumerate_reachable(proto, n)
-            safe = safe_indices(space)
+            safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
             steps = expected_hitting_steps(space, lambda c: space.index[c] in safe)
             assert steps == Fraction((n - 1) ** 2), f"n={n}: {steps}"
         mc = {}

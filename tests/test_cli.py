@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from popsim.cli import _make_stop_predicate, main, threshold_count
+from popsim.cli import _one_leader_stop, main, threshold_count
 from popsim.core import LEADER, Trial, run_trial
 from popsim.exact import closed_form_pairwise
 from popsim.protocols import protocol_from_dict
@@ -128,7 +128,7 @@ TWO_LEADER_DOC = {
 def test_one_leader_stop_agrees_with_leader_sum(doc):
     protocol = protocol_from_dict(doc)
     n = 5
-    pred = _make_stop_predicate("one_leader", protocol, n, None)
+    pred = _one_leader_stop(protocol)
 
     def by_sum(trial):
         return protocol.count_output(trial.counts, LEADER) == 1
@@ -201,6 +201,31 @@ def test_run_requires_protocol():
     with pytest.raises(SystemExit) as err:
         main(["run", "--n", "4"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "--protocol", "leave-init"], ["coupon"], ["influencer"]], ids=["run", "coupon", "influencer"]
+)
+@pytest.mark.parametrize("flag", ["--trials", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_trials_and_jobs_below_one_exit_2(tmp_path, command, flag, value):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--n", "4", flag, value, "--out", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--protocol", "pairwise-elimination", "--n", "3"],
+    ["export-graph", "--fixture", "--agent", "0", "--step", "6"],
+])
+def test_format_exits_2_where_output_has_one_form(argv, capsys):
+    # exact always writes JSON and export-graph always writes text
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--format", "csv"])
+    assert err.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_run_json_format(tmp_path):

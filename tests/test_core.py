@@ -9,14 +9,12 @@ from popsim import (
     Splitmix64,
     TrialRecord,
     apply_interaction,
-    apply_interaction_inplace,
     configuration_digest,
     default_step_budget,
     leave_init,
     one_way_epidemic,
     output_vector,
     pairwise_elimination,
-    parallel_time,
     run_trial,
     sample_interaction,
 )
@@ -82,13 +80,6 @@ def test_apply_is_pure():
     config = [0, 0, 1]
     apply_interaction(proto, config, Interaction(0, 1))
     assert config == [0, 0, 1]
-
-
-def test_apply_inplace_mutates():
-    proto = pairwise_elimination(3)
-    config = [0, 0, 1]
-    apply_interaction_inplace(proto, config, Interaction(0, 1))
-    assert config == [0, 1, 1]
 
 
 def test_apply_changes_at_most_two_entries():
@@ -173,7 +164,7 @@ def test_zero_step_budget_keeps_initial_configuration():
 
 def test_budget_exhaustion_marks_truncated():
     proto = identity_protocol()
-    rec = run_trial(proto, 4, seed=9, max_steps=10, stop=lambda t: False)
+    rec = run_trial(proto, 4, seed=9, max_steps=10, stop_event=("never", lambda t: False))
     assert rec.steps_taken == 10
     assert rec.truncated
 
@@ -211,9 +202,9 @@ def test_engine_draws_match_sample_interaction():
         assert recorder.log.entries == replay
 
 
-def reference_run(protocol, n, seed, *, max_steps, stop_event=None, stop=None):
-    """The engine's loop with one sample_interaction call per step: predicates
-    first, then the budget, then the draw."""
+def reference_run(protocol, n, seed, *, max_steps, stop_event=None):
+    """The engine's loop with one sample_interaction call per step: the
+    predicate first, then the budget, then the draw."""
     states = [protocol.initial_state] * n
     counts = [states.count(s) for s in range(protocol.num_states)]
     trial = SimpleNamespace(states=states, counts=counts, step=0)
@@ -222,9 +213,6 @@ def reference_run(protocol, n, seed, *, max_steps, stop_event=None, stop=None):
     while True:
         if stop_event is not None and stop_event[1](trial):
             events[stop_event[0]] = trial.step
-            stopped = True
-            break
-        if stop is not None and stop(trial):
             stopped = True
             break
         if trial.step >= max_steps:
@@ -241,7 +229,7 @@ def reference_run(protocol, n, seed, *, max_steps, stop_event=None, stop=None):
         steps_taken=trial.step,
         event_steps=events,
         final_digest=configuration_digest(states),
-        truncated=(stop is not None or stop_event is not None) and not stopped,
+        truncated=stop_event is not None and not stopped,
     )
 
 
@@ -259,9 +247,9 @@ def test_budget_and_block_boundaries_match_scalar_engine(budget):
     proto = cyclic_protocol()
     variants = [
         {},
-        {"stop": lambda t: False},
+        {"stop_event": ("never", lambda t: False)},
         {"stop_event": ("at_16", lambda t: t.step == 16)},
-        {"stop_event": ("at_48", lambda t: t.step == 48), "stop": lambda t: t.step == 16},
+        {"stop_event": ("at_48", lambda t: t.step == 48)},
         {"stop_event": ("init_left", lambda t: t.counts[0] == 0)},
     ]
     for n in (2, 7):
@@ -360,13 +348,11 @@ def test_output_vector_constant_map():
 
 
 def test_parallel_time():
-    assert parallel_time(0, 5) == 0.0
-    assert parallel_time(4, 3) == pytest.approx(4 / 3)
+    assert TrialRecord(seed=0, n=5, steps_taken=0).parallel_time == 0.0
+    assert TrialRecord(seed=0, n=3, steps_taken=4).parallel_time == pytest.approx(4 / 3)
     n = 100
     steps = round(n * math.log(n))
-    assert parallel_time(steps, n) == pytest.approx(math.log(n), rel=0.01)
-    with pytest.raises(ValueError):
-        parallel_time(1, 0)
+    assert TrialRecord(seed=0, n=n, steps_taken=steps).parallel_time == pytest.approx(math.log(n), rel=0.01)
 
 
 def test_default_step_budget():

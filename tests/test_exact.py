@@ -19,7 +19,6 @@ from popsim.exact import (
     is_safe,
     random_walk_outputs_stable,
     replay_path,
-    safe_indices,
     safety_verdicts,
 )
 
@@ -151,8 +150,17 @@ def test_witness_paths_replay_to_an_output_change():
 def test_safe_configurations_survive_random_walks():
     proto = pairwise_elimination(4)
     space = enumerate_reachable(proto, 4)
-    for i in safe_indices(space):
+    safe = [i for i, v in enumerate(safety_verdicts(space)) if v.safe]
+    for i in safe:
         assert random_walk_outputs_stable(space, space.configs[i], steps=1000, seed=9 + i)
+
+
+def test_random_walk_reports_an_output_change():
+    # from all leaders, the first interaction demotes someone
+    space = enumerate_reachable(pairwise_elimination(4), 4)
+    start = space.configs[space.initial_index]
+    assert not random_walk_outputs_stable(space, start, steps=1000, seed=3)
+    assert random_walk_outputs_stable(space, start, steps=0, seed=3)
 
 
 def test_is_safe_requires_membership():
@@ -166,7 +174,7 @@ def test_is_safe_requires_membership():
 
 def test_pairwise_two_agents_one_step():
     space = enumerate_reachable(pairwise_elimination(2), 2)
-    safe = safe_indices(space)
+    safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
     steps = expected_hitting_steps(space, lambda c: space.index[c] in safe)
     assert steps == Fraction(1)
 
@@ -174,7 +182,7 @@ def test_pairwise_two_agents_one_step():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pairwise_matches_square_closed_form(n):
     space = enumerate_reachable(pairwise_elimination(n), n)
-    safe = safe_indices(space)
+    safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
     steps = expected_hitting_steps(space, lambda c: space.index[c] in safe)
     assert steps == Fraction((n - 1) ** 2)
     assert closed_form_pairwise(n) == float(steps)
@@ -222,7 +230,7 @@ def test_target_at_start_is_zero():
 def test_float_solver_agrees_with_exact():
     for n in (3, 4, 5):
         space = enumerate_reachable(pairwise_elimination(n), n)
-        safe = safe_indices(space)
+        safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
         exact_value = expected_hitting_steps(space, lambda c: space.index[c] in safe)
         value, residual = expected_hitting_steps_float(space, lambda c: space.index[c] in safe)
         assert value == pytest.approx(float(exact_value), rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -119,17 +120,33 @@ def test_table_rejects_oversized_population():
         InfluencerTable((1 << 17) + 1)
 
 
+def test_table_allocates_no_set_before_its_agent_interacts():
+    # One single-bit integer per agent would peak near 18 MB at this size.
+    tracemalloc.start()
+    try:
+        table = InfluencerTable(16384)
+        table.update(Interaction(0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert table.size(0) == table.size(1) == table.max_size() == 2
+    assert table.members(5) == frozenset({5})
+    assert InfluencerTable(3).max_size() == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(schedules())
 def test_forward_sets_grow_monotonically_and_contain_self(log):
     table = InfluencerTable(log.n)
-    previous = [table.masks[v] for v in range(log.n)]
+    previous = [table.members(v) for v in range(log.n)]
     for e in log:
         table.update(e)
+        current = [table.members(v) for v in range(log.n)]
         for v in range(log.n):
-            assert table.masks[v] & (1 << v)
-            assert previous[v] & table.masks[v] == previous[v]  # subset
-        previous = [table.masks[v] for v in range(log.n)]
+            assert v in current[v]
+            assert previous[v] <= current[v]
+        previous = current
 
 
 # ----------------------------------------------------------------- backward sets

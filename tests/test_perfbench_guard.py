@@ -1,0 +1,40 @@
+"""The benchmark workloads in ``perfbench/`` keep their seed-0 output bytes,
+and the ``popsim.cli`` names its traced runs wrap still exist."""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import popsim.cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REFERENCE = json.loads((PERFBENCH / "reference_digests.json").read_text())
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_workload_bytes_match_reference_digests(tmp_path, name):
+    workload = load_perfbench("workloads").WORKLOADS[name]
+    stem = tmp_path / "out"
+    assert popsim.cli.main(workload.argv(0, stem)) == 0
+    digests = {
+        suffix: hashlib.sha256(stem.with_name(stem.name + suffix).read_bytes()).hexdigest()
+        for suffix in workload.outputs
+    }
+    assert digests == REFERENCE[name]
+
+
+def test_traced_names_are_cli_globals():
+    wrapped = load_perfbench("spans").WRAPPED
+    assert [name for name in wrapped if not hasattr(popsim.cli, name)] == []

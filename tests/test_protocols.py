@@ -15,6 +15,7 @@ from popsim import (
     run_trial,
     sample_interaction,
 )
+from popsim.core import Trial
 from popsim.influence import ScheduleRecorder
 from popsim.protocols import CATALOG, ProtocolLoadError
 
@@ -28,12 +29,31 @@ PAIRWISE_DOC = {
 
 
 def test_catalog_protocols_well_formed_across_sizes():
-    for name, make in CATALOG.items():
+    for name, entry in CATALOG.items():
         for n in (1, 2, 17, 1 << 20):
-            proto = make(n)
+            proto = entry.build(n)
             assert proto.name == name
             assert proto.num_states == 2
             assert 0 <= proto.initial_state < proto.num_states
+
+
+def test_catalog_entries_carry_stop_and_start():
+    n = 4
+
+    def stops(name, states, threshold=None):
+        entry = CATALOG[name]
+        return entry.stop(n, threshold)(Trial(entry.build(n), n, states))
+
+    assert stops("pairwise-elimination", [1, 0, 1, 1])
+    assert not stops("pairwise-elimination", [0, 0, 1, 1])
+    assert stops("leave-init", [0, 1, 1, 1], threshold=2)
+    assert not stops("leave-init", [0, 0, 1, 1], threshold=2)
+    assert CATALOG["leave-init"].stop(n, None) is None
+    assert stops("one-way-epidemic", [1, 1, 1, 1])
+    assert not stops("one-way-epidemic", [1, 1, 0, 1])
+    assert CATALOG["one-way-epidemic"].start(n) == [1, 0, 0, 0]
+    assert CATALOG["pairwise-elimination"].start(n) is None
+    assert CATALOG["leave-init"].start(n) is None
 
 
 def test_make_protocol_unknown_name():

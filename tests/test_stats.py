@@ -10,13 +10,10 @@ from popsim.stats import (
     BlockParams,
     GeometricSumSpec,
     block_lower_bound,
-    block_params,
     ceil_rational_power,
     ceil_two_thirds,
     coupon_spec,
     epidemic_spec,
-    exact_fraction_p_epidemic,
-    exact_fraction_p_leave,
     expected_coupon_sum,
     ks_critical_value,
     ks_statistic,
@@ -58,9 +55,8 @@ def test_p_leave_matches_enumeration_exactly():
     for n in range(2, 13):
         for i in range(0, n + 1):
             assert p_leave(i, n) == leave_oracle(i, n)
-            assert exact_fraction_p_leave(i, n) == Fraction(
-                i * (2 * n - i - 1), n * (n - 1)
-            )
+            # true division rounds correctly, like the exact rational converted
+            assert p_leave(i, n) == float(Fraction(i * (2 * n - i - 1), n * (n - 1)))
 
 
 def test_p_leave_monotone_in_count():
@@ -250,15 +246,15 @@ def test_ceil_rational_power_definition():
 
 
 def test_block_params_examples():
-    params = block_params(4)
+    params = BlockParams.for_population(4)
     assert (params.r, params.kappa, params.threshold) == (2, 1, 3)
-    params = block_params(10**6)
+    params = BlockParams.for_population(10**6)
     assert (params.r, params.kappa, params.threshold) == (1000, 10, 10**4)
 
 
 def test_block_cover_never_exceeds_threshold():
     for n in (2, 9, 100, 4096, 31337):
-        params = block_params(n)
+        params = BlockParams.for_population(n)
         assert params.kappa * params.r <= params.threshold
         assert params.r == math.isqrt(n)
 
@@ -268,7 +264,7 @@ def test_block_lower_bound_below_full_expectation():
     # sits well below the full first-passage expectation but stays on the
     # n*ln(n) scale (observed ratios 0.060..0.073 at these sizes)
     for n in (256, 1024, 4096):
-        params = block_params(n)
+        params = BlockParams.for_population(n)
         bound = block_lower_bound(params)
         full = expected_coupon_sum(epidemic_spec(n, params.threshold + 1))
         assert 0 < bound < full
@@ -341,5 +337,5 @@ def test_ks_critical_value_formula():
 
 
 def test_exact_fraction_epidemic():
-    assert exact_fraction_p_epidemic(1, 4) == Fraction(1, 2)
-    assert exact_fraction_p_epidemic(4, 4) == 0
+    assert p_epidemic(1, 4) == Fraction(1, 2)
+    assert p_epidemic(4, 4) == 0
