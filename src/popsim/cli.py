@@ -21,10 +21,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from . import __version__
-from .core import LEADER, Protocol, run_trial
+from .core import LEADER, Interaction, Protocol, run_trial, step_budget
 from .exact import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -35,9 +36,7 @@ from .exact import (
 )
 from .influence import (
     INFLUENCER_EVENT,
-    InfluencerObserver,
     InteractionLog,
-    ScheduleRecorder,
     backward_sets,
     build_graph,
     demo_log,
@@ -45,7 +44,7 @@ from .influence import (
     write_size_series,
 )
 from .protocols import CATALOG, load_protocol, make_protocol
-from .rng import derive_seed
+from .rng import derive_seed, pair_stream
 from .stats import ceil_rational_power, coupon_spec, expected_coupon_sum, summarize, variance_coupon_sum
 
 BUDGET_ENV = "POPSIM_BUDGET"
@@ -109,10 +108,16 @@ def _run_plan(protocol: Protocol, n: int, threshold: Optional[int]):
     entry's stop event and start; a protocol file may take any name, so one
     that only borrows a catalog name is planned like any other file.  Other
     leader-outputting protocols stop at the event ``one_leader``; the rest
-    run to the step budget.
+    run to the step budget.  A threshold is an error unless the entry's stop
+    reads it.
     """
     entry = CATALOG.get(protocol.name)
-    if entry is not None and entry.build(n) == protocol:
+    if entry is not None and entry.build(n) != protocol:
+        entry = None
+    if threshold is not None and (entry is None or not entry.reads_threshold):
+        readers = ", ".join(name for name, e in CATALOG.items() if e.reads_threshold)
+        raise ValueError(f"--threshold is read only by the stop of {readers}")
+    if entry is not None:
         stop = entry.stop(n, threshold)
         stop_event = (entry.event, stop) if stop is not None else None
         return stop_event, entry.start(n)
@@ -170,7 +175,7 @@ def _map_jobs(fn, jobs_list, workers: int):
 
 def _sweep(args, job, *extra):
     """Run ``job`` on every trial of every ``--n``, yielding
-    ``(n, protocol, threshold, rows)`` per size with the rows in trial order
+    ``(n, threshold, rows)`` per size with the rows in trial order
     whatever ``--jobs``.  A job is ``(protocol, n, threshold, trial, seed,
     max_steps, *extra)``; threshold is None when no ``--threshold`` is set."""
     for n in args.n:
@@ -180,7 +185,7 @@ def _sweep(args, job, *extra):
             (protocol, n, threshold, t, derive_seed(args.seed, t), args.max_steps, *extra)
             for t in range(args.trials)
         ]
-        yield n, protocol, threshold, _map_jobs(job, jobs, args.jobs)
+        yield n, threshold, _map_jobs(job, jobs, args.jobs)
 
 
 def _format_cell(value) -> str:
@@ -232,29 +237,24 @@ def _summary_row(n: int, threshold: int, ratios: list[float]) -> dict:
     return row
 
 
+def _trial_schedule(seed: int, n: int, steps: int):
+    """The interactions of a trial that took ``steps`` steps: the first
+    ``steps`` pairs of its seed's pair stream, whatever the protocol."""
+    return islice(pair_stream(seed, n), steps)
+
+
 def cmd_run(args) -> int:
     recorded_log = None
     rows = []
     event_columns: list[str] = []
-    for n, protocol, threshold, results in _sweep(args, _run_job):
+    for n, _, results in _sweep(args, _run_job):
         rows.extend(results)
-        stop_event, initial = _run_plan(protocol, n, threshold)
-        if stop_event is not None and f"{stop_event[0]}_step" not in event_columns:
-            event_columns.append(f"{stop_event[0]}_step")
+        for col in results[0]:
+            if col.endswith("_step") and col not in event_columns:
+                event_columns.append(col)
         if args.save_log and recorded_log is None:
-            # Replay trial 0 with a recorder; observers draw no randomness, so
-            # the trajectory is identical to the sweep's trial 0.
-            recorder = ScheduleRecorder(n)
-            run_trial(
-                protocol,
-                n,
-                derive_seed(args.seed, 0),
-                max_steps=args.max_steps,
-                stop_event=stop_event,
-                observers=[recorder],
-                initial=initial,
-            )
-            recorded_log = recorder.log
+            schedule = _trial_schedule(results[0]["seed"], n, results[0]["steps"])
+            recorded_log = InteractionLog(n, [Interaction(u, v) for u, v in schedule])
     columns = ["trial", "seed", "n", "steps", "parallel_time", "truncated", *event_columns]
     _emit(_render_rows(rows, columns, args.format, "popsim.run.v1"), args.out)
     if args.save_log:
@@ -266,21 +266,14 @@ def cmd_influencer(args) -> int:
     trial_rows = []
     summary_rows = []
     series_done = False
-    for n, protocol, threshold, results in _sweep(args, _influencer_job, args.agent):
+    for n, threshold, results in _sweep(args, _influencer_job, args.agent):
         ratios = [row.pop("_ratio_value") for row in results]
         trial_rows.extend(results)
         summary_rows.append(_summary_row(n, threshold, [r for r in ratios if r is not None]))
         if args.series_out and not series_done:
-            obs = InfluencerObserver(n, threshold=threshold, agent=args.agent, track_series=True)
-            run_trial(
-                protocol,
-                n,
-                derive_seed(args.seed, 0),
-                max_steps=args.max_steps,
-                stop_event=(INFLUENCER_EVENT, lambda trial: obs.first_exceed_step is not None),
-                observers=[obs],
-            )
-            write_size_series(obs, args.series_out)
+            first = results[0]
+            steps = step_budget(n, args.max_steps) if first["truncated"] else first["t_min"]
+            write_size_series(n, _trial_schedule(first["seed"], n, steps), args.series_out)
             series_done = True
 
     trial_cols = ["n", "trial", "seed", "threshold", "t_min", "ratio", "truncated"]
@@ -307,7 +300,7 @@ def _summary_path(args) -> Optional[str]:
 def cmd_coupon(args) -> int:
     trial_rows = []
     summary_rows = []
-    for n, _, threshold, results in _sweep(args, _run_job):
+    for n, threshold, results in _sweep(args, _run_job):
         trial_rows.extend(results)
 
         spec = coupon_spec(n, threshold)
@@ -455,9 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_inf = sub.add_parser("influencer", help="first-crossing times of influencer set sizes")
-    p_inf.add_argument("--protocol", default="leave-init",
-                       help="protocol to drive (influence growth is protocol independent)")
-    p_inf.add_argument("--protocol-file", default=None)
     p_inf.add_argument("--threshold", default="n^2/3")
     p_inf.add_argument("--agent", type=int, default=None,
                        help="track one fixed agent instead of the first crossing by anyone")
@@ -465,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--series-out", default=None,
                        help="write trial 0's size time series as CSV")
     _add_common(p_inf)
-    p_inf.set_defaults(func=cmd_influencer)
+    # Influence growth does not depend on the protocol, so none is chosen.
+    p_inf.set_defaults(func=cmd_influencer, protocol="leave-init")
 
     p_coupon = sub.add_parser("coupon", help="initial-state drain experiment with analytic bound")
     p_coupon.add_argument("--threshold", default="n^2/3",

@@ -195,8 +195,7 @@ def run_trial(
     first interaction as well) and records that step in ``event_steps``
     under ``name``, or it halts after ``max_steps`` interactions, whichever
     comes first.  Hitting the step budget without the predicate firing marks
-    the record as truncated rather than raising.  Observers exposing an
-    ``events()`` method contribute further named event steps.
+    the record as truncated rather than raising.
 
     ``initial`` optionally overrides the starting configuration (the model's
     executions always start all-initial; the override is a harness feature
@@ -219,9 +218,6 @@ def run_trial(
     trial = Trial(protocol, n, states)
     counts = trial.counts
     table = protocol.transitions
-    # Iterated twice (notify, then events), so a one-shot iterable must be
-    # materialized here or its events are lost.
-    observers = tuple(observers)
     notify_fns = [obs.notify for obs in observers]
     events: dict[str, int] = {}
     event_name, event_pred = stop_event if stop_event is not None else (None, None)
@@ -253,13 +249,6 @@ def run_trial(
             new = (a2, b2)
             for fn in notify_fns:
                 fn(trial, e, old, new)
-
-    for obs in observers:
-        get_events = getattr(obs, "events", None)
-        if get_events is not None:
-            for name, step in get_events().items():
-                if step is not None:
-                    events[name] = step
 
     return TrialRecord(
         seed=seed,

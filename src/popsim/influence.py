@@ -34,10 +34,13 @@ bound on the set's size; a merged set's bound is the sum of the two
 participants' bounds, and only a sum above the threshold pays for a
 ``bit_count()``, whose exact result then replaces it (when one agent is
 tracked, only its steps pay; other bounds are capped at n).  The bound
-never falls below the true size, so no crossing is skipped.
-:class:`InfluencerObserver` driven by ``core.run_trial`` stays the
-reference: it counts every step, records size series, and runs whenever
-other observers need the protocol's states.
+never falls below the true size, so no crossing is skipped.  The kernel is
+the only implementation of the crossing rule.
+
+The schedule of a trial is the first ``steps_taken`` pairs of its pair
+stream, whatever the protocol, so everything else a trial's influence is
+asked for (extra observers, size series, saved logs) replays that prefix
+rather than running a second crossing check.
 """
 
 from __future__ import annotations
@@ -285,59 +288,6 @@ class ScheduleRecorder:
         self.log.entries.append(e)
 
 
-def _check_crossing_query(n: int, threshold: Optional[float], agent: Optional[int]) -> None:
-    if threshold is not None and threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    if agent is not None and not 0 <= agent < n:
-        raise ValueError(f"agent {agent} out of range for n={n}")
-
-
-class InfluencerObserver:
-    """Observer that maintains an :class:`InfluencerTable` during a run.
-
-    With a ``threshold``, records the first step at which a tracked agent's
-    set size strictly exceeds it.  Only the two participants' sets change at
-    a step, and they share the merged set, so one popcount per step decides
-    the crossing.  ``agent`` restricts the crossing check to one fixed agent
-    (the whole table is still maintained).  ``track_series`` accumulates
-    ``(step, max_size, participant_size)`` rows for CSV export.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        threshold: Optional[float] = None,
-        agent: Optional[int] = None,
-        track_series: bool = False,
-    ):
-        _check_crossing_query(n, threshold, agent)
-        self.table = InfluencerTable(n)
-        self.threshold = threshold
-        self.agent = agent
-        self.first_exceed_step: Optional[int] = None
-        self.series: Optional[list[tuple[int, int, int]]] = [] if track_series else None
-        self._running_max = 1
-
-    def notify(self, trial, e: Interaction, old, new) -> None:
-        table = self.table
-        table.update(e)
-        merged_size = table.masks[e.initiator].bit_count()
-        if merged_size > self._running_max:
-            self._running_max = merged_size
-        if (
-            self.threshold is not None
-            and self.first_exceed_step is None
-            and merged_size > self.threshold
-            and (self.agent is None or self.agent in (e.initiator, e.responder))
-        ):
-            self.first_exceed_step = table.step
-        if self.series is not None:
-            self.series.append((table.step, self._running_max, merged_size))
-
-    def events(self) -> dict[str, Optional[int]]:
-        return {INFLUENCER_EVENT: self.first_exceed_step}
-
-
 def first_exceed_time(
     protocol: Protocol,
     n: int,
@@ -355,24 +305,17 @@ def first_exceed_time(
     (a legitimate outcome, not an error).  ``agent`` switches from
     first-crossing-by-anyone to first crossing by that one agent.
 
-    Without ``extra_observers`` the stream kernel runs: ``protocol`` is not
-    used and no configuration is simulated, so the record's ``final_digest``
-    is ``""``; every other field equals the observer route's.  With
-    ``extra_observers`` the trial runs through ``core.run_trial`` with an
-    :class:`InfluencerObserver`, so the observers see the protocol's states.
+    The stream kernel finds the crossing without applying ``protocol``, so
+    the record's ``final_digest`` is ``""``.  With ``extra_observers``, the
+    kernel's ``steps_taken`` interactions are then replayed through
+    ``core.run_trial``, so the observers see the protocol's states, and the
+    record takes that replay's ``final_digest``.
     """
     extra_observers = tuple(extra_observers)
-    if extra_observers:
-        obs = InfluencerObserver(n, threshold=threshold, agent=agent)
-        return run_trial(
-            protocol,
-            n,
-            seed,
-            max_steps=max_steps,
-            stop_event=(INFLUENCER_EVENT, lambda trial: obs.first_exceed_step is not None),
-            observers=[obs, *extra_observers],
-        )
-    _check_crossing_query(n, threshold, agent)
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
+    if agent is not None and not 0 <= agent < n:
+        raise ValueError(f"agent {agent} out of range for n={n}")
     _check_tracked_size(n)
     budget = step_budget(n, max_steps)
     # An agent's mask stays 0 until its first interaction and stands for
@@ -387,22 +330,35 @@ def first_exceed_time(
             if agent is None or agent == u or agent == v:
                 size = merged.bit_count()
                 if size > threshold:
-                    return TrialRecord(seed, n, step, {INFLUENCER_EVENT: step})
+                    rec = TrialRecord(seed, n, step, {INFLUENCER_EVENT: step})
+                    break
             elif size > n:  # popcount skipped; no set has more than n members
                 size = n
         bound[u] = bound[v] = size
-    return TrialRecord(seed, n, budget, truncated=True)
+    else:
+        rec = TrialRecord(seed, n, budget, truncated=True)
+    if extra_observers:
+        replay = run_trial(protocol, n, seed, max_steps=rec.steps_taken, observers=extra_observers)
+        rec.final_digest = replay.final_digest
+    return rec
 
 
-def write_size_series(observer: InfluencerObserver, path: Union[str, Path]) -> None:
-    """Dump a tracked size time series as CSV (step, max_size, participant_size).
+def write_size_series(n: int, schedule: Iterable[tuple[int, int]], path: Union[str, Path]) -> None:
+    """Replay ``schedule`` into an :class:`InfluencerTable` and write one CSV
+    row per step: (step, max_size, participant_size).
 
     The two participants of a step share the merged set, so one column covers
-    both of their sizes.
+    both of their sizes; sets only grow, so the largest set is the running
+    maximum of the merged sizes.
     """
-    if observer.series is None:
-        raise ValueError("observer was not created with track_series=True")
+    table = InfluencerTable(n)
+    masks = table.masks
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "max_size", "participant_size"])
-        writer.writerows(observer.series)
+        max_size = 1
+        for u, v in schedule:
+            table.update((u, v))
+            size = masks[u].bit_count()
+            max_size = max(max_size, size)
+            writer.writerow((table.step, max_size, size))

@@ -97,14 +97,15 @@ class CatalogEntry(NamedTuple):
 
     ``build(n)`` constructs the protocol.  ``stop(n, threshold)`` returns the
     predicate of the stop event named ``event``, or None when the run goes to
-    its step budget.  ``start(n)`` returns the initial configuration, or None
-    for all-initial.
+    its step budget; ``reads_threshold`` says whether it uses ``threshold``.
+    ``start(n)`` returns the initial configuration, or None for all-initial.
     """
 
     build: Callable[[int], Protocol]
     event: str
     stop: Callable[[int, Optional[int]], Optional[StopPredicate]]
     start: Callable[[int], Optional[Configuration]] = lambda n: None
+    reads_threshold: bool = False
 
 
 CATALOG: dict[str, CatalogEntry] = {
@@ -117,6 +118,7 @@ CATALOG: dict[str, CatalogEntry] = {
         leave_init,
         "init_below_threshold",
         lambda n, threshold: None if threshold is None else lambda trial: trial.counts[0] < threshold,
+        reads_threshold=True,
     ),
     # Spreads from one seeded infected agent until everyone is infected.
     "one-way-epidemic": CatalogEntry(

@@ -7,7 +7,9 @@ import pytest
 from popsim.cli import _one_leader_stop, main, threshold_count
 from popsim.core import LEADER, Trial, run_trial
 from popsim.exact import closed_form_pairwise
-from popsim.protocols import protocol_from_dict
+from popsim.influence import INFLUENCER_EVENT, InfluencerTable, ScheduleRecorder
+from popsim.protocols import CATALOG, leave_init, make_protocol, protocol_from_dict
+from popsim.rng import derive_seed
 
 PAIRWISE_DOC = {
     "name": "custom-pairwise",
@@ -192,6 +194,70 @@ def test_run_save_log_round_trip(tmp_path):
     assert len(lines) == 26  # header + max_steps entries
 
 
+def _catalog_plan(name, n, threshold=None):
+    entry = CATALOG[name]
+    return {"stop_event": (entry.event, entry.stop(n, threshold)), "initial": entry.start(n)}
+
+
+# (argv, n, reference run_trial arguments of trial 0)
+SAVE_LOG_CASES = {
+    "pairwise-elimination": (["--protocol", "pairwise-elimination", "--n", "9"], 9,
+                             _catalog_plan("pairwise-elimination", 9)),
+    "leave-init-threshold": (["--protocol", "leave-init", "--n", "30", "--threshold", "n^2/3"], 30,
+                             _catalog_plan("leave-init", 30, threshold_count("n^2/3", 30))),
+    "epidemic-seeded-start": (["--protocol", "one-way-epidemic", "--n", "12"], 12,
+                              _catalog_plan("one-way-epidemic", 12)),
+    "protocol-file": (["--protocol-file", "PAIRWISE_DOC", "--n", "7"], 7,
+                      {"stop_event": ("one_leader", lambda trial: trial.counts[0] == 1)}),
+    "truncated": (["--protocol", "pairwise-elimination", "--n", "40", "--max-steps", "100"], 40,
+                  dict(_catalog_plan("pairwise-elimination", 40), max_steps=100)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAVE_LOG_CASES))
+def test_save_log_matches_recorded_trial_zero(tmp_path, case):
+    argv, n, kwargs = SAVE_LOG_CASES[case]
+    doc = tmp_path / "proto.json"
+    doc.write_text(json.dumps(PAIRWISE_DOC))
+    argv = [str(doc) if a == "PAIRWISE_DOC" else a for a in argv]
+    out, log_path = tmp_path / "run.csv", tmp_path / "trial0.log"
+    assert main(["run", *argv, "--trials", "3", "--seed", "5", "--out", str(out),
+                 "--save-log", str(log_path)]) == 0
+    protocol = protocol_from_dict(PAIRWISE_DOC) if case == "protocol-file" else make_protocol(argv[1], n)
+    recorder = ScheduleRecorder(n)
+    rec = run_trial(protocol, n, derive_seed(5, 0), observers=[recorder], **kwargs)
+    assert rec.truncated == (case == "truncated")
+    reference = tmp_path / "reference.log"
+    recorder.log.save(reference)
+    assert log_path.read_bytes() == reference.read_bytes()
+    _, rows = read_csv(out)
+    assert int(rows[0]["steps"]) == len(recorder.log) == rec.steps_taken
+
+
+def test_run_threshold_exits_2_unless_the_stop_reads_it(tmp_path, capsys):
+    pairwise = tmp_path / "pairwise.json"
+    pairwise.write_text(json.dumps(PAIRWISE_DOC))
+    # a file equal to the catalog's leave-init gets its threshold stop
+    leave_init_file = tmp_path / "leave-init.json"
+    leave_init_file.write_text(json.dumps({
+        "name": "leave-init", "states": ["init", "done"], "initial": "init",
+        "outputs": {"init": "F", "done": "F"},
+        "rules": [["init", "init", "done", "done"], ["init", "done", "done", "done"],
+                  ["done", "init", "done", "done"]],
+    }))
+    common = ["--n", "5", "--trials", "2", "--threshold", "3"]
+    out = tmp_path / "out.csv"
+    for source in (["--protocol", "pairwise-elimination"], ["--protocol", "one-way-epidemic"],
+                   ["--protocol-file", str(pairwise)]):
+        assert main(["run", *source, *common, "--out", str(out)]) == 2
+        assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+    for source in (["--protocol", "leave-init"], ["--protocol-file", str(leave_init_file)]):
+        assert main(["run", *source, *common, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r["init_below_threshold_step"] for r in rows] == [r["steps"] for r in rows]
+
+
 def test_run_unknown_protocol_exits_2(capsys):
     assert main(["run", "--protocol", "nope", "--n", "4", "--trials", "1"]) == 2
     assert "unknown protocol" in capsys.readouterr().err
@@ -321,7 +387,7 @@ def test_influencer_jobs_do_not_change_output(tmp_path, agent):
 
 
 def test_influencer_series_ends_at_trial_zero_crossing(tmp_path):
-    # the series comes from the observer route, t_min from the stream kernel
+    # the series replays trial 0's pairs, t_min comes from the stream kernel
     out, series = tmp_path / "inf.csv", tmp_path / "series.csv"
     code = main(["influencer", "--n", "200", "--trials", "3", "--seed", "8",
                  "--out", str(out), "--series-out", str(series)])
@@ -330,6 +396,64 @@ def test_influencer_series_ends_at_trial_zero_crossing(tmp_path):
     last = series.read_text().splitlines()[-1].split(",")
     assert last[0] == rows[0]["t_min"]
     assert int(last[2]) > int(rows[0]["threshold"])
+
+
+class _CrossingStop:
+    """Observer keeping an InfluencerTable during a run; ``crossed`` says
+    whether any set (``agent``'s set, when one is tracked) has more than
+    ``threshold`` members."""
+
+    def __init__(self, n, threshold, agent):
+        self.table = InfluencerTable(n)
+        self.threshold, self.agent = threshold, agent
+        self.crossed = False
+
+    def notify(self, trial, e, old, new):
+        self.table.update(e)
+        size = self.table.max_size() if self.agent is None else self.table.size(self.agent)
+        self.crossed = self.crossed or size > self.threshold
+
+
+# (argv, first n, threshold expression, --agent, --max-steps)
+SERIES_CASES = {
+    "anyone": (["--n", "40", "--trials", "3"], 40, "n^2/3", None, None),
+    "agent": (["--n", "40", "--trials", "3", "--agent", "5"], 40, "n^2/3", 5, None),
+    "truncated": (["--n", "8", "--trials", "3", "--threshold", "n", "--max-steps", "50"], 8, "n", None, 50),
+    "jobs-2": (["--n", "30", "--n", "50", "--trials", "4", "--jobs", "2"], 30, "n^2/3", None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_series_out_matches_recorded_trial_zero(tmp_path, case):
+    argv, n, expr, agent, max_steps = SERIES_CASES[case]
+    series = tmp_path / "series.csv"
+    assert main(["influencer", *argv, "--seed", "8", "--out", str(tmp_path / "inf.csv"),
+                 "--series-out", str(series)]) == 0
+    # reference: trial 0 on the agent engine, stopped once a set crosses,
+    # its recorded schedule replayed into a fresh table
+    recorder = ScheduleRecorder(n)
+    stop = _CrossingStop(n, threshold_count(expr, n), agent)
+    rec = run_trial(leave_init(n), n, derive_seed(8, 0), max_steps=max_steps,
+                    stop_event=(INFLUENCER_EVENT, lambda trial: stop.crossed),
+                    observers=[recorder, stop])
+    assert rec.truncated == (case == "truncated")
+    table = InfluencerTable(n)
+    lines = ["step,max_size,participant_size"]
+    for e in recorder.log:
+        table.update(e)
+        lines.append(f"{table.step},{table.max_size()},{table.size(e.initiator)}")
+    assert series.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("flag", ["--protocol", "--protocol-file"])
+def test_influencer_takes_no_protocol(tmp_path, flag, capsys):
+    # influence growth does not depend on the protocol, so none is chosen
+    out = tmp_path / "inf.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["influencer", "--n", "8", flag, "leave-init", "--out", str(out)])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------- coupon

@@ -18,7 +18,7 @@ from popsim import (
     run_trial,
     sample_interaction,
 )
-from popsim.influence import INFLUENCER_EVENT, InfluencerObserver, ScheduleRecorder
+from popsim.influence import ScheduleRecorder
 
 # 0.999 quantile of the chi-square distribution with 55 degrees of freedom
 # (8 agents -> 56 ordered pairs).
@@ -275,16 +275,19 @@ def test_observer_sees_old_and_new_states():
 
 
 def test_generator_observers_keep_their_events():
-    # A one-shot iterable of observers must still contribute events() after
-    # the run; the list form is the reference.
+    # A one-shot iterable of observers must still receive every notify; the
+    # list form is the reference.
     proto = leave_init(6)
-    listed = InfluencerObserver(6, threshold=3)
-    rec_list = run_trial(proto, 6, seed=5, max_steps=200, observers=[listed])
-    streamed = InfluencerObserver(6, threshold=3)
-    rec_gen = run_trial(proto, 6, seed=5, max_steps=200, observers=(o for o in [streamed]))
-    assert listed.first_exceed_step is not None
-    assert rec_list.event_steps == {INFLUENCER_EVENT: listed.first_exceed_step}
-    assert rec_gen.event_steps == rec_list.event_steps
+    stop = ("init_left", lambda trial: trial.counts[0] == 0)
+    listed = ScheduleRecorder(6)
+    rec_list = run_trial(proto, 6, seed=5, max_steps=200, stop_event=stop, observers=[listed])
+    streamed = ScheduleRecorder(6)
+    rec_gen = run_trial(proto, 6, seed=5, max_steps=200, stop_event=stop,
+                        observers=(o for o in [streamed]))
+    assert rec_list.event_steps == {"init_left": rec_list.steps_taken}
+    assert rec_gen == rec_list
+    assert len(listed.log) == rec_list.steps_taken
+    assert streamed.log.entries == listed.log.entries
 
 
 def test_counts_track_configuration():

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +25,12 @@ from popsim.influence import (
     DEMO_SCHEDULE_N5,
     INFLUENCER_EVENT,
     MAX_TRACKED_AGENTS,
-    InfluencerObserver,
     InfluencerTable,
     InteractionLog,
     ScheduleRecorder,
     write_size_series,
 )
+from popsim.rng import pair_stream
 
 A, B, C, D, E = range(5)
 
@@ -284,14 +285,29 @@ def test_first_exceed_matches_offline_replay():
     assert crossing == reported == rec.steps_taken
 
 
+def _replay_crossing(log, threshold, agent=None):
+    """The first crossing found by replaying a recorded schedule into an
+    InfluencerTable: the first step after which a participant's set (the
+    tracked agent's, when there is one) has more than ``threshold`` members,
+    or None."""
+    table = InfluencerTable(log.n)
+    for e in log:
+        table.update(e)
+        if (agent is None or agent in e) and table.size(e.initiator) > threshold:
+            return table.step
+    return None
+
+
 def _both_routes(n, seed, threshold, **kwargs):
-    """first_exceed_time on the stream kernel and, forced by an extra
-    observer, on the InfluencerObserver route."""
+    """first_exceed_time on the stream kernel alone, and with a recorder as
+    an extra observer, which replays the kernel's steps on the agent engine;
+    also returns the recorded schedule."""
     kernel = first_exceed_time(leave_init(n), n, seed, threshold, **kwargs)
+    recorder = ScheduleRecorder(n)
     observed = first_exceed_time(
-        leave_init(n), n, seed, threshold, extra_observers=[ScheduleRecorder(n)], **kwargs
+        leave_init(n), n, seed, threshold, extra_observers=[recorder], **kwargs
     )
-    return kernel, observed
+    return kernel, observed, recorder.log
 
 
 def _fields(rec):
@@ -307,10 +323,14 @@ def test_stream_kernel_matches_observer_route(n):
             # Threshold n is out of reach, so the budget runs out.  At n=1000
             # the default budget is 448000 steps; a shorter one stands in.
             first_budget = 3 * n if threshold >= n and n > 64 else None
-            kernel, observed = _both_routes(n, seed, threshold, agent=agent, max_steps=first_budget)
+            kernel, observed, log = _both_routes(n, seed, threshold, agent=agent, max_steps=first_budget)
             assert _fields(kernel) == _fields(observed)
             assert kernel.final_digest == ""
+            replay = run_trial(leave_init(n), n, seed, max_steps=kernel.steps_taken)
+            assert observed.final_digest == replay.final_digest
+            assert len(log) == kernel.steps_taken
             t_min = kernel.event_steps.get(INFLUENCER_EVENT)
+            assert t_min == _replay_crossing(log, threshold, agent)
             if t_min is None:
                 assert threshold >= n and kernel.truncated
                 budgets = [0, 3 * n]
@@ -318,8 +338,9 @@ def test_stream_kernel_matches_observer_route(n):
                 assert t_min == kernel.steps_taken and not kernel.truncated
                 budgets = [0, t_min - 1, t_min]
             for max_steps in budgets:
-                kernel, observed = _both_routes(n, seed, threshold, agent=agent, max_steps=max_steps)
+                kernel, observed, log = _both_routes(n, seed, threshold, agent=agent, max_steps=max_steps)
                 assert _fields(kernel) == _fields(observed)
+                assert len(log) == kernel.steps_taken
                 crossed = t_min is not None and max_steps >= t_min
                 # a crossing exactly at the budget is not truncated
                 assert kernel.truncated == (not crossed)
@@ -349,29 +370,45 @@ def test_single_agent_mode_waits_for_that_agent():
     n = 6
     log = InteractionLog(n, [Interaction(1, 2), Interaction(2, 3), Interaction(1, 3),
                              Interaction(0, 1), Interaction(0, 2)])
-    # replay through the observer interface
-    obs_any = InfluencerObserver(n, threshold=2)
-    obs_zero = InfluencerObserver(n, threshold=2, agent=0)
-    for e in log:
-        obs_any.notify(None, e, None, None)
-        obs_zero.notify(None, e, None, None)
-    assert obs_any.first_exceed_step == 2   # agents 2,3 reach size 3 at step 2
-    assert obs_zero.first_exceed_step == 4  # agent 0 first exceeds when it meets 1
+    assert _replay_crossing(log, 2) == 2  # agents 2,3 reach size 3 at step 2
+    assert _replay_crossing(log, 2, agent=0) == 4  # agent 0 first exceeds when it meets 1
+    # The kernel's crossing for agent 0 lands on one of agent 0's own steps,
+    # never before anyone's, and on some seeds strictly after.
+    waited = 0
+    for seed in range(40):
+        anyone = first_exceed_time(leave_init(n), n, seed, 2)
+        recorder = ScheduleRecorder(n)
+        zero = first_exceed_time(leave_init(n), n, seed, 2, agent=0, extra_observers=[recorder])
+        t_any = anyone.event_steps[INFLUENCER_EVENT]
+        t_zero = zero.event_steps[INFLUENCER_EVENT]
+        assert t_zero == _replay_crossing(recorder.log, 2, agent=0)
+        assert 0 in recorder.log[t_zero - 1]
+        assert t_any <= t_zero
+        waited += t_any < t_zero
+    assert waited > 0
 
 
 def test_series_tracking(tmp_path):
-    obs = InfluencerObserver(4, threshold=None, track_series=True)
-    run_trial(leave_init(4), 4, seed=3, max_steps=6, observers=[obs])
-    assert len(obs.series) == 6
-    steps = [row[0] for row in obs.series]
-    assert steps == list(range(1, 7))
-    max_sizes = [row[1] for row in obs.series]
-    assert all(b >= a for a, b in zip(max_sizes, max_sizes[1:]))
+    recorder = ScheduleRecorder(4)
+    run_trial(leave_init(4), 4, seed=3, max_steps=6, observers=[recorder])
+    assert recorder.log.entries == [Interaction(*e) for e in islice(pair_stream(3, 4), 6)]
     out = tmp_path / "series.csv"
-    write_size_series(obs, out)
+    write_size_series(4, recorder.log, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "step,max_size,participant_size"
     assert len(lines) == 7
+    series = [tuple(map(int, line.split(","))) for line in lines[1:]]
+    steps = [row[0] for row in series]
+    assert steps == list(range(1, 7))
+    max_sizes = [row[1] for row in series]
+    assert all(b >= a for a, b in zip(max_sizes, max_sizes[1:]))
+    # brute force: every set's size after each step of the replay
+    table = InfluencerTable(4)
+    expected = []
+    for e in recorder.log:
+        table.update(e)
+        expected.append((table.step, table.max_size(), table.size(e.responder)))
+    assert series == expected
 
 
 # ------------------------------------------------------------------ log file I/O
