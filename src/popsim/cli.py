@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from . import __version__
-from .core import LEADER, Interaction, Protocol, run_trial, step_budget
+from .core import LEADER, Protocol, run_trial, step_budget
 from .exact import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -41,6 +41,7 @@ from .influence import (
     build_graph,
     demo_log,
     first_exceed_time,
+    write_log,
     write_size_series,
 )
 from .protocols import CATALOG, load_protocol, make_protocol
@@ -244,7 +245,7 @@ def _trial_schedule(seed: int, n: int, steps: int):
 
 
 def cmd_run(args) -> int:
-    recorded_log = None
+    log_trial = None  # (n, seed, steps) of trial 0 of the first size
     rows = []
     event_columns: list[str] = []
     for n, _, results in _sweep(args, _run_job):
@@ -252,13 +253,13 @@ def cmd_run(args) -> int:
         for col in results[0]:
             if col.endswith("_step") and col not in event_columns:
                 event_columns.append(col)
-        if args.save_log and recorded_log is None:
-            schedule = _trial_schedule(results[0]["seed"], n, results[0]["steps"])
-            recorded_log = InteractionLog(n, [Interaction(u, v) for u, v in schedule])
+        if log_trial is None:
+            log_trial = (n, results[0]["seed"], results[0]["steps"])
     columns = ["trial", "seed", "n", "steps", "parallel_time", "truncated", *event_columns]
     _emit(_render_rows(rows, columns, args.format, "popsim.run.v1"), args.out)
     if args.save_log:
-        recorded_log.save(args.save_log)
+        n, seed, steps = log_trial
+        write_log(n, _trial_schedule(seed, n, steps), args.save_log)
     return EXIT_OK
 
 
@@ -429,6 +430,13 @@ def _add_common(parser, *, sizes=True, trials=True):
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+def _add_protocol_source(parser):
+    """Exactly one of --protocol (a catalog name) and --protocol-file."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--protocol", default=None)
+    source.add_argument("--protocol-file", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="popsim",
@@ -438,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run seeded trials of a protocol")
-    p_run.add_argument("--protocol", default=None)
-    p_run.add_argument("--protocol-file", default=None)
+    _add_protocol_source(p_run)
     p_run.add_argument("--threshold", default=None,
                        help="stop threshold for leave-init (e.g. n^2/3)")
     p_run.add_argument("--save-log", default=None,
@@ -466,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coupon.set_defaults(func=cmd_coupon, protocol="leave-init")
 
     p_exact = sub.add_parser("exact", help="exhaustive reachability, safety, and hitting time")
-    p_exact.add_argument("--protocol", default=None)
-    p_exact.add_argument("--protocol-file", default=None)
+    _add_protocol_source(p_exact)
     _add_common(p_exact, trials=False)
     p_exact.set_defaults(func=cmd_exact)
 
@@ -488,9 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "protocol", None) is None and getattr(args, "protocol_file", None) is None:
-        if args.command in ("run", "exact"):
-            parser.error(f"{args.command} needs --protocol or --protocol-file")
     try:
         return args.func(args)
     except BudgetExceededError as exc:

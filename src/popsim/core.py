@@ -70,16 +70,9 @@ class Protocol:
         if len(self.outputs) != self.num_states:
             raise ValueError("outputs must be total over states")
 
-    def transition(self, a: int, b: int) -> tuple[int, int]:
-        return self.transitions[a][b]
-
     def output_states(self, symbol: str) -> tuple[int, ...]:
         """State ids mapped to ``symbol`` by the output function."""
         return tuple(s for s, y in enumerate(self.outputs) if y == symbol)
-
-    def count_output(self, counts: Sequence[int], symbol: str) -> int:
-        """Number of agents outputting ``symbol``, given per-state counts."""
-        return sum(counts[s] for s, y in enumerate(self.outputs) if y == symbol)
 
 
 def apply_interaction(protocol: Protocol, config: Sequence[int], e: Interaction) -> Configuration:
@@ -124,18 +117,14 @@ def configuration_digest(states: Sequence[int]) -> str:
     return hashlib.sha256(",".join(map(str, states)).encode()).hexdigest()
 
 
-def default_step_budget(n: int) -> int:
-    """Default interaction budget: 64 * n * ceil(ln n)."""
-    return 64 * n * max(1, math.ceil(math.log(n)))
-
-
 def step_budget(n: int, max_steps: Optional[int]) -> int:
     """The interaction budget of one trial: ``max_steps``, or the default
-    budget when it is None.  Rejects n < 2 and negative budgets."""
+    64 * n * ceil(ln n) when it is None.  Rejects n < 2 and negative
+    budgets."""
     if n < 2:
         raise ValueError("population size must be >= 2")
     if max_steps is None:
-        return default_step_budget(n)
+        return 64 * n * max(1, math.ceil(math.log(n)))
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     return max_steps
@@ -164,7 +153,7 @@ class TrialRecord:
     n: int
     steps_taken: int
     event_steps: dict[str, int] = field(default_factory=dict)
-    final_digest: str = ""
+    final_states: Optional[Configuration] = None
     truncated: bool = False
 
     @property
@@ -201,8 +190,10 @@ def run_trial(
     executions always start all-initial; the override is a harness feature
     for experiments that seed one special agent).
 
+    The record's ``final_states`` is the engine's own state list at the halt.
+
     Determinism: two runs with identical arguments produce identical
-    interaction sequences, event steps, and final digests.
+    interaction sequences, event steps, and final states.
     """
     max_steps = step_budget(n, max_steps)
 
@@ -255,6 +246,6 @@ def run_trial(
         n=n,
         steps_taken=trial.step,
         event_steps=events,
-        final_digest=configuration_digest(states),
+        final_states=states,
         truncated=stop_event is not None and not stopped,
     )

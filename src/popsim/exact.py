@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import LEADER, Interaction, Protocol, apply_interaction, output_vector, run_trial
+from .core import LEADER, Interaction, Protocol, apply_interaction, output_vector
 
 DEFAULT_BUDGET = 10**7
 
@@ -51,9 +51,10 @@ class NonAbsorbingError(RuntimeError):
 class ConfigurationSpace:
     """All configurations reachable from the all-initial one, with structure.
 
-    ``successors[i]`` maps successor index -> number of ordered interactions
-    leading there (the multiset of successors over all n(n-1) interactions);
-    ``edge_label[i]`` keeps one witness interaction per distinct successor.
+    ``configs[0]`` is the all-initial start; ``index`` maps a configuration
+    to its position in ``configs``.  ``successors[i]`` maps successor index
+    -> number of ordered interactions leading there (the multiset of
+    successors over all n(n-1) interactions).
     """
 
     protocol: Protocol
@@ -61,14 +62,9 @@ class ConfigurationSpace:
     configs: list[Config]
     index: dict[Config, int]
     successors: list[dict[int, int]]
-    edge_label: list[dict[int, Interaction]]
 
     def __len__(self) -> int:
         return len(self.configs)
-
-    @property
-    def initial_index(self) -> int:
-        return 0
 
 
 def enumerate_reachable(
@@ -96,14 +92,12 @@ def enumerate_reachable(
     configs: list[Config] = [start]
     index: dict[Config, int] = {start: 0}
     successors: list[dict[int, int]] = [{}]
-    edge_label: list[dict[int, Interaction]] = [{}]
 
     queue = deque([0])
     while queue:
         i = queue.popleft()
         base = configs[i]
         succ: dict[int, int] = {}
-        labels: dict[int, Interaction] = {}
         for u, v in pairs:
             a2, b2 = table[base[u]][base[v]]
             if a2 == base[u] and b2 == base[v]:
@@ -119,21 +113,12 @@ def enumerate_reachable(
                 index[nxt] = j
                 configs.append(nxt)
                 successors.append({})
-                edge_label.append({})
                 queue.append(j)
             succ[j] = succ.get(j, 0) + 1
-            if j not in labels:
-                labels[j] = Interaction(u, v)
         successors[i] = succ
-        edge_label[i] = labels
 
     return ConfigurationSpace(
-        protocol=protocol,
-        n=n,
-        configs=configs,
-        index=index,
-        successors=successors,
-        edge_label=edge_label,
+        protocol=protocol, n=n, configs=configs, index=index, successors=successors
     )
 
 
@@ -155,70 +140,76 @@ class SafetyVerdict:
     witness_config: Optional[Config] = None
 
 
+def _hop_label(protocol: Protocol, src: Config, dst: Config) -> Interaction:
+    """The first ordered pair, in the enumeration's ``(u, v)`` order, that
+    takes ``src`` to ``dst``."""
+    n = len(src)
+    pairs = (Interaction(u, v) for u in range(n) for v in range(n) if u != v)
+    return next(e for e in pairs if tuple(apply_interaction(protocol, src, e)) == dst)
+
+
 def _output_change_witness(space: ConfigurationSpace, i: int):
     """BFS for a reachable config whose per-agent outputs differ from ``i``'s."""
     protocol = space.protocol
-    base_outputs = output_vector(protocol, space.configs[i])
-    parents: dict[int, tuple[int, Interaction]] = {}
+    configs = space.configs
+    base_outputs = output_vector(protocol, configs[i])
+    parents: dict[int, int] = {}
     seen = {i}
     queue = deque([i])
     while queue:
         j = queue.popleft()
-        outputs = output_vector(protocol, space.configs[j])
+        outputs = output_vector(protocol, configs[j])
         if outputs != base_outputs:
             agent = next(a for a, (x, y) in enumerate(zip(outputs, base_outputs)) if x != y)
             path = []
             k = j
             while k != i:
-                k, e = parents[k]
-                path.append(e)
+                parent = parents[k]
+                path.append(_hop_label(protocol, configs[parent], configs[k]))
+                k = parent
             path.reverse()
-            return tuple(path), agent, space.configs[j]
+            return tuple(path), agent, configs[j]
         for k in space.successors[j]:
             if k not in seen:
                 seen.add(k)
-                parents[k] = (j, space.edge_label[j][k])
+                parents[k] = j
                 queue.append(k)
     return None
 
 
-def is_safe(space: ConfigurationSpace, config: Config, leader_symbol: str = LEADER) -> SafetyVerdict:
-    """Apply the two-clause safety criterion to one configuration.
+def safety_verdicts(space: ConfigurationSpace) -> list[SafetyVerdict]:
+    """Apply the two-clause safety criterion to every configuration of the
+    space, in ``space.configs`` order.
 
-    Safe iff (a) exactly one agent outputs the leader symbol, and (b) every
-    configuration reachable from it has the identical per-agent output
-    vector.
+    A configuration is safe iff (a) exactly one agent outputs the leader
+    symbol, and (b) every configuration reachable from it has the identical
+    per-agent output vector.
     """
-    config = tuple(config)
-    if config not in space.index:
-        raise ValueError("configuration not in the enumerated space")
-    i = space.index[config]
-    outputs = output_vector(space.protocol, config)
-    leader_count = outputs.count(leader_symbol)
-    if leader_count != 1:
-        return SafetyVerdict(
-            config=config,
-            safe=False,
-            leader_count=leader_count,
-            reason=f"leader count = {leader_count}, not 1",
-        )
-    witness = _output_change_witness(space, i)
-    if witness is not None:
-        path, agent, bad_config = witness
-        return SafetyVerdict(
-            config=config,
-            safe=False,
-            leader_count=leader_count,
-            reason=f"agent {agent} changes output on a reachable path",
-            witness_path=path,
-            witness_agent=agent,
-            witness_config=bad_config,
-        )
-    return SafetyVerdict(config=config, safe=True, leader_count=1)
-
-
-def safety_verdicts(space: ConfigurationSpace, leader_symbol: str = LEADER) -> list[SafetyVerdict]:
-    return [is_safe(space, c, leader_symbol) for c in space.configs]
+    verdicts = []
+    for i, config in enumerate(space.configs):
+        leader_count = output_vector(space.protocol, config).count(LEADER)
+        if leader_count != 1:
+            verdict = SafetyVerdict(
+                config=config,
+                safe=False,
+                leader_count=leader_count,
+                reason=f"leader count = {leader_count}, not 1",
+            )
+        elif (witness := _output_change_witness(space, i)) is not None:
+            path, agent, bad_config = witness
+            verdict = SafetyVerdict(
+                config=config,
+                safe=False,
+                leader_count=1,
+                reason=f"agent {agent} changes output on a reachable path",
+                witness_path=path,
+                witness_agent=agent,
+                witness_config=bad_config,
+            )
+        else:
+            verdict = SafetyVerdict(config=config, safe=True, leader_count=1)
+        verdicts.append(verdict)
+    return verdicts
 
 
 def _solve_fractions(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -329,12 +320,12 @@ def expected_hitting_steps(
     """
     targets = frozenset(i for i, c in enumerate(space.configs) if target(c))
     _check_absorbing(space, targets)
-    if space.initial_index in targets:
+    if 0 in targets:
         return Fraction(0)
 
     total = space.n * (space.n - 1)
     solved: dict[int, Fraction] = dict.fromkeys(targets, Fraction(0))
-    for component in _components_sinks_first(space, space.initial_index, targets):
+    for component in _components_sinks_first(space, 0, targets):
         pos = {i: r for r, i in enumerate(component)}
         m = len(component)
         rows = [[Fraction(0) for _ in range(m)] for _ in range(m)]
@@ -348,7 +339,7 @@ def expected_hitting_steps(
                     rhs[r] += count * solved[j]
         for i, value in zip(component, _solve_fractions(rows, rhs)):
             solved[i] = value
-    return solved[space.initial_index]
+    return solved[0]
 
 
 def expected_hitting_steps_float(
@@ -363,7 +354,7 @@ def expected_hitting_steps_float(
     """
     targets = frozenset(i for i, c in enumerate(space.configs) if target(c))
     _check_absorbing(space, targets)
-    if space.initial_index in targets:
+    if 0 in targets:
         return 0.0, 0.0
 
     transient = [i for i in range(len(space)) if i not in targets]
@@ -380,7 +371,7 @@ def expected_hitting_steps_float(
                 matrix[r, pos[j]] -= count
     solution = np.linalg.solve(matrix, rhs)
     residual = float(np.abs(matrix @ solution - rhs).max())
-    return float(solution[pos[space.initial_index]]), residual
+    return float(solution[pos[0]]), residual
 
 
 def closed_form_pairwise(n: int) -> float:
@@ -389,24 +380,6 @@ def closed_form_pairwise(n: int) -> float:
     if n < 2:
         raise ValueError("population size must be >= 2")
     return float((n - 1) ** 2)
-
-
-def random_walk_outputs_stable(
-    space: ConfigurationSpace, config: Config, steps: int, seed: int
-) -> bool:
-    """Monte Carlo probe: does a random walk from ``config`` ever change any
-    agent's output within ``steps`` interactions?  Used to sanity-check safe
-    verdicts from the exhaustive side.  The walk is ``run_trial``'s, started
-    at ``config``; it runs to the budget iff no output changed."""
-    protocol = space.protocol
-    base = output_vector(protocol, config)
-
-    def changed(trial) -> bool:
-        return output_vector(protocol, trial.states) != base
-
-    return run_trial(
-        protocol, space.n, seed, max_steps=steps, initial=config, stop_event=("changed", changed)
-    ).truncated
 
 
 def replay_path(protocol: Protocol, config: Config, path: Sequence[Interaction]) -> Config:

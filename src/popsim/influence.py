@@ -94,15 +94,9 @@ class InteractionLog:
     def __getitem__(self, j: int) -> Interaction:
         return self.entries[j]
 
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the log as text: first line is the decimal population size,
-        then one ``initiator<SP>responder`` line per entry, LF-terminated."""
-        lines = [str(self.n)]
-        lines.extend(f"{e.initiator} {e.responder}" for e in self.entries)
-        Path(path).write_text("\n".join(lines) + "\n")
-
     @classmethod
     def load(cls, path: Union[str, Path]) -> "InteractionLog":
+        """Read a log written by :func:`write_log`."""
         text = Path(path).read_text()
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -118,6 +112,15 @@ class InteractionLog:
                 raise ValueError(f"{path}: malformed entry {ln!r}")
             log.append(Interaction(int(parts[0]), int(parts[1])))
         return log
+
+
+def write_log(n: int, pairs: Iterable[tuple[int, int]], path: Union[str, Path]) -> None:
+    """Write a schedule as log text, one line at a time: first the decimal
+    population size, then one ``initiator<SP>responder`` line per pair,
+    LF-terminated."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{n}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in pairs)
 
 
 def demo_log() -> InteractionLog:
@@ -220,9 +223,6 @@ class LayeredGraph:
     depth: int
     edges: list[tuple[tuple[int, int], tuple[int, int]]]
 
-    def num_nodes(self) -> int:
-        return self.n * (self.depth + 1)
-
     def sources_reaching(self, v: int) -> frozenset[int]:
         """Layer-0 agents from which ``(v, depth)`` is reachable.
 
@@ -306,10 +306,10 @@ def first_exceed_time(
     first-crossing-by-anyone to first crossing by that one agent.
 
     The stream kernel finds the crossing without applying ``protocol``, so
-    the record's ``final_digest`` is ``""``.  With ``extra_observers``, the
+    the record's ``final_states`` is None.  With ``extra_observers``, the
     kernel's ``steps_taken`` interactions are then replayed through
     ``core.run_trial``, so the observers see the protocol's states, and the
-    record takes that replay's ``final_digest``.
+    record takes that replay's ``final_states``.
     """
     extra_observers = tuple(extra_observers)
     if threshold < 1:
@@ -339,7 +339,7 @@ def first_exceed_time(
         rec = TrialRecord(seed, n, budget, truncated=True)
     if extra_observers:
         replay = run_trial(protocol, n, seed, max_steps=rec.steps_taken, observers=extra_observers)
-        rec.final_digest = replay.final_digest
+        rec.final_states = replay.final_states
     return rec
 
 

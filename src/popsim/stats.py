@@ -133,45 +133,24 @@ def ceil_rational_power(n: int, num: int, den: int) -> int:
     return m
 
 
-def ceil_two_thirds(n: int) -> int:
-    """ceil(n**(2/3)) computed exactly."""
-    return ceil_rational_power(n, 2, 3)
+def block_lower_bound(n: int) -> int:
+    """Block-decomposition lower bound on the informed-set first passage to
+    ceil(n**(2/3)).
 
-
-@dataclass(frozen=True)
-class BlockParams:
-    """Block decomposition of the informed-set first passage to ceil(n**(2/3)).
-
-    ``r`` indices per block, ``kappa`` whole blocks; ``kappa * r`` never
-    exceeds the threshold, and the final partial block (when the threshold is
-    not divisible by r) is deliberately left out of the block bound.
+    Blocks hold r = isqrt(n) indices each, and there are kappa =
+    ceil(n**(2/3)) // r whole blocks; the final partial block (when r does
+    not divide the threshold) is deliberately left out.  The bound sums, over
+    whole blocks, floor((r/2) * E[steps at the block's top index]).  The top
+    index of block i is k = (i+1) r; its geometric mean is n(n-1)/(2k(n-k)),
+    so each term is floor(r n (n-1) / (4 k (n-k))), taken with exact integer
+    arithmetic.  Indices at or beyond n (possible only at degenerate small n)
+    contribute nothing.
     """
-
-    n: int
-    r: int
-    kappa: int
-    threshold: int
-
-    @classmethod
-    def for_population(cls, n: int) -> "BlockParams":
-        if n < 1:
-            raise ValueError("population size must be >= 1")
-        r = math.isqrt(n)
-        threshold = ceil_two_thirds(n)
-        return cls(n=n, r=r, kappa=threshold // r, threshold=threshold)
-
-
-def block_lower_bound(params: BlockParams) -> int:
-    """Sum over whole blocks of floor((r/2) * E[steps at the block's top index]).
-
-    The top index of block i is k = (i+1) r; its geometric mean is
-    n(n-1)/(2k(n-k)), so each term is floor(r n (n-1) / (4 k (n-k))), taken
-    with exact integer arithmetic.  Indices at or beyond n (possible only at
-    degenerate small n) contribute nothing.
-    """
-    n, r = params.n, params.r
+    if n < 1:
+        raise ValueError("population size must be >= 1")
+    r = math.isqrt(n)
     total = 0
-    for i in range(params.kappa):
+    for i in range(ceil_rational_power(n, 2, 3) // r):
         k = (i + 1) * r
         if k >= n:
             break

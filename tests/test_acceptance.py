@@ -30,7 +30,7 @@ from popsim.exact import (
 )
 from popsim.influence import INFLUENCER_EVENT, InteractionLog, demo_log
 from popsim.stats import (
-    ceil_two_thirds,
+    ceil_rational_power,
     coupon_spec,
     epidemic_spec,
     expected_coupon_sum,
@@ -213,7 +213,7 @@ def test_criterion_5_epidemic_equals_geometric_sum():
 def test_criterion_6_initial_state_drain_bound():
     def body():
         n = 4096
-        f = ceil_two_thirds(n)  # 256, exactly n^(2/3) for this n
+        f = ceil_rational_power(n, 2, 3)  # 256, exactly n^(2/3) for this n
         proto = leave_init(n)
         trials = 1000
         steps = []
@@ -251,7 +251,7 @@ def test_criterion_7_threshold_crossing_scales_with_n_log_n():
         floor = 0.05
         p1_ratio = {}
         for n in sizes:
-            threshold = ceil_two_thirds(n)
+            threshold = ceil_rational_power(n, 2, 3)
             proto = leave_init(n)
             scale = n * math.log(n)
             ratios = []

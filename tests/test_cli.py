@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -133,7 +134,7 @@ def test_one_leader_stop_agrees_with_leader_sum(doc):
     pred = _one_leader_stop(protocol)
 
     def by_sum(trial):
-        return protocol.count_output(trial.counts, LEADER) == 1
+        return sum(trial.counts[s] for s in protocol.output_states(LEADER)) == 1
 
     for states in itertools.product(range(protocol.num_states), repeat=n):
         trial = Trial(protocol, n, list(states))
@@ -227,11 +228,29 @@ def test_save_log_matches_recorded_trial_zero(tmp_path, case):
     recorder = ScheduleRecorder(n)
     rec = run_trial(protocol, n, derive_seed(5, 0), observers=[recorder], **kwargs)
     assert rec.truncated == (case == "truncated")
-    reference = tmp_path / "reference.log"
-    recorder.log.save(reference)
-    assert log_path.read_bytes() == reference.read_bytes()
+    reference = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in recorder.log)
+    assert log_path.read_bytes() == reference.encode()
     _, rows = read_csv(out)
     assert int(rows[0]["steps"]) == len(recorder.log) == rec.steps_taken
+
+
+def test_save_log_streams_the_schedule(tmp_path):
+    # 206155 steps; holding them as a list of pairs, let alone one joined
+    # string, would take tens of MB
+    out, log_path = tmp_path / "run.csv", tmp_path / "trial0.log"
+    tracemalloc.start()
+    try:
+        code = main(["run", "--protocol", "pairwise-elimination", "--n", "300", "--trials", "1",
+                     "--seed", "7", "--max-steps", "5000000", "--out", str(out),
+                     "--save-log", str(log_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    _, rows = read_csv(out)
+    assert rows[0]["steps"] == "206155"
+    assert len(log_path.read_text().splitlines()) == 1 + 206155
+    assert peak < 4 * 2**20
 
 
 def test_run_threshold_exits_2_unless_the_stop_reads_it(tmp_path, capsys):
@@ -267,6 +286,19 @@ def test_run_requires_protocol():
     with pytest.raises(SystemExit) as err:
         main(["run", "--n", "4"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "exact"])
+def test_protocol_and_protocol_file_are_exclusive(tmp_path, command, capsys):
+    doc = tmp_path / "proto.json"
+    doc.write_text(json.dumps(PAIRWISE_DOC))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--protocol", "one-way-epidemic", "--protocol-file", str(doc),
+              "--n", "3", "--out", str(out)])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from popsim import (
     TrialRecord,
     apply_interaction,
     configuration_digest,
-    default_step_budget,
     leave_init,
     one_way_epidemic,
     output_vector,
@@ -18,6 +17,7 @@ from popsim import (
     run_trial,
     sample_interaction,
 )
+from popsim.core import step_budget
 from popsim.influence import ScheduleRecorder
 
 # 0.999 quantile of the chi-square distribution with 55 degrees of freedom
@@ -158,7 +158,7 @@ def test_zero_step_budget_keeps_initial_configuration():
     proto = pairwise_elimination(5)
     rec = run_trial(proto, 5, seed=9, max_steps=0)
     assert rec.steps_taken == 0
-    assert rec.final_digest == configuration_digest([0] * 5)
+    assert rec.final_states == [0] * 5
     assert not rec.truncated  # no predicate was set, so nothing was cut short
 
 
@@ -228,7 +228,7 @@ def reference_run(protocol, n, seed, *, max_steps, stop_event=None):
         n=n,
         steps_taken=trial.step,
         event_steps=events,
-        final_digest=configuration_digest(states),
+        final_states=states,
         truncated=stop_event is not None and not stopped,
     )
 
@@ -307,7 +307,7 @@ def test_counts_track_configuration():
 def test_initial_override():
     proto = one_way_epidemic(4)
     rec = run_trial(proto, 4, seed=2, max_steps=0, initial=[1, 0, 0, 0])
-    assert rec.final_digest == configuration_digest([1, 0, 0, 0])
+    assert rec.final_states == [1, 0, 0, 0]
     with pytest.raises(ValueError):
         run_trial(proto, 4, seed=2, initial=[1, 0, 0])
     with pytest.raises(ValueError):
@@ -359,8 +359,8 @@ def test_parallel_time():
 
 
 def test_default_step_budget():
-    assert default_step_budget(2) == 64 * 2 * 1
-    assert default_step_budget(100) == 64 * 100 * 5
+    assert step_budget(2, None) == 64 * 2 * 1
+    assert step_budget(100, None) == 64 * 100 * 5
 
 
 def test_digest_stable_and_distinct():

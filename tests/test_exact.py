@@ -8,6 +8,7 @@ from popsim import (
     leave_init,
     output_vector,
     pairwise_elimination,
+    run_trial,
 )
 from popsim.exact import (
     BudgetExceededError,
@@ -16,8 +17,6 @@ from popsim.exact import (
     enumerate_reachable,
     expected_hitting_steps,
     expected_hitting_steps_float,
-    is_safe,
-    random_walk_outputs_stable,
     replay_path,
     safety_verdicts,
 )
@@ -53,13 +52,29 @@ def leader_decay_protocol():
     return Protocol(2, 0, tuple(tuple(r) for r in table), (LEADER, "F"), name="leader-decay")
 
 
+def tired_leader_protocol():
+    """Pairwise elimination where a leader tires before it abdicates.
+
+    A fresh leader that initiates with a follower becomes tired, still
+    outputting L; a tired leader that initiates with a follower becomes one.
+    From a one-fresh-leader configuration the nearest output change is two
+    interactions away.
+    """
+    # states: 0 = fresh leader (L, initial), 1 = follower (F), 2 = tired leader (L)
+    table = [[(a, b) for b in range(3)] for a in range(3)]
+    table[0][0] = (0, 1)
+    table[0][1] = (2, 1)
+    table[2][1] = (1, 1)
+    return Protocol(3, 0, tuple(map(tuple, table)), (LEADER, "F", LEADER), name="tired-leader")
+
+
 # ----------------------------------------------------------------- enumeration
 
 
 def test_pairwise_two_agents_reachable_set():
     space = enumerate_reachable(pairwise_elimination(2), 2)
     assert sorted(space.configs) == [(0, 0), (0, 1), (1, 0)]
-    assert space.configs[space.initial_index] == (0, 0)
+    assert space.configs[0] == (0, 0)  # the all-initial start comes first
 
 
 def test_leave_init_two_agents_reachable_set():
@@ -110,7 +125,7 @@ def test_pairwise_three_agents_safety_classification():
 def test_all_initial_is_unsafe_when_initial_outputs_follower():
     proto = leave_init(3)
     space = enumerate_reachable(proto, 3)
-    verdict = is_safe(space, (0, 0, 0))
+    verdict = safety_verdicts(space)[space.index[(0, 0, 0)]]
     assert not verdict.safe
     assert verdict.leader_count == 0
 
@@ -147,26 +162,64 @@ def test_witness_paths_replay_to_an_output_change():
         )
 
 
+# Witness (path, agent) of every one-leader configuration at n=3: the BFS
+# parent chain, each hop labelled with the first (u, v) in enumeration order
+# that takes the parent to the child.
+PINNED_WITNESSES = {
+    "leader-swap": {
+        (1, 2, 0): (((0, 1),), 0), (1, 0, 2): (((0, 2),), 0), (2, 1, 0): (((1, 0),), 0),
+        (0, 1, 2): (((1, 2),), 1), (2, 0, 1): (((2, 0),), 0), (0, 2, 1): (((2, 1),), 1),
+    },
+    "leader-decay": {
+        (1, 1, 0): (((2, 0),), 2), (0, 1, 1): (((0, 1),), 0), (1, 0, 1): (((1, 0),), 1),
+    },
+    "tired-leader": {
+        (0, 1, 1): (((0, 1), (0, 1)), 0), (1, 1, 0): (((2, 0), (2, 0)), 2),
+        (1, 0, 1): (((1, 0), (1, 0)), 1), (2, 1, 1): (((0, 1),), 0),
+        (1, 1, 2): (((2, 0),), 2), (1, 2, 1): (((1, 0),), 1),
+    },
+}
+
+
+@pytest.mark.parametrize("make", [leader_swap_protocol, leader_decay_protocol, tired_leader_protocol])
+def test_witness_paths_are_pinned(make):
+    proto = make()
+    space = enumerate_reachable(proto, 3)
+    witnesses = {}
+    for verdict in safety_verdicts(space):
+        if verdict.witness_path is not None:
+            assert replay_path(proto, verdict.config, verdict.witness_path) == verdict.witness_config
+            witnesses[verdict.config] = (
+                tuple(tuple(e) for e in verdict.witness_path), verdict.witness_agent
+            )
+    assert witnesses == PINNED_WITNESSES[proto.name]
+
+
+def changed_outputs_stop(proto, config):
+    """Stop event of a walk from ``config``: some agent's output differs."""
+    base = output_vector(proto, config)
+    return ("changed", lambda trial: output_vector(proto, trial.states) != base)
+
+
 def test_safe_configurations_survive_random_walks():
     proto = pairwise_elimination(4)
     space = enumerate_reachable(proto, 4)
     safe = [i for i, v in enumerate(safety_verdicts(space)) if v.safe]
     for i in safe:
-        assert random_walk_outputs_stable(space, space.configs[i], steps=1000, seed=9 + i)
+        config = space.configs[i]
+        rec = run_trial(proto, 4, 9 + i, max_steps=1000, initial=config,
+                        stop_event=changed_outputs_stop(proto, config))
+        assert rec.truncated and rec.steps_taken == 1000
 
 
 def test_random_walk_reports_an_output_change():
     # from all leaders, the first interaction demotes someone
-    space = enumerate_reachable(pairwise_elimination(4), 4)
-    start = space.configs[space.initial_index]
-    assert not random_walk_outputs_stable(space, start, steps=1000, seed=3)
-    assert random_walk_outputs_stable(space, start, steps=0, seed=3)
-
-
-def test_is_safe_requires_membership():
-    space = enumerate_reachable(pairwise_elimination(2), 2)
-    with pytest.raises(ValueError):
-        is_safe(space, (1, 1))
+    proto = pairwise_elimination(4)
+    start = enumerate_reachable(proto, 4).configs[0]
+    stop = changed_outputs_stop(proto, start)
+    rec = run_trial(proto, 4, 3, max_steps=1000, initial=start, stop_event=stop)
+    assert not rec.truncated and rec.event_steps == {"changed": 1}
+    assert run_trial(proto, 4, 3, max_steps=0, initial=start, stop_event=stop).truncated
 
 
 # ---------------------------------------------------------------- hitting times

@@ -1,7 +1,10 @@
 """The benchmark workloads in ``perfbench/`` keep their seed-0 output bytes,
-and the ``popsim.cli`` names its traced runs wrap still exist."""
+the ``popsim.cli`` names its traced runs wrap still exist, and every
+``popsim`` name ``perfbench/`` imports still resolves."""
 
+import ast
 import hashlib
+import importlib
 import importlib.util
 import json
 import sys
@@ -38,3 +41,22 @@ def test_workload_bytes_match_reference_digests(tmp_path, name):
 def test_traced_names_are_cli_globals():
     wrapped = load_perfbench("spans").WRAPPED
     assert [name for name in wrapped if not hasattr(popsim.cli, name)] == []
+
+
+def test_perfbench_popsim_imports_resolve():
+    missing, imported = [], 0
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "popsim":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported += 1
+                    if not hasattr(module, alias.name):
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "popsim":
+                        imported += 1
+                        importlib.import_module(alias.name)
+    assert imported > 0
+    assert missing == []

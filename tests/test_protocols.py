@@ -163,7 +163,7 @@ def test_loader_round_trips_pairwise_elimination():
     ra = run_trial(loaded, 4, seed=55, max_steps=30, observers=[rec_a])
     rb = run_trial(builtin, 4, seed=55, max_steps=30, observers=[rec_b])
     assert rec_a.log.entries == rec_b.log.entries
-    assert ra.final_digest == rb.final_digest
+    assert ra.final_states == rb.final_states
 
 
 def test_loader_from_file(tmp_path):
@@ -209,4 +209,4 @@ def test_loader_defaults_unlisted_pairs_to_identity():
     proto = protocol_from_dict(doc)
     for a in range(2):
         for b in range(2):
-            assert proto.transition(a, b) == (a, b)
+            assert proto.transitions[a][b] == (a, b)

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from popsim.rng import Splitmix64, derive_seed
 from popsim.stats import (
-    BlockParams,
     GeometricSumSpec,
     block_lower_bound,
     ceil_rational_power,
-    ceil_two_thirds,
     coupon_spec,
     epidemic_spec,
     expected_coupon_sum,
@@ -165,7 +163,7 @@ def test_expectation_dominates_half_harmonic_bound():
 
 def test_variance_bound_two_n_squared():
     for n in (16, 100, 1000, 4096):
-        for f in (1, ceil_two_thirds(n), n):
+        for f in (1, ceil_rational_power(n, 2, 3), n):
             assert variance_coupon_sum(coupon_spec(n, f)) < 2 * n * n
 
 
@@ -213,7 +211,7 @@ def test_coupon_sum_lower_tail_is_thin():
     # 10^3 simulated sums at n=4096 with the two-thirds threshold: fewer than
     # 5% land below half the analytic mean (the Chebyshev bound is far looser)
     n = 4096
-    spec = coupon_spec(n, ceil_two_thirds(n))
+    spec = coupon_spec(n, ceil_rational_power(n, 2, 3))
     mean = expected_coupon_sum(spec)
     draws = [simulate_geometric_sum(Splitmix64(derive_seed(90, t)), spec) for t in range(1000)]
     below_half = sum(1 for x in draws if x < mean / 2)
@@ -225,14 +223,15 @@ def test_coupon_sum_lower_tail_is_thin():
 
 def test_ceil_rational_power_exact_for_perfect_cubes():
     for k in (1, 2, 3, 10, 16, 100):
-        assert ceil_two_thirds(k**3) == k**2
+        assert ceil_rational_power(k**3, 2, 3) == k**2
 
 
 def test_ceil_rational_power_known_values():
-    assert ceil_two_thirds(4) == 3
-    assert ceil_two_thirds(256) == 41
-    assert ceil_two_thirds(1024) == 102
-    assert ceil_two_thirds(16384) == 646
+    assert ceil_rational_power(4, 2, 3) == 3
+    assert ceil_rational_power(49, 2, 3) == 14
+    assert ceil_rational_power(256, 2, 3) == 41
+    assert ceil_rational_power(1024, 2, 3) == 102
+    assert ceil_rational_power(16384, 2, 3) == 646
     assert ceil_rational_power(16, 1, 2) == 4
     assert ceil_rational_power(17, 1, 2) == 5
     assert ceil_rational_power(5, 0, 3) == 1
@@ -240,23 +239,53 @@ def test_ceil_rational_power_known_values():
 
 def test_ceil_rational_power_definition():
     for n in (1, 2, 7, 100, 12345):
-        m = ceil_two_thirds(n)
+        m = ceil_rational_power(n, 2, 3)
         assert m**3 >= n**2
         assert m == 1 or (m - 1) ** 3 < n**2
 
 
+def _block_params(n):
+    # r = isqrt(n) indices per block, kappa = ceil(n^(2/3)) // r whole blocks
+    threshold = ceil_rational_power(n, 2, 3)
+    r = math.isqrt(n)
+    return r, threshold // r, threshold
+
+
+def _block_sum(n, r, kappa):
+    # floor((r/2) * n(n-1) / (2k(n-k))) at each whole block's top index k < n
+    tops = ((i + 1) * r for i in range(kappa))
+    return sum((r * n * (n - 1)) // (4 * k * (n - k)) for k in tops if k < n)
+
+
 def test_block_params_examples():
-    params = BlockParams.for_population(4)
-    assert (params.r, params.kappa, params.threshold) == (2, 1, 3)
-    params = BlockParams.for_population(10**6)
-    assert (params.r, params.kappa, params.threshold) == (1000, 10, 10**4)
+    assert _block_params(4) == (2, 1, 3)
+    assert block_lower_bound(4) == _block_sum(4, 2, 1)
+    assert _block_params(10**6) == (1000, 10, 10**4)
+    assert block_lower_bound(10**6) == _block_sum(10**6, 1000, 10)
+
+
+def test_block_params_direct_construction():
+    assert _block_params(49) == (7, 2, 14)
+    assert block_lower_bound(49) == _block_sum(49, 7, 2) == 22
+
+
+def test_block_lower_bound_pinned_values():
+    expected = {2: 0, 4: 1, 9: 3, 49: 22, 100: 42, 256: 104, 1024: 494, 4096: 2199,
+                31337: 18110, 10**6: 734752}
+    assert {n: block_lower_bound(n) for n in expected} == expected
+    with pytest.raises(ValueError):
+        block_lower_bound(0)
 
 
 def test_block_cover_never_exceeds_threshold():
+    # Each whole block counts r/2 geometric means at its top index, the
+    # cheapest index of the block below n/2, and no block reaches past
+    # ceil(n^(2/3)); so the bound is at most half the expected first passage
+    # to that threshold.
     for n in (2, 9, 100, 4096, 31337):
-        params = BlockParams.for_population(n)
-        assert params.kappa * params.r <= params.threshold
-        assert params.r == math.isqrt(n)
+        threshold = ceil_rational_power(n, 2, 3)
+        passage = expected_coupon_sum(epidemic_spec(n, min(threshold + 1, n)))
+        assert 2 * block_lower_bound(n) <= passage
 
 
 def test_block_lower_bound_below_full_expectation():
@@ -264,15 +293,10 @@ def test_block_lower_bound_below_full_expectation():
     # sits well below the full first-passage expectation but stays on the
     # n*ln(n) scale (observed ratios 0.060..0.073 at these sizes)
     for n in (256, 1024, 4096):
-        params = BlockParams.for_population(n)
-        bound = block_lower_bound(params)
-        full = expected_coupon_sum(epidemic_spec(n, params.threshold + 1))
+        bound = block_lower_bound(n)
+        full = expected_coupon_sum(epidemic_spec(n, ceil_rational_power(n, 2, 3) + 1))
         assert 0 < bound < full
         assert bound > 0.05 * n * math.log(n)
-
-
-def test_block_params_direct_construction():
-    assert BlockParams.for_population(49) == BlockParams(n=49, r=7, kappa=2, threshold=14)
 
 
 # ---------------------------------------------------------------------- summaries
