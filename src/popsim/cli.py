@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import islice
 from typing import Optional, Sequence
@@ -38,15 +39,15 @@ from .influence import (
     INFLUENCER_EVENT,
     InteractionLog,
     backward_sets,
-    build_graph,
     demo_log,
     first_exceed_time,
+    layered_edges,
     write_log,
     write_size_series,
 )
 from .protocols import CATALOG, load_protocol, make_protocol
 from .rng import derive_seed, pair_stream
-from .stats import ceil_rational_power, coupon_spec, expected_coupon_sum, summarize, variance_coupon_sum
+from .stats import ceil_rational_power, coupon_spec, expected_coupon_sum, f_star, summarize, variance_coupon_sum
 
 BUDGET_ENV = "POPSIM_BUDGET"
 
@@ -162,7 +163,6 @@ def _influencer_job(job) -> dict:
         "t_min": t_min if t_min is not None else "",
         "ratio": ratio if ratio is not None else "",
         "truncated": int(rec.truncated),
-        "_ratio_value": ratio,
     }
 
 
@@ -217,12 +217,16 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str, schema: str) ->
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _open_out(path: Optional[str]):
+    """A context manager writing to ``path``, or to stdout for None or ``-``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        return nullcontext(sys.stdout)
+    return open(path, "w", newline="")
+
+
+def _emit(text: str, path: Optional[str]) -> None:
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def _summary_row(n: int, threshold: int, ratios: list[float]) -> dict:
@@ -268,9 +272,9 @@ def cmd_influencer(args) -> int:
     summary_rows = []
     series_done = False
     for n, threshold, results in _sweep(args, _influencer_job, args.agent):
-        ratios = [row.pop("_ratio_value") for row in results]
         trial_rows.extend(results)
-        summary_rows.append(_summary_row(n, threshold, [r for r in ratios if r is not None]))
+        ratios = [row["ratio"] for row in results if row["ratio"] != ""]
+        summary_rows.append(_summary_row(n, threshold, ratios))
         if args.series_out and not series_done:
             first = results[0]
             steps = step_budget(n, args.max_steps) if first["truncated"] else first["t_min"]
@@ -311,7 +315,7 @@ def cmd_coupon(args) -> int:
         summary = {
             "n": n,
             "f": threshold,
-            "f_star": 2 * math.ceil(threshold / 2),
+            "f_star": f_star(threshold),
             "analytic_mean": analytic_mean,
             "analytic_variance": analytic_var,
         }
@@ -381,25 +385,25 @@ def cmd_exact(args) -> int:
 def cmd_export_graph(args) -> int:
     log = demo_log() if args.fixture else InteractionLog.load(args.log)
     v, t = args.agent, args.step
-    if not 0 <= t <= len(log):
-        raise ValueError(f"step {t} out of range for a log of length {len(log)}")
-    graph = build_graph(log, t)
+    # both check --agent and --step here, before any output is opened
+    edges = layered_edges(log, t)
     layers = backward_sets(log, v, t)
-
-    lines = [f"# schema=popsim.graph.v1 tool=popsim/{__version__}"]
-    lines.append(f"n={log.n} depth={t} query_agent={v}")
-    lines.append("edges:")
-    if graph.edges:
-        lines.append(graph.to_edge_text())
-    lines.append("backward:")
-    for offset, members in enumerate(layers):
-        layer = t - offset
-        listed = ",".join(str(u) for u in sorted(members))
-        lines.append(f"layer={layer} size={len(members)} members={listed}")
-    _emit("\n".join(lines) + "\n", args.out)
+    with _open_out(args.out) as fh:
+        fh.write(f"# schema=popsim.graph.v1 tool=popsim/{__version__}\n")
+        fh.write(f"n={log.n} depth={t} query_agent={v}\nedges:\n")
+        fh.writelines(f"{a},{i} -> {b},{j}\n" for (a, i), (b, j) in edges)
+        fh.write("backward:\n")
+        for layer, members in zip(range(t, -1, -1), layers):
+            listed = ",".join(str(u) for u in sorted(members))
+            fh.write(f"layer={layer} size={len(members)} members={listed}\n")
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(graph.to_dot() + "\n")
+            fh.write("digraph influence {\n  rankdir=BT;\n")
+            for layer in range(t + 1):
+                same = " ".join(f'"{u},{layer}"' for u in range(log.n))
+                fh.write(f"  {{ rank=same; {same} }}\n")
+            fh.writelines(f'  "{a},{i}" -> "{b},{j}";\n' for (a, i), (b, j) in layered_edges(log, t))
+            fh.write("}\n")
     return EXIT_OK
 
 

@@ -17,7 +17,8 @@ test suite:
 * backward, one queried column at a time (:func:`backward_sets`): the set at
   layer i is the layer-(i+1) set, plus both participants of entry i whenever
   that entry touches the layer-(i+1) set;
-* explicit layered-graph reachability (:func:`build_graph`).
+* reachability in the layered graph (:func:`sources_reaching`), whose edges
+  :func:`layered_edges` generates from the log rather than storing them.
 
 Sets are represented as arbitrary-precision integers used as bit vectors
 (bit u set means agent u belongs), so a union is one word-parallel ``|`` and
@@ -48,7 +49,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from itertools import accumulate, islice
+from typing import Iterable, Iterator, Optional, Union
 
 from .core import Interaction, Protocol, TrialRecord, run_trial, step_budget
 from .rng import pair_stream
@@ -96,21 +98,22 @@ class InteractionLog:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "InteractionLog":
-        """Read a log written by :func:`write_log`."""
-        text = Path(path).read_text()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError(f"{path}: empty interaction log")
-        try:
-            n = int(lines[0])
-        except ValueError:
-            raise ValueError(f"{path}: first line must be the population size") from None
-        log = cls(n)
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: malformed entry {ln!r}")
-            log.append(Interaction(int(parts[0]), int(parts[1])))
+        """Read a log written by :func:`write_log`, line by line."""
+        with open(path) as fh:
+            lines = (ln.rstrip("\n") for ln in fh if ln.strip())
+            first = next(lines, None)
+            if first is None:
+                raise ValueError(f"{path}: empty interaction log")
+            try:
+                n = int(first)
+            except ValueError:
+                raise ValueError(f"{path}: first line must be the population size") from None
+            log = cls(n)
+            for ln in lines:
+                parts = ln.split()
+                if len(parts) != 2:
+                    raise ValueError(f"{path}: malformed entry {ln!r}")
+                log.append(Interaction(int(parts[0]), int(parts[1])))
         return log
 
 
@@ -170,12 +173,21 @@ class InfluencerTable:
         return max(self.size(v) for v in range(self.n))
 
 
+def _check_agent(n: int, v: int) -> None:
+    if not 0 <= v < n:
+        raise ValueError(f"agent {v} out of range for n={n}")
+
+
+def _check_step(log: InteractionLog, t: int) -> None:
+    if not 0 <= t <= len(log):
+        raise ValueError(f"step {t} out of range for a log of length {len(log)}")
+
+
 def forward_sets(log: InteractionLog, t: Optional[int] = None) -> InfluencerTable:
     """Replay the first ``t`` entries of a log (all of them by default)."""
     if t is None:
         t = len(log)
-    if not 0 <= t <= len(log):
-        raise ValueError(f"step {t} exceeds log length {len(log)}")
+    _check_step(log, t)
     table = InfluencerTable(log.n)
     for j in range(t):
         table.update(log[j])
@@ -190,92 +202,59 @@ def backward_step(members: frozenset[int], e: Interaction) -> frozenset[int]:
     return members
 
 
-def backward_sets(log: InteractionLog, v: int, t: int) -> list[frozenset[int]]:
+def backward_sets(log: InteractionLog, v: int, t: int) -> Iterator[frozenset[int]]:
     """Backward influence sets of ``(v, t)``, from layer t down to layer 0.
 
-    Element k of the result is the layer-(t-k) set: the agents at that layer
-    from which ``(v, t)`` is reachable in the layered graph.  The last
-    element (layer 0) equals the forward influencer set of v after t steps.
-    Only the queried column is materialized.
+    Item k is the layer-(t-k) set: the agents at that layer from which
+    ``(v, t)`` is reachable in the layered graph.  The last item (layer 0)
+    equals the forward influencer set of v after t steps.  The arguments
+    are checked at the call; the layers are then computed one at a time.
     """
-    if not 0 <= v < log.n:
-        raise ValueError(f"agent {v} out of range for n={log.n}")
-    if not 0 <= t <= len(log):
-        raise ValueError(f"step {t} exceeds log length {len(log)}")
-    current = frozenset([v])
-    layers = [current]
-    for i in range(t - 1, -1, -1):
-        current = backward_step(current, log[i])
-        layers.append(current)
-    return layers
+    _check_agent(log.n, v)
+    _check_step(log, t)
+    newest_first = (log[i] for i in range(t - 1, -1, -1))
+    return accumulate(newest_first, backward_step, initial=frozenset([v]))
 
 
-@dataclass
-class LayeredGraph:
-    """Explicit layered digraph over nodes ``(agent, layer)``, layers 0..depth.
-
-    Every node except those at the top layer has a vertical edge to the same
-    agent one layer up; log entry i additionally contributes the two cross
-    edges between its participants at layers i and i+1.
+def layered_edges(log: InteractionLog, t: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """Edges ``((agent, layer), (agent, layer))`` of the layered graph of the
+    first ``t`` log entries: per layer i < t, each agent's vertical edge one
+    layer up, then the two cross edges of entry i.  ``t`` is checked at the
+    call; the edges are then generated from the log, none of them stored.
     """
+    _check_step(log, t)
+    n = log.n
 
-    n: int
-    depth: int
-    edges: list[tuple[tuple[int, int], tuple[int, int]]]
+    def edges():
+        for i, (a, b) in enumerate(islice(log, t)):
+            for u in range(n):
+                yield (u, i), (u, i + 1)
+            yield (a, i), (b, i + 1)
+            yield (b, i), (a, i + 1)
 
-    def sources_reaching(self, v: int) -> frozenset[int]:
-        """Layer-0 agents from which ``(v, depth)`` is reachable.
-
-        Walks the stored edges backwards; deliberately independent of the
-        union recurrences above so the two routes can be checked against
-        each other.
-        """
-        if not 0 <= v < self.n:
-            raise ValueError(f"agent {v} out of range for n={self.n}")
-        incoming: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for src, dst in self.edges:
-            incoming.setdefault(dst, []).append(src)
-        target = (v, self.depth)
-        seen = {target}
-        frontier = [target]
-        while frontier:
-            node = frontier.pop()
-            for src in incoming.get(node, ()):
-                if src not in seen:
-                    seen.add(src)
-                    frontier.append(src)
-        return frozenset(u for (u, layer) in seen if layer == 0)
-
-    def to_edge_text(self) -> str:
-        """One ``u,i -> w,j`` line per edge, in construction order."""
-        return "\n".join(
-            f"{src[0]},{src[1]} -> {dst[0]},{dst[1]}" for src, dst in self.edges
-        )
-
-    def to_dot(self) -> str:
-        """Graphviz rendering of the layered graph."""
-        lines = ["digraph influence {", "  rankdir=BT;"]
-        for layer in range(self.depth + 1):
-            same = " ".join(f'"{u},{layer}"' for u in range(self.n))
-            lines.append(f"  {{ rank=same; {same} }}")
-        for src, dst in self.edges:
-            lines.append(f'  "{src[0]},{src[1]}" -> "{dst[0]},{dst[1]}";')
-        lines.append("}")
-        return "\n".join(lines)
+    return edges()
 
 
-def build_graph(log: InteractionLog, t: int) -> LayeredGraph:
-    """Materialize the layered graph for the first ``t`` entries of a log."""
-    if not 0 <= t <= len(log):
-        raise ValueError(f"step {t} exceeds log length {len(log)}")
-    edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for i in range(t):
-        for u in range(log.n):
-            edges.append(((u, i), (u, i + 1)))
-        e = log[i]
-        edges.append(((e.initiator, i), (e.responder, i + 1)))
-        edges.append(((e.responder, i), (e.initiator, i + 1)))
-    return LayeredGraph(n=log.n, depth=t, edges=edges)
+def sources_reaching(log: InteractionLog, t: int, v: int) -> frozenset[int]:
+    """Layer-0 agents from which ``(v, t)`` is reachable in the layered graph.
+
+    Walks :func:`layered_edges` backwards; deliberately independent of the
+    union recurrences above so the routes can be checked against each other.
+    """
+    _check_agent(log.n, v)
+    incoming: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for src, dst in layered_edges(log, t):
+        incoming.setdefault(dst, []).append(src)
+    target = (v, t)
+    seen = {target}
+    frontier = [target]
+    while frontier:
+        node = frontier.pop()
+        for src in incoming.get(node, ()):
+            if src not in seen:
+                seen.add(src)
+                frontier.append(src)
+    return frozenset(u for (u, layer) in seen if layer == 0)
 
 
 class ScheduleRecorder:
@@ -314,8 +293,8 @@ def first_exceed_time(
     extra_observers = tuple(extra_observers)
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    if agent is not None and not 0 <= agent < n:
-        raise ValueError(f"agent {agent} out of range for n={n}")
+    if agent is not None:
+        _check_agent(n, agent)
     _check_tracked_size(n)
     budget = step_budget(n, max_steps)
     # An agent's mask stays 0 until its first interaction and stands for

@@ -65,10 +65,15 @@ class GeometricSumSpec:
         return len(self.probabilities)
 
 
+def f_star(f: Union[int, float]) -> int:
+    """f* = 2*ceil(f/2), the even index where :func:`coupon_spec` starts."""
+    return 2 * math.ceil(f / 2)
+
+
 def coupon_spec(n: int, f: Union[int, float]) -> GeometricSumSpec:
     """Lower-bound spec for draining the initial state down below ``f`` agents.
 
-    Pairs up the descent: indices run from f* = 2*ceil(f/2) in steps of two up
+    Pairs up the descent: indices run from :func:`f_star` in steps of two up
     to the largest index of matching parity (n or n-1; both have success
     probability 1).  Summing one geometric per index stochastically
     lower-bounds the real process, which may remove two agents per step.
@@ -78,8 +83,7 @@ def coupon_spec(n: int, f: Union[int, float]) -> GeometricSumSpec:
         raise ValueError("population size must be >= 2")
     if not 1 <= f <= n:
         raise ValueError(f"threshold {f} out of range [1, {n}]")
-    f_star = 2 * math.ceil(f / 2)
-    return GeometricSumSpec(tuple(p_leave(i, n) for i in range(f_star, n + 1, 2)))
+    return GeometricSumSpec(tuple(p_leave(i, n) for i in range(f_star(f), n + 1, 2)))
 
 
 def epidemic_spec(n: int, target_size: int) -> GeometricSumSpec:

@@ -130,7 +130,7 @@ def test_criterion_3_forward_backward_duality():
             for _ in range(t):
                 log.append(sample_interaction(rng, n))
             v = rng.randbelow(n)
-            assert backward_sets(log, v, t)[-1] == forward_sets(log, t).members(v)
+            assert list(backward_sets(log, v, t))[-1] == forward_sets(log, t).members(v)
         return f"{instances} random (schedule, agent, step) instances, all equal"
 
     run_criterion("3 duality", body)
@@ -334,7 +334,7 @@ def test_criterion_10_fixture_and_cli_determinism(tmp_path):
     def body():
         # the derived five-agent fixture
         log = demo_log()
-        layers = backward_sets(log, 0, 6)
+        layers = list(backward_sets(log, 0, 6))
         assert [len(s) for s in layers] == [1, 1, 2, 2, 2, 3, 4]
         assert forward_sets(log).members(0) == frozenset({0, 2, 3, 4})
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from popsim.cli import _one_leader_stop, main, threshold_count
 from popsim.core import LEADER, Trial, run_trial
 from popsim.exact import closed_form_pairwise
-from popsim.influence import INFLUENCER_EVENT, InfluencerTable, ScheduleRecorder
+from popsim.influence import INFLUENCER_EVENT, InfluencerTable, ScheduleRecorder, write_log
 from popsim.protocols import CATALOG, leave_init, make_protocol, protocol_from_dict
 from popsim.rng import derive_seed
 
@@ -619,3 +620,62 @@ def test_export_graph_from_saved_log_is_stable(tmp_path):
 def test_export_graph_bad_step_exits_2(capsys):
     assert main(["export-graph", "--fixture", "--agent", "0", "--step", "7"]) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agent, step", [("5", "6"), ("-1", "6"), ("0", "7"), ("0", "-1")])
+def test_export_graph_bad_agent_or_step_writes_nothing(tmp_path, capsys, agent, step):
+    out, dot = tmp_path / "graph.txt", tmp_path / "graph.dot"
+    code = main(["export-graph", "--fixture", "--agent", agent, "--step", step,
+                 "--out", str(out), "--dot", str(dot)])
+    assert code == 2
+    assert "out of range" in capsys.readouterr().err
+    assert not out.exists()
+    assert not dot.exists()
+
+
+def test_edge_text_and_dot_formats(tmp_path):
+    log_path, out, dot = tmp_path / "one.log", tmp_path / "graph.txt", tmp_path / "graph.dot"
+    write_log(2, [(1, 0)], log_path)
+    assert main(["export-graph", "--log", str(log_path), "--agent", "0", "--step", "1",
+                 "--out", str(out), "--dot", str(dot)]) == 0
+    text = out.read_text()
+    assert "0,0 -> 0,1" in text
+    assert "1,0 -> 0,1" in text
+    dot_text = dot.read_text()
+    assert dot_text.startswith("digraph influence {")
+    assert '"1,0" -> "0,1";' in dot_text
+
+
+def _export_n60_graph(tmp_path):
+    """Save the log of a 1000-step n=60 leave-init trial, then export its
+    graph at step 1000; returns (exit code, tracemalloc peak, text, dot)."""
+    log_path, out, dot = tmp_path / "n60.log", tmp_path / "graph.txt", tmp_path / "graph.dot"
+    assert main(["run", "--protocol", "leave-init", "--n", "60", "--trials", "1", "--seed", "7",
+                 "--max-steps", "1000", "--out", str(tmp_path / "run.csv"),
+                 "--save-log", str(log_path)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["export-graph", "--log", str(log_path), "--agent", "2", "--step", "1000",
+                     "--out", str(out), "--dot", str(dot)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak, out.read_bytes(), dot.read_bytes()
+
+
+def test_export_graph_saved_log_digests(tmp_path):
+    # pinned when the layered graph was still built in memory
+    code, _, text, dot = _export_n60_graph(tmp_path)
+    assert code == 0
+    assert text.count(b" -> ") == dot.count(b" -> ") == 1000 * (60 + 2)
+    assert hashlib.sha256(text).hexdigest() == (
+        "59e499b9e68147e9e6e64c295d28b0b4b8c30283e8f8afc233e5a52bbde160c5")
+    assert hashlib.sha256(dot).hexdigest() == (
+        "ce88827d959b745d11a7201a7439bc4ad0cebb274286e0f39183bd4381b029f9")
+
+
+def test_export_graph_streams_its_output(tmp_path):
+    # 62000 edges written twice; holding them, or the text, would take tens of MB
+    code, peak, _, _ = _export_n60_graph(tmp_path)
+    assert code == 0
+    assert peak < 4 * 2**20

@@ -12,14 +12,15 @@ from popsim import (
     Splitmix64,
     backward_sets,
     backward_step,
-    build_graph,
     demo_log,
     derive_seed,
     first_exceed_time,
     forward_sets,
+    layered_edges,
     leave_init,
     run_trial,
     sample_interaction,
+    sources_reaching,
 )
 from popsim.influence import (
     DEMO_SCHEDULE_N5,
@@ -73,7 +74,7 @@ def test_demo_schedule_forward_sets():
 
 
 def test_demo_schedule_backward_sets():
-    layers = backward_sets(demo_log(), A, 6)
+    layers = list(backward_sets(demo_log(), A, 6))
     assert [len(s) for s in layers] == [1, 1, 2, 2, 2, 3, 4]
     assert layers[0] == frozenset({A})          # layer 6
     assert layers[1] == frozenset({A})          # layer 5
@@ -85,8 +86,7 @@ def test_demo_schedule_backward_sets():
 
 
 def test_demo_schedule_graph_reachability():
-    graph = build_graph(demo_log(), 6)
-    assert graph.sources_reaching(A) == frozenset({A, C, D, E})
+    assert sources_reaching(demo_log(), 6, A) == frozenset({A, C, D, E})
 
 
 # ------------------------------------------------------------------ forward sets
@@ -156,7 +156,7 @@ def test_forward_sets_grow_monotonically_and_contain_self(log):
 
 def test_backward_of_empty_log_is_singleton():
     log = InteractionLog(3)
-    assert backward_sets(log, 2, 0) == [frozenset({2})]
+    assert list(backward_sets(log, 2, 0)) == [frozenset({2})]
 
 
 def test_backward_rejects_step_beyond_log():
@@ -182,7 +182,7 @@ def test_backward_step_absorbs_both_participants():
 def test_backward_layer_zero_equals_forward(log, data):
     t = data.draw(st.integers(0, len(log)))
     v = data.draw(st.integers(0, log.n - 1))
-    layers = backward_sets(log, v, t)
+    layers = list(backward_sets(log, v, t))
     assert layers[-1] == forward_sets(log, t).members(v)
 
 
@@ -200,19 +200,18 @@ def test_backward_sizes_grow_by_zero_or_one(log, data):
 
 def test_smallest_graph_counts():
     log = InteractionLog(2, [Interaction(0, 1)])
-    graph = build_graph(log, 1)
-    nodes = {node for edge in graph.edges for node in edge}
-    assert len(nodes) == graph.n * (graph.depth + 1) == 4
-    vertical = [(s, d) for s, d in graph.edges if s[0] == d[0]]
-    cross = [(s, d) for s, d in graph.edges if s[0] != d[0]]
+    edges = list(layered_edges(log, 1))
+    nodes = {node for edge in edges for node in edge}
+    assert len(nodes) == log.n * (1 + 1) == 4
+    vertical = [(s, d) for s, d in edges if s[0] == d[0]]
+    cross = [(s, d) for s, d in edges if s[0] != d[0]]
     assert len(vertical) == 2
     assert len(cross) == 2
 
 
 def test_out_degree_one_or_two():
     log = random_log(5, 12, seed=60)
-    graph = build_graph(log, 12)
-    out_degree = Counter(src for src, _ in graph.edges)
+    out_degree = Counter(src for src, _ in layered_edges(log, 12))
     for i in range(12):
         participants = {log[i].initiator, log[i].responder}
         for u in range(5):
@@ -230,22 +229,36 @@ def test_graph_reachability_matches_forward_sets():
         log = random_log(n, 20, seed=1000 + seed)
         for t in (0, 7, 20):
             table = forward_sets(log, t)
-            graph = build_graph(log, t)
             for v in range(n):
-                assert graph.sources_reaching(v) == table.members(v)
+                assert sources_reaching(log, t, v) == table.members(v)
                 checks += 1
     assert checks == 480
 
 
-def test_edge_text_and_dot_formats():
-    log = InteractionLog(2, [Interaction(1, 0)])
-    graph = build_graph(log, 1)
-    text = graph.to_edge_text()
-    assert "0,0 -> 0,1" in text
-    assert "1,0 -> 0,1" in text
-    dot = graph.to_dot()
-    assert dot.startswith("digraph influence {")
-    assert '"1,0" -> "0,1";' in dot
+def test_graph_routes_check_arguments_at_the_call():
+    # bad steps and agents fail before any edge or layer is asked for
+    log = InteractionLog(3, [Interaction(0, 1)])
+    for bad_step in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            layered_edges(log, bad_step)
+        with pytest.raises(ValueError, match="out of range"):
+            backward_sets(log, 0, bad_step)
+        with pytest.raises(ValueError, match="out of range"):
+            sources_reaching(log, bad_step, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            forward_sets(log, bad_step)
+    for bad_agent in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            backward_sets(log, bad_agent, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            sources_reaching(log, 1, bad_agent)
+
+
+def test_layered_edges_are_generated_on_demand():
+    log = random_log(4, 3, seed=61)
+    edges = layered_edges(log, 3)
+    assert next(edges) == ((0, 0), (0, 1))
+    assert len(list(edges)) == 3 * (4 + 2) - 1
 
 
 # -------------------------------------------------------------- first exceedance
@@ -437,6 +450,22 @@ def test_log_load_rejects_garbage(tmp_path):
     path.write_text("4\n1 2 3\n")
     with pytest.raises(ValueError):
         InteractionLog.load(path)
+
+
+def test_log_load_skips_blank_lines_and_keeps_its_messages(tmp_path):
+    path = tmp_path / "log"
+    path.write_bytes(b"\n3\n\n0 1\r\n  \n2 1")
+    assert InteractionLog.load(path).entries == [Interaction(0, 1), Interaction(2, 1)]
+    for text, message in [
+        ("\n \n", f"{path}: empty interaction log"),
+        ("x\n0 1\n", f"{path}: first line must be the population size"),
+        ("4\n1 2 3\n", f"{path}: malformed entry '1 2 3'"),
+        ("4\n1 2\n3\n", f"{path}: malformed entry '3'"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            InteractionLog.load(path)
+        assert str(err.value) == message
 
 
 def test_log_append_validates():
