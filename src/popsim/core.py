@@ -18,10 +18,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .rng import Splitmix64, pair_stream
+import numpy as np
+
+from .rng import Splitmix64, pair_blocks
 
 LEADER = "L"
 FOLLOWER = "F"
@@ -73,6 +77,16 @@ class Protocol:
     def output_states(self, symbol: str) -> tuple[int, ...]:
         """State ids mapped to ``symbol`` by the output function."""
         return tuple(s for s, y in enumerate(self.outputs) if y == symbol)
+
+    @cached_property
+    def _changes(self) -> np.ndarray:
+        """Read-only flat mask: entry ``a * num_states + b`` says whether the
+        rule for initiator ``a`` and responder ``b`` changes a state."""
+        mask = np.array(
+            [pair != (a, b) for a, row in enumerate(self.transitions) for b, pair in enumerate(row)]
+        )
+        mask.flags.writeable = False
+        return mask
 
 
 def apply_interaction(protocol: Protocol, config: Sequence[int], e: Interaction) -> Configuration:
@@ -145,7 +159,7 @@ class Trial:
         self.step = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     """Summary of one finished execution."""
 
@@ -161,7 +175,16 @@ class TrialRecord:
         return self.steps_taken / self.n
 
 
+# A stop predicate must be a function of ``trial.counts`` and ``trial.states``
+# alone: without observers, run_trial evaluates it only at step 0 and after
+# steps that change the configuration.
 StopPredicate = Callable[[Trial], bool]
+
+# Without observers, a trial whose last DENSE_GAP steps were null finds its next
+# state change with one array scan of the rest of the block, and keeps
+# scanning while the changes it finds are at least DENSE_GAP steps apart;
+# when they come closer together, stepping in Python is cheaper.
+DENSE_GAP = 64
 
 
 def run_trial(
@@ -176,7 +199,7 @@ def run_trial(
 ) -> TrialRecord:
     """Run one seeded execution from the all-initial configuration.
 
-    Each step takes the next pair of ``pair_stream(seed, n)`` (the pairs
+    Each step takes the next pair of ``pair_blocks(seed, n)`` (the pairs
     ``sample_interaction`` draws from ``Splitmix64(seed)``), applies it, then
     notifies every observer with ``notify(trial, interaction, old_pair,
     new_pair)``.  ``stop_event`` is a ``(name, predicate)`` pair: the run
@@ -185,6 +208,14 @@ def run_trial(
     under ``name``, or it halts after ``max_steps`` interactions, whichever
     comes first.  Hitting the step budget without the predicate firing marks
     the record as truncated rather than raising.
+
+    The predicate must depend on ``trial.counts`` and ``trial.states`` only.
+    Without observers it is evaluated at step 0 and after each step that
+    changes the configuration, and runs of null steps (pairs whose rule
+    changes neither state) are counted in bulk rather than visited, so the
+    record is the same as if it were checked every step.  With observers
+    attached, every step is visited, notified and followed by a predicate
+    check, so a predicate may also read observer state.
 
     ``initial`` optionally overrides the starting configuration (the model's
     executions always start all-initial; the override is a harness feature
@@ -213,38 +244,105 @@ def run_trial(
     events: dict[str, int] = {}
     event_name, event_pred = stop_event if stop_event is not None else (None, None)
 
-    stopped = False
-    for u, v in pair_stream(seed, n):
-        if event_pred is not None and event_pred(trial):
-            events[event_name] = trial.step
-            stopped = True
+    step = 0
+    stopped = event_pred is not None and event_pred(trial)
+    if stopped:
+        events[event_name] = 0
+    # Each block is walked in segments that are stepped pair by pair: the rest
+    # of the block, or, once ``skip_after`` nulls in a row have set
+    # ``skipping``, the one state-changing pair that an array scan of the
+    # block finds, the null steps before it counted at once.  Short leading
+    # blocks and runs with observers are never scanned.  ``mirror`` (made at
+    # the first scan) is a numpy view of ``buf``, a copy of ``states`` kept in
+    # step with it.  No block is drawn for a run that ends at step 0.
+    skipping, nulls, mirror = False, 0, None
+    done = stopped or max_steps == 0
+    for block in pair_blocks(seed, n) if not done else ():
+        if type(block) is list:  # a short leading block of pairs: stepped whole
+            i, end, pairs, skip_after = 0, len(block), block, max_steps + 1
+        else:  # stepped from lists or scanned, as the nulls come
+            U, V = block
+            i, end, us, Ui, pairs = 0, len(U), None, None, ()
+            skip_after = max_steps + 1 if notify_fns else DENSE_GAP
+        while True:
+            first = step
+            for u, v in pairs:
+                step += 1
+                nulls += 1  # back to 0 if the step changes a state
+                a = states[u]
+                b = states[v]
+                a2, b2 = table[a][b]
+                if a2 != a:
+                    counts[a] -= 1
+                    counts[a2] += 1
+                    states[u] = a2
+                    nulls = 0
+                    if mirror is not None:
+                        buf[u] = a2
+                if b2 != b:
+                    counts[b] -= 1
+                    counts[b2] += 1
+                    states[v] = b2
+                    nulls = 0
+                    if mirror is not None:
+                        buf[v] = b2
+                if nulls >= skip_after:
+                    skipping = True
+                    break
+                if notify_fns:
+                    trial.step = step
+                    e = Interaction(u, v)
+                    old = (a, b)
+                    new = (a2, b2)
+                    for fn in notify_fns:
+                        fn(trial, e, old, new)
+                if event_pred is not None and (not nulls or notify_fns):
+                    trial.step = step
+                    if event_pred(trial):
+                        events[event_name] = step
+                        stopped = done = True
+                        break
+                if step >= max_steps:
+                    done = True
+                    break
+            if done:
+                break
+            i += step - first
+            if i == end:
+                break
+            if not skipping:
+                if us is None:
+                    us, vs = U.tolist(), V.tolist()
+                pairs = zip(us[i:], vs[i:]) if i else zip(us, vs)
+                continue
+            if Ui is None:
+                Ui, Vi = U.astype(np.intp), V.astype(np.intp)
+            if mirror is None:
+                buf = array("q", states)
+                mirror = np.frombuffer(buf, np.int64)
+                changes, width = protocol._changes, protocol.num_states
+            rest = changes[mirror[Ui[i:]] * width + mirror[Vi[i:]]]
+            gap = int(rest.argmax())
+            if not rest[gap]:
+                gap = end - i
+            if gap >= max_steps - step:  # the budget ends inside the null run
+                step = max_steps
+                done = True
+                break
+            step += gap
+            i += gap
+            if i == end:
+                break
+            skipping = gap >= DENSE_GAP
+            pairs = ((Ui.item(i), Vi.item(i)),)
+        if done:
             break
-        if trial.step >= max_steps:
-            break
-
-        a = states[u]
-        b = states[v]
-        a2, b2 = table[a][b]
-        if a2 != a:
-            counts[a] -= 1
-            counts[a2] += 1
-            states[u] = a2
-        if b2 != b:
-            counts[b] -= 1
-            counts[b2] += 1
-            states[v] = b2
-        trial.step += 1
-        if notify_fns:
-            e = Interaction(u, v)
-            old = (a, b)
-            new = (a2, b2)
-            for fn in notify_fns:
-                fn(trial, e, old, new)
+    trial.step = step
 
     return TrialRecord(
         seed=seed,
         n=n,
-        steps_taken=trial.step,
+        steps_taken=step,
         event_steps=events,
         final_states=states,
         truncated=stop_event is not None and not stopped,

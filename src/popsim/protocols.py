@@ -98,6 +98,9 @@ class CatalogEntry(NamedTuple):
     ``build(n)`` constructs the protocol.  ``stop(n, threshold)`` returns the
     predicate of the stop event named ``event``, or None when the run goes to
     its step budget; ``reads_threshold`` says whether it uses ``threshold``.
+    The predicate reads only ``trial.counts`` (or ``trial.states``): a run
+    without observers evaluates it only at step 0 and after steps that change
+    the configuration (see ``core.run_trial``).
     ``start(n)`` returns the initial configuration, or None for all-initial.
     """
 

@@ -15,18 +15,25 @@ rejecting values outside the range, which is exactly uniform (no modulo
 bias).  For power-of-two bounds the rejection never triggers.
 
 splitmix64 is counter-based: word i of the stream seeded with s is
-``mix64(s + (i + 1) * GOLDEN_GAMMA)`` modulo 2**64.  :func:`pair_stream`
+``mix64(s + (i + 1) * GOLDEN_GAMMA)`` modulo 2**64.  :func:`pair_blocks`
 uses this to compute a block of words at once with numpy's wrapping
 ``uint64`` arithmetic, then turns them into the same ordered pairs that
 ``Splitmix64.randbelow`` and ``core.sample_interaction`` would draw one at a
-time.  numpy's own generators are never used, so the stream is unchanged;
-the scalar generator stays the reference the block stream is tested against.
+time.  The draws alternate between an initiator (accepted below n) and a
+responder index (accepted below n - 1), so each word either toggles which
+of the two is awaited, forces one of them, or is skipped; the running
+parity of the toggles and the positions of the forces give every word's
+role in a few array passes, with no per-word Python loop.  Only the short leading
+blocks, where those passes would cost more than they save, take the draws
+one at a time.  numpy's own generators are never used, so the stream is
+unchanged; the scalar generator stays the reference the block stream is
+tested against.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -90,33 +97,53 @@ class Splitmix64:
 
 
 # Blocks start small so that short trials compute few unused words, and double
-# up to a cap that bounds the memory of a long run.
+# up to a cap that bounds the memory of a long run.  Blocks below ARRAY_BLOCK
+# words form their pairs one word at a time into a list of tuples: the array
+# passes and the conversions back to Python ints cost a fixed few tens of
+# microseconds, which a trial of a few steps would pay for its first block.
 FIRST_BLOCK = 32
+ARRAY_BLOCK = 512
 MAX_BLOCK = 4096
 _BLOCK_OFFSETS = np.arange(1, MAX_BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+# Shift counts made once: making one per stream costs a trial of a few steps,
+# which draws a single block, about 2% of its time.
+_USHIFTS = tuple(np.uint64(s) for s in range(64))
 _UMIX_A, _UMIX_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
 
+# A block of pairs: a list of ``(u, v)`` tuples, or the initiators U and the
+# responders V as two ``uint64`` arrays of equal length.
+PairBlock = Union[list[tuple[int, int]], tuple[np.ndarray, np.ndarray]]
 
-def pair_stream(seed: int, n: int) -> Iterator[tuple[int, int]]:
-    """Endless ordered pairs ``(u, v)`` of distinct agents in ``[0, n)``.
 
-    The stream is exactly the sequence of ``sample_interaction(rng, n)``
-    results for ``rng = Splitmix64(seed)``: the initiator u is drawn at bound
-    n, then k at bound n-1, and the responder is k skipping over u.  Words
-    are computed in blocks and a block's pairs are formed by one pass over
-    the top bits of its words, so an initiator accepted in one block can get
-    its responder from the next.
+def pair_blocks(seed: int, n: int) -> Iterator[PairBlock]:
+    """Endless blocks of ordered pairs of distinct agents in ``[0, n)``: a
+    list of ``(u, v)`` tuples for each block below ``ARRAY_BLOCK`` words,
+    then arrays ``(U, V)`` with pairs ``(U[i], V[i])`` for the rest.
+
+    The pairs of the blocks in turn are exactly the sequence of
+    ``sample_interaction(rng, n)`` results for ``rng = Splitmix64(seed)``:
+    the initiator u is drawn at bound n, then k at bound n-1, and the
+    responder is k skipping over u.  An initiator accepted in one block can
+    get its responder from the next.
     """
     if not 2 <= n <= 1 << 64:
         raise ValueError("pair streams need 2 <= n <= 2**64 agents")
-    return chain.from_iterable(_pair_blocks(seed & MASK64, n))
+    return _pair_blocks(seed & MASK64, n)
 
 
-def _pair_blocks(state: int, n: int) -> Iterator[list[tuple[int, int]]]:
+def pair_stream(seed: int, n: int) -> Iterator[tuple[int, int]]:
+    """The pairs of :func:`pair_blocks` one at a time, as Python ints."""
+    return chain.from_iterable(
+        block if type(block) is list else zip(block[0].tolist(), block[1].tolist())
+        for block in pair_blocks(seed, n)
+    )
+
+
+def _pair_blocks(state: int, n: int) -> Iterator[PairBlock]:
     bits = (n - 1).bit_length()  # randbelow(n) keeps the top ``bits`` bits
     drop = bits - (n - 2).bit_length()  # 1 when randbelow(n - 1) keeps one bit less
-    shift = np.uint64(64 - bits)
+    shift = _USHIFTS[64 - bits]
     n1 = n - 1
     size = FIRST_BLOCK
     u = -1  # an accepted initiator still waiting for its k draw
@@ -130,16 +157,59 @@ def _pair_blocks(state: int, n: int) -> Iterator[list[tuple[int, int]]]:
         x *= _UMIX_B
         if bits > 31:  # x ^ (x >> 31) leaves the top 31 bits of x as they are
             x ^= x >> _U31
-        pairs = []
-        append = pairs.append
-        for r in (x >> shift).tolist():
-            if u < 0:
-                if r < n:
-                    u = r
-            else:
-                k = r >> drop
-                if k < n1:
-                    append((u, k if k < u else k + 1))
-                    u = -1
-        yield pairs
+        x >>= shift
+        if size >= ARRAY_BLOCK:
+            U, V, u = _pairs_by_arrays(x, n, drop, u)
+            yield U, V
+        else:  # one draw (the top bits of a word) at a time
+            pairs = []
+            append = pairs.append
+            for r in x.tolist():
+                if u < 0:
+                    if r < n:
+                        u = r
+                else:
+                    k = r >> drop
+                    if k < n1:
+                        append((u, k if k < u else k + 1))
+                        u = -1
+            yield pairs
         size = min(2 * size, MAX_BLOCK)
+
+
+def _pairs_by_arrays(r: np.ndarray, n: int, drop: int, u: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The pairs of a block's draws ``r`` (the top bits of its words) in array
+    passes; ``u`` is the initiator carried in (-1 for none) and the one
+    carried out.
+
+    The draw a word serves is a two-state automaton: awaiting an initiator
+    (False) or a responder index (True).  A word accepted at both bounds
+    toggles the state, one accepted at neither leaves it, and one accepted at
+    only one bound forces the state (to True when it is a valid initiator, to
+    False when it is a valid index).  The state after word i is the one
+    forced by the last force at or before i, flipped once per toggle since.
+    The words that change the state then alternate: initiator, responder.
+    """
+    as_u = r <= np.uint64(n - 1)
+    k = r >> np.uint64(drop) if drop else r
+    as_k = k <= np.uint64(n - 2)
+    flips = np.logical_xor.accumulate(as_u & as_k)  # toggle parity through word i
+    forced = (as_u ^ as_k).nonzero()[0]
+    waiting = int(u >= 0)
+    # The state after word i is base ^ flips[i], with base constant between forces.
+    base = np.empty(len(forced) + 1, bool)
+    base[0] = waiting
+    base[1:] = as_u[forced] ^ flips[forced]
+    edges = np.empty(len(forced) + 2, np.intp)
+    edges[0], edges[-1] = 0, len(r)
+    edges[1:-1] = forced
+    state = np.empty(len(r) + 1, bool)  # state[i] is the state before word i
+    state[0] = waiting
+    np.logical_xor(base.repeat(edges[1:] - edges[:-1]), flips, out=state[1:])
+    moves = (state[1:] != state[:-1]).nonzero()[0]
+    inits = r.take(moves[waiting::2])
+    K = k.take(moves[1 - waiting :: 2])
+    if waiting:
+        inits = np.concatenate((np.array([u], np.uint64), inits))
+    U = inits[: len(K)]
+    return U, K + (K >= U), int(inits[-1]) if state[-1] else -1

@@ -17,8 +17,9 @@ from popsim import (
     run_trial,
     sample_interaction,
 )
-from popsim.core import step_budget
+from popsim.core import DENSE_GAP, step_budget
 from popsim.influence import ScheduleRecorder
+from popsim.protocols import CATALOG, protocol_from_dict
 
 # 0.999 quantile of the chi-square distribution with 55 degrees of freedom
 # (8 agents -> 56 ordered pairs).
@@ -202,10 +203,11 @@ def test_engine_draws_match_sample_interaction():
         assert recorder.log.entries == replay
 
 
-def reference_run(protocol, n, seed, *, max_steps, stop_event=None):
+def reference_run(protocol, n, seed, *, max_steps, stop_event=None, initial=None, changes=None):
     """The engine's loop with one sample_interaction call per step: the
-    predicate first, then the budget, then the draw."""
-    states = [protocol.initial_state] * n
+    predicate first, then the budget, then the draw.  The steps that change
+    the configuration are appended to ``changes`` when it is given."""
+    states = [protocol.initial_state] * n if initial is None else list(initial)
     counts = [states.count(s) for s in range(protocol.num_states)]
     trial = SimpleNamespace(states=states, counts=counts, step=0)
     rng = Splitmix64(seed)
@@ -218,11 +220,14 @@ def reference_run(protocol, n, seed, *, max_steps, stop_event=None):
         if trial.step >= max_steps:
             break
         u, v = sample_interaction(rng, n)
+        old = (states[u], states[v])
         for agent, new in zip((u, v), protocol.transitions[states[u]][states[v]]):
             counts[states[agent]] -= 1
             counts[new] += 1
             states[agent] = new
         trial.step += 1
+        if changes is not None and (states[u], states[v]) != old:
+            changes.append(trial.step)
     return TrialRecord(
         seed=seed,
         n=n,
@@ -256,6 +261,119 @@ def test_budget_and_block_boundaries_match_scalar_engine(budget):
         for kwargs in variants:
             got = run_trial(proto, n, seed=budget, max_steps=budget, **kwargs)
             assert got == reference_run(proto, n, budget, max_steps=budget, **kwargs)
+
+
+# A file protocol with three states: A and B turn each other blank, a
+# blank copies a decided responder, and everything else is null.
+THREE_STATE_DOC = {
+    "name": "three-state",
+    "states": ["A", "B", "_"],
+    "initial": "A",
+    "outputs": {"A": "L", "B": "F", "_": "F"},
+    "rules": [["A", "B", "A", "_"], ["B", "A", "B", "_"], ["_", "A", "A", "A"], ["_", "B", "B", "B"]],
+}
+
+
+def engine_cases():
+    """(label, protocol, n, run_trial kwargs) for the engine-versus-reference
+    comparison: every catalog experiment, the cyclic protocol and a file
+    protocol, with budgets of 0, inside the first blocks and inside the
+    array blocks, stops that hold at step 0, and initial overrides."""
+    cases = []
+    for name, entry in CATALOG.items():
+        for n in (2, 7, 60):
+            threshold = max(1, n // 3)
+            stop = entry.stop(n, threshold if entry.reads_threshold else None)
+            plan = {"stop_event": (entry.event, stop), "initial": entry.start(n)}
+            for budget in (0, 1, 37, 3000):
+                cases.append((f"{name}-n{n}-b{budget}", entry.build(n), n, dict(plan, max_steps=budget)))
+    # to the stop at n=1000, where the last changes come thousands of steps
+    # apart and the engine scans for them; the epidemic's changes move the
+    # initiator half the time
+    for name, threshold in (("leave-init", 10), ("one-way-epidemic", None)):
+        entry = CATALOG[name]
+        cases.append((f"{name}-n1000", entry.build(1000), 1000, {
+            "max_steps": 10**5, "stop_event": (entry.event, entry.stop(1000, threshold)),
+            "initial": entry.start(1000)}))
+    for n in (2, 7):
+        cases.append((f"cycle-n{n}", cyclic_protocol(), n,
+                      {"max_steps": 700, "stop_event": ("init_left", lambda t: t.counts[0] == 0)}))
+    three = protocol_from_dict(THREE_STATE_DOC)
+    mixed = [0, 1, 2] * 10
+    cases += [
+        ("three-all-null", three, 30, {"max_steps": 5000}),
+        ("three-mixed", three, 30, {"max_steps": 5000, "initial": mixed}),
+        ("three-decided", three, 30, {"max_steps": 5000, "initial": mixed,
+                                      "stop_event": ("decided", lambda t: t.counts[2] == 0
+                                                     and 0 in (t.counts[0], t.counts[1]))}),
+        ("stop-at-0", three, 30, {"max_steps": 5000, "initial": mixed,
+                                  "stop_event": ("at_0", lambda t: t.counts[2] == 10)}),
+    ]
+    return cases
+
+
+ENGINE_CASES = {label: case for label, *case in engine_cases()}
+
+
+@pytest.mark.parametrize("label", sorted(ENGINE_CASES))
+def test_run_trial_matches_reference_run(label):
+    protocol, n, kwargs = ENGINE_CASES[label]
+    for seed in (3, 2**64 - 5):
+        assert run_trial(protocol, n, seed, **kwargs) == reference_run(protocol, n, seed, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_elimination_to_one_leader_matches_reference_run(seed):
+    proto = pairwise_elimination(100)
+    stop = ("stabilized", lambda t: t.counts[0] == 1)
+    rec = run_trial(proto, 100, seed, max_steps=10**6, stop_event=stop)
+    assert rec == reference_run(proto, 100, seed, max_steps=10**6, stop_event=stop)
+    assert rec.event_steps == {"stabilized": rec.steps_taken}
+
+
+@pytest.mark.parametrize("budget", [60_000, 90_000])
+def test_budget_inside_a_skipped_null_run_matches_reference_run(budget):
+    # At n=1000 a handful of leaders is left after 60000 steps, so a state
+    # change comes about once in 10^4 steps and the engine scans for it.
+    proto = pairwise_elimination(1000)
+    stop = ("stabilized", lambda t: t.counts[0] == 1)
+    changes = []
+    expected = reference_run(proto, 1000, 5, max_steps=budget, stop_event=stop, changes=changes)
+    assert expected.truncated
+    assert budget - changes[-1] > 2 * DENSE_GAP  # the budget ends inside a null run
+    assert run_trial(proto, 1000, 5, max_steps=budget, stop_event=stop) == expected
+    # the same run with the budget at the last change and just before it
+    for cut in (changes[-1], changes[-1] - 1):
+        assert run_trial(proto, 1000, 5, max_steps=cut, stop_event=stop) == reference_run(
+            proto, 1000, 5, max_steps=cut, stop_event=stop
+        )
+
+
+class StepCounter:
+    def __init__(self):
+        self.steps = []
+
+    def notify(self, trial, e, old, new):
+        self.steps.append(trial.step)
+
+
+@pytest.mark.parametrize("name,n", [("pairwise-elimination", 200), ("leave-init", 300)])
+def test_observers_see_every_step_and_leave_the_record_unchanged(name, n):
+    entry = CATALOG[name]
+    stop = (entry.event, entry.stop(n, n // 4 if entry.reads_threshold else None))
+    bare = run_trial(entry.build(n), n, 17, max_steps=10**6, stop_event=stop)
+    counter = StepCounter()
+    observed = run_trial(entry.build(n), n, 17, max_steps=10**6, stop_event=stop, observers=[counter])
+    assert observed == bare
+    assert counter.steps == list(range(1, bare.steps_taken + 1))
+
+
+def test_with_observers_the_predicate_is_checked_every_step():
+    # a predicate reading the step count is outside the contract without
+    # observers, but with one attached every step is checked
+    rec = run_trial(identity_protocol(), 50, 4, max_steps=1000,
+                    stop_event=("at_500", lambda t: t.step == 500), observers=[StepCounter()])
+    assert rec.event_steps == {"at_500": 500}
 
 
 def test_observer_sees_old_and_new_states():

@@ -1,11 +1,23 @@
-from itertools import islice
+from itertools import accumulate, islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popsim.core import sample_interaction
-from popsim.rng import FIRST_BLOCK, GOLDEN_GAMMA, MASK64, Splitmix64, derive_seed, mix64, pair_stream
+from popsim.rng import (
+    ARRAY_BLOCK,
+    FIRST_BLOCK,
+    GOLDEN_GAMMA,
+    MASK64,
+    MAX_BLOCK,
+    Splitmix64,
+    derive_seed,
+    mix64,
+    pair_blocks,
+    pair_stream,
+)
 
 # Published splitmix64 outputs for seed 0; any deviation means the algorithm
 # drifted and every recorded trace in the wild silently changes meaning.
@@ -126,4 +138,61 @@ def test_pair_stream_rejects_sizes_the_scalar_draws_reject():
         with pytest.raises(ValueError):
             pair_stream(0, n)
         with pytest.raises(ValueError):
+            pair_blocks(0, n)
+        with pytest.raises(ValueError):
             sample_interaction(Splitmix64(0), n)
+
+
+class WordCountingSplitmix64(Splitmix64):
+    """Splitmix64 that records the index of the word each accepted bounded
+    draw came from."""
+
+    __slots__ = ("words", "accepted_at")
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.words = 0
+        self.accepted_at = []
+
+    def next64(self):
+        self.words += 1
+        return super().next64()
+
+    def randbelow(self, bound):
+        r = super().randbelow(bound)
+        self.accepted_at.append(self.words - 1)
+        return r
+
+
+# Sizes with n-1 a power of two (3, 5, 9, 17, 1025, 2**32 + 1, 2**63 + 1),
+# where a word is a valid responder index but no valid initiator about half
+# the time, and others (4, 1000, 2**64), where a word can be a valid
+# initiator but no valid index; 2 and 2**64 accept nearly every word.
+BLOCK_SIZES = (2, 3, 4, 5, 9, 17, 1000, 1025, 2**32 + 1, 2**63 + 1, 2**64)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_pair_blocks_match_sample_interaction(n):
+    blocks = list(islice(pair_blocks(99, n), 9))
+    # the leading blocks take the per-word rule, the later ones the array passes
+    sizes = [min(FIRST_BLOCK << i, MAX_BLOCK) for i in range(len(blocks))]
+    assert [type(block) is list for block in blocks] == [size < ARRAY_BLOCK for size in sizes]
+    assert all(type(u) is type(v) is int for block in blocks if type(block) is list for u, v in block)
+    arrays = [block for block in blocks if type(block) is not list]
+    assert arrays and all(U.dtype == V.dtype == np.uint64 and len(U) == len(V) for U, V in arrays)
+    got = [
+        (int(u), int(v))
+        for block in blocks
+        for u, v in (block if type(block) is list else zip(*block))
+    ]
+
+    rng = WordCountingSplitmix64(99)
+    assert got == [tuple(sample_interaction(rng, n)) for _ in got]
+    # A block ends with an initiator still waiting when some pair's
+    # initiator word lies before the block's end and its responder word at
+    # or after it.  At n=2 every pair takes two words, at 2**64 all but a
+    # 2**-64 share do, so every even-sized block ends on a pair there.
+    initiators, responders = rng.accepted_at[0::2], rng.accepted_at[1::2]
+    ends = set(accumulate(sizes))
+    waiting_ends = {end for i, r in zip(initiators, responders) for end in ends if i < end <= r}
+    assert bool(waiting_ends) == (n not in (2, 2**64))
