@@ -149,13 +149,17 @@ class Trial:
 
     __slots__ = ("protocol", "n", "states", "counts", "step")
 
-    def __init__(self, protocol: Protocol, n: int, states: Configuration):
+    def __init__(self, protocol: Protocol, n: int, states: Configuration, counts: Optional[list[int]] = None):
+        """``counts``, when given, must be the number of agents of ``states``
+        in each state; otherwise they are counted here."""
         self.protocol = protocol
         self.n = n
         self.states = states
-        self.counts = [0] * protocol.num_states
-        for s in states:
-            self.counts[s] += 1
+        if counts is None:
+            counts = [0] * protocol.num_states
+            for s in states:
+                counts[s] += 1
+        self.counts = counts
         self.step = 0
 
 
@@ -228,8 +232,11 @@ def run_trial(
     """
     max_steps = step_budget(n, max_steps)
 
+    counts = None  # counted by Trial unless the start is all-initial
     if initial is None:
         states = [protocol.initial_state] * n
+        counts = [0] * protocol.num_states
+        counts[protocol.initial_state] = n
     else:
         states = list(initial)
         if len(states) != n:
@@ -237,7 +244,7 @@ def run_trial(
         if any(not 0 <= s < protocol.num_states for s in states):
             raise ValueError("initial configuration has out-of-range states")
 
-    trial = Trial(protocol, n, states)
+    trial = Trial(protocol, n, states, counts)
     counts = trial.counts
     table = protocol.transitions
     notify_fns = [obs.notify for obs in observers]

@@ -40,7 +40,8 @@ Config = tuple[int, ...]
 
 
 class BudgetExceededError(RuntimeError):
-    """The potential configuration space exceeds the enumeration budget."""
+    """The work asked for exceeds the budget: the potential configuration
+    space of an enumeration, or the edges of an exported graph."""
 
 
 class NonAbsorbingError(RuntimeError):

@@ -28,15 +28,25 @@ per table; tables are capped at n <= 2**17, which keeps exactness instead of
 trading it for scale.
 
 First crossings of a size threshold (:func:`first_exceed_time`) run on a
-stream kernel: it ORs the masks of each pair of ``rng.pair_stream`` and
-applies no protocol, since influence does not depend on states; an agent's
-mask is made at its first interaction.  Next to each mask it keeps an upper
-bound on the set's size; a merged set's bound is the sum of the two
-participants' bounds, and only a sum above the threshold pays for a
-``bit_count()``, whose exact result then replaces it (when one agent is
-tracked, only its steps pay; other bounds are capped at n).  The bound
-never falls below the true size, so no crossing is skipped.  The kernel is
-the only implementation of the crossing rule.
+stream kernel that reads the pairs of ``rng.pair_blocks`` and applies no
+protocol, since influence does not depend on states.  Per step it keeps only
+an upper bound on each set's size: a merged set's bound is the sum of the two
+participants' bounds (when one agent is tracked, other bounds are capped at
+n), which never falls below the true size, so no crossing is skipped.  It
+also records the prefix of the stream, block by block.  Only a bound above
+the threshold needs an exact size, and one backward scan of the recorded
+prefix gives it: the :func:`backward_step` recurrence from the two
+participants, counted on a flag per agent rather than stored, whose result
+then replaces both bounds.  A scan reads the whole prefix, so once the scans
+of a trial pass a multiple of its current step in all (as with thresholds
+near n, whose bounds overflow at almost every step; the multiple is
+``SWITCH_MULTIPLE`` below n=8192 and grows with n, as a union of n-bit masks
+grows dearer than a scanned pair), the kernel
+replays the prefix into masks as :class:`InfluencerTable` keeps them and goes
+on with a union per step and a ``bit_count()`` where the bound passes the
+threshold.  Memory grows with the prefix, about 80 bytes per step at
+n=16384, and reaches n*n/8 bytes only after a switch.  The kernel is the only
+implementation of the crossing rule.
 
 The schedule of a trial is the first ``steps_taken`` pairs of its pair
 stream, whatever the protocol, so everything else a trial's influence is
@@ -49,11 +59,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from typing import Iterable, Iterator, Optional, Union
 
 from .core import Interaction, Protocol, TrialRecord, run_trial, step_budget
-from .rng import pair_stream
+from .rng import PairBlock, pair_blocks
 
 MAX_TRACKED_AGENTS = 1 << 17
 
@@ -297,29 +307,132 @@ def first_exceed_time(
         _check_agent(n, agent)
     _check_tracked_size(n)
     budget = step_budget(n, max_steps)
-    # An agent's mask stays 0 until its first interaction and stands for
-    # {v} until then, so a trial allocates only the sets it reaches.
-    masks = [0] * n
+    step = _crossing_step(seed, n, threshold, agent, budget)
+    if step is None:
+        rec = TrialRecord(seed, n, budget, truncated=True)
+    else:
+        rec = TrialRecord(seed, n, step, {INFLUENCER_EVENT: step})
+    if extra_observers:
+        replay = run_trial(protocol, n, seed, max_steps=rec.steps_taken, observers=extra_observers)
+        rec.final_states = replay.final_states
+    return rec
+
+
+# Each backward scan reads the whole prefix.  Once a trial's scans would have
+# read more than _switch_multiple(n) times its current step in all, the kernel
+# replays the prefix into masks instead.  A replayed pair costs a union of two
+# n-bit integers and a scanned pair a flag test, so the replay grows dearer
+# with n: per pair it cost 2.7, 5.1, 9.9, 24 and 42 scanned pairs at n = 1000,
+# 4096, 8192, 16384 and 32768.  The multiple, SWITCH_MULTIPLE for n < 8192 and
+# doubling with n above, stays below that break-even, so the scans before a
+# switch cost less than the replay.  SWITCH_MULTIPLE was chosen by timing 2, 3
+# and 4 against a kernel that keeps masks from the start: at 3, thresholds
+# near n, which overflow at almost every step, take about 1.2 times its time
+# at n=4096 and n=1000; at 4, up to 1.4 times.  n^(2/3) at n=16384 needs at
+# most 7 scans' worth in 3000 trials, below its multiple of 12; at a flat 3
+# it switched in 76 of them, which took a run's peak memory from about 38 to
+# 66 MB on the seeds that did.
+SWITCH_MULTIPLE = 3
+
+
+def _switch_multiple(n: int) -> float:
+    return SWITCH_MULTIPLE * max(1, n >> 12)
+
+# The prefix keeps each block of the pair stream as read: a short list of
+# pairs, or the Python lists of its initiators and responders.
+_Recorded = Union[list[tuple[int, int]], tuple[list[int], list[int]]]
+
+
+def _crossing_step(seed: int, n: int, threshold: float, agent: Optional[int], budget: int) -> Optional[int]:
+    """The stream kernel of :func:`first_exceed_time` (see the module
+    docstring): the first step, within ``budget``, after which a
+    participant's set (the tracked agent's, when there is one) has more than
+    ``threshold`` members, or None."""
     bound = [1] * n  # bound[v] >= the size of v's set
-    for step, (u, v) in zip(range(1, budget + 1), pair_stream(seed, n)):
-        merged = (masks[u] or 1 << u) | (masks[v] or 1 << v)
-        masks[u] = masks[v] = merged
+    prefix: Optional[list[_Recorded]] = []  # the blocks read, until the switch
+
+    def record(block: PairBlock) -> Iterable[tuple[int, int]]:
+        if type(block) is not list:
+            block = block[0].tolist(), block[1].tolist()
+        if prefix is not None:
+            prefix.append(block)
+        return _block_pairs(block)
+
+    stream = zip(range(1, budget + 1), chain.from_iterable(map(record, pair_blocks(seed, n))))
+    scanned = 0  # pairs read by the backward scans
+    multiple = _switch_multiple(n)
+    for step, (u, v) in stream:
+        size = bound[u] + bound[v]
+        if size > threshold:
+            if agent is None or agent == u or agent == v:
+                if scanned + step - 1 > multiple * step:
+                    break
+                scanned += step - 1
+                size = _backward_size(prefix, step - 1, u, v, threshold, n)
+                if size > threshold:
+                    return step
+            elif size > n:  # no set has more than n members
+                size = n
+        bound[u] = bound[v] = size
+    else:
+        return None
+    # The switch: the masks of every set before this step, then this step and
+    # the rest with an exact popcount wherever the bound passes the threshold.
+    masks = _replay_masks(prefix, step - 1, n)
+    prefix = None
+    for step, (u, v) in chain([(step, (u, v))], stream):
+        masks[u] = masks[v] = merged = (masks[u] or 1 << u) | (masks[v] or 1 << v)
         size = bound[u] + bound[v]
         if size > threshold:
             if agent is None or agent == u or agent == v:
                 size = merged.bit_count()
                 if size > threshold:
-                    rec = TrialRecord(seed, n, step, {INFLUENCER_EVENT: step})
-                    break
-            elif size > n:  # popcount skipped; no set has more than n members
+                    return step
+            elif size > n:
                 size = n
         bound[u] = bound[v] = size
-    else:
-        rec = TrialRecord(seed, n, budget, truncated=True)
-    if extra_observers:
-        replay = run_trial(protocol, n, seed, max_steps=rec.steps_taken, observers=extra_observers)
-        rec.final_states = replay.final_states
-    return rec
+    return None
+
+
+def _replay_masks(prefix: list[_Recorded], t: int, n: int) -> list[int]:
+    """The masks of all sets after the first ``t`` pairs of ``prefix``, as
+    :class:`InfluencerTable` keeps them (0 for an agent yet to interact)."""
+    masks = [0] * n
+    for u, v in islice(chain.from_iterable(map(_block_pairs, prefix)), t):
+        masks[u] = masks[v] = (masks[u] or 1 << u) | (masks[v] or 1 << v)
+    return masks
+
+
+def _block_pairs(block: _Recorded) -> Iterable[tuple[int, int]]:
+    return block if type(block) is list else zip(*block)
+
+
+def _backward_size(prefix: list[_Recorded], t: int, u: int, v: int, limit: float, n: int) -> int:
+    """The size of the union of the sets of ``u`` and ``v`` after the first
+    ``t`` pairs of ``prefix``, or a number above ``limit`` once the count
+    passes it.
+
+    One backward scan of those pairs, newest first, by the recurrence of
+    :func:`backward_step` counted on a membership flag per agent: a pair
+    with exactly one member adds the other agent.
+    """
+    member = [False] * n
+    member[u] = member[v] = True
+    size = 2
+    # the pairs after the first t, all in the newest block
+    skip = sum(len(block) if type(block) is list else len(block[0]) for block in prefix) - t
+    for block in reversed(prefix):
+        pairs = reversed(block) if type(block) is list else zip(reversed(block[0]), reversed(block[1]))
+        if skip:
+            pairs = islice(pairs, skip, None)
+            skip = 0
+        for a, b in pairs:
+            if member[a] is not member[b]:
+                member[a] = member[b] = True
+                size += 1
+                if size > limit:
+                    return size
+    return size
 
 
 def write_size_series(n: int, schedule: Iterable[tuple[int, int]], path: Union[str, Path]) -> None:

@@ -633,6 +633,21 @@ def test_export_graph_bad_agent_or_step_writes_nothing(tmp_path, capsys, agent, 
     assert not dot.exists()
 
 
+def test_export_graph_over_budget_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the fixture's 6 layers of 5 agents have 6 * (5 + 2) = 42 edges
+    out, dot = tmp_path / "graph.txt", tmp_path / "graph.dot"
+    args = ["export-graph", "--fixture", "--agent", "0", "--step", "6",
+            "--out", str(out), "--dot", str(dot)]
+    monkeypatch.setenv("POPSIM_BUDGET", "41")
+    assert main(args) == 3
+    assert "42 edges exceed budget 41" in capsys.readouterr().err
+    assert not out.exists()
+    assert not dot.exists()
+    monkeypatch.setenv("POPSIM_BUDGET", "42")
+    assert main(args) == 0
+    assert out.read_text().count(" -> ") == dot.read_text().count(" -> ") == 42
+
+
 def test_edge_text_and_dot_formats(tmp_path):
     log_path, out, dot = tmp_path / "one.log", tmp_path / "graph.txt", tmp_path / "graph.dot"
     write_log(2, [(1, 0)], log_path)

@@ -422,6 +422,21 @@ def test_counts_track_configuration():
     assert final_counts["counts"] == [states.count(0), states.count(1)]
 
 
+@pytest.mark.parametrize("initial", [None, [2, 0, 1, 1, 2, 2]])
+def test_start_counts_match_the_start(initial):
+    # the all-initial start is counted without a pass over the agents
+    seen = []
+
+    def look(trial):
+        seen.append((list(trial.counts), list(trial.states)))
+        return False
+
+    run_trial(identity_protocol(3), 6, seed=1, max_steps=0, stop_event=("never", look), initial=initial)
+    counts, states = seen[0]
+    assert counts == [states.count(s) for s in range(3)]
+    assert counts == ([6, 0, 0] if initial is None else [1, 2, 3])
+
+
 def test_initial_override():
     proto = one_way_epidemic(4)
     rec = run_trial(proto, 4, seed=2, max_steps=0, initial=[1, 0, 0, 0])

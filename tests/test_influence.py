@@ -22,6 +22,7 @@ from popsim import (
     sample_interaction,
     sources_reaching,
 )
+from popsim import influence
 from popsim.influence import (
     DEMO_SCHEDULE_N5,
     INFLUENCER_EVENT,
@@ -401,6 +402,91 @@ def test_single_agent_mode_waits_for_that_agent():
         assert t_any <= t_zero
         waited += t_any < t_zero
     assert waited > 0
+
+
+def _kernel_counters(monkeypatch):
+    """Wrap the kernel's backward scan and its switch to masks; the returned
+    dict counts the pairs the scans read (each reads the first ``t`` pairs
+    of the prefix, or stops early) and the switches."""
+    seen = {"scanned": 0, "switches": 0}
+    scan, replay = influence._backward_size, influence._replay_masks
+
+    def counted_scan(prefix, t, *args):
+        seen["scanned"] += t
+        return scan(prefix, t, *args)
+
+    def counted_replay(prefix, t, n):
+        seen["switches"] += 1
+        return replay(prefix, t, n)
+
+    monkeypatch.setattr(influence, "_backward_size", counted_scan)
+    monkeypatch.setattr(influence, "_replay_masks", counted_replay)
+    return seen
+
+
+# (n, threshold, agent, whether the kernel switches to masks on these seeds)
+KERNEL_PATHS = [
+    (4096, 256, None, False),  # n^(2/3): a scan or two, at the crossing
+    (4096, 4000, None, True),  # thresholds near n overflow at almost every step
+    (1000, 999.5, None, True),
+    (4096, 256, 0, False),
+    (1000, 999.5, 3, True),
+]
+
+
+@pytest.mark.parametrize("n, threshold, agent, switches", KERNEL_PATHS)
+def test_kernel_paths_match_forward_replay(monkeypatch, n, threshold, agent, switches):
+    seen = _kernel_counters(monkeypatch)
+    for i in range(2):
+        seed = derive_seed(n, i)
+        seen.update(scanned=0, switches=0)
+        rec = first_exceed_time(leave_init(n), n, seed, threshold, agent=agent)
+        assert seen["scanned"] > 0
+        assert seen["switches"] == switches
+        recorder = ScheduleRecorder(n)
+        run_trial(leave_init(n), n, seed, max_steps=rec.steps_taken, observers=[recorder])
+        assert rec.event_steps[INFLUENCER_EVENT] == rec.steps_taken
+        assert _replay_crossing(recorder.log, threshold, agent) == rec.steps_taken
+
+
+@pytest.mark.parametrize("multiple", [0, math.inf])
+@pytest.mark.parametrize("n", [3, 5, 64, 200])
+def test_either_kernel_path_alone_matches_forward_replay(monkeypatch, n, multiple):
+    # A multiple of 0 switches to masks at the first overflow after step 1,
+    # and an infinite one never switches, so every overflow is scanned.
+    monkeypatch.setattr(influence, "SWITCH_MULTIPLE", multiple)
+    thresholds = sorted({1, 1.5, math.ceil(n ** (2 / 3)), n / 2 + 0.25, n - 0.5})
+    for agent in (None, 0):
+        for i, threshold in enumerate(thresholds):
+            seed = derive_seed(n + 7, i)
+            rec = first_exceed_time(leave_init(n), n, seed, threshold, agent=agent)
+            recorder = ScheduleRecorder(n)
+            run_trial(leave_init(n), n, seed, max_steps=rec.steps_taken, observers=[recorder])
+            assert rec.event_steps.get(INFLUENCER_EVENT) == _replay_crossing(recorder.log, threshold, agent)
+
+
+@pytest.mark.parametrize("n, threshold, agent", [case[:3] for case in KERNEL_PATHS if case[3]])
+def test_kernel_scans_stay_within_the_switch_multiple(monkeypatch, n, threshold, agent):
+    seen = _kernel_counters(monkeypatch)
+    for i in range(3):
+        seen.update(scanned=0, switches=0)
+        rec = first_exceed_time(leave_init(n), n, derive_seed(n, i), threshold, agent=agent)
+        assert seen["switches"] == 1
+        assert seen["scanned"] <= influence._switch_multiple(n) * rec.steps_taken
+
+
+def test_kernel_memory_grows_with_the_prefix_not_the_masks():
+    # Masks for every set would take about 25 MB here; the prefix about 3 MB.
+    n = 16384
+    protocol = leave_init(n)
+    tracemalloc.start()
+    try:
+        rec = first_exceed_time(protocol, n, derive_seed(0, 0), 646)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.event_steps[INFLUENCER_EVENT] == 32665
+    assert peak < 8 * 2**20
 
 
 def test_series_tracking(tmp_path):
