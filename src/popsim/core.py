@@ -16,14 +16,11 @@ steps divided by n.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .rng import Splitmix64, pair_blocks
 
@@ -34,6 +31,9 @@ FOLLOWER = "F"
 Configuration = list[int]
 
 TransitionTable = tuple[tuple[tuple[int, int], ...], ...]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Interaction(NamedTuple):
@@ -82,6 +82,8 @@ class Protocol:
     def _changes(self) -> np.ndarray:
         """Read-only flat mask: entry ``a * num_states + b`` says whether the
         rule for initiator ``a`` and responder ``b`` changes a state."""
+        import numpy as np
+
         mask = np.array(
             [pair != (a, b) for a, row in enumerate(self.transitions) for b, pair in enumerate(row)]
         )
@@ -128,6 +130,9 @@ def output_vector(protocol: Protocol, config: Sequence[int]) -> list[str]:
 
 def configuration_digest(states: Sequence[int]) -> str:
     """Stable hash of a configuration (sha256 of the decimal state vector)."""
+    # imported here: hashlib loads OpenSSL, about 4 MB, and no command hashes
+    import hashlib
+
     return hashlib.sha256(",".join(map(str, states)).encode()).hexdigest()
 
 
@@ -260,8 +265,9 @@ def run_trial(
     # ``skipping``, the one state-changing pair that an array scan of the
     # block finds, the null steps before it counted at once.  Short leading
     # blocks and runs with observers are never scanned.  ``mirror`` (made at
-    # the first scan) is a numpy view of ``buf``, a copy of ``states`` kept in
-    # step with it.  No block is drawn for a run that ends at step 0.
+    # the first scan, which also imports numpy) is a numpy view of ``buf``, a
+    # copy of ``states`` kept in step with it.  No block is drawn for a run
+    # that ends at step 0.
     skipping, nulls, mirror = False, 0, None
     done = stopped or max_steps == 0
     for block in pair_blocks(seed, n) if not done else ():
@@ -322,12 +328,14 @@ def run_trial(
                     us, vs = U.tolist(), V.tolist()
                 pairs = zip(us[i:], vs[i:]) if i else zip(us, vs)
                 continue
-            if Ui is None:
-                Ui, Vi = U.astype(np.intp), V.astype(np.intp)
             if mirror is None:
+                import numpy as np
+
                 buf = array("q", states)
                 mirror = np.frombuffer(buf, np.int64)
                 changes, width = protocol._changes, protocol.num_states
+            if Ui is None:
+                Ui, Vi = U.astype(np.intp), V.astype(np.intp)
             rest = changes[mirror[Ui[i:]] * width + mirror[Vi[i:]]]
             gap = int(rest.argmax())
             if not rest[gap]:

@@ -18,9 +18,9 @@ non-target subgraph at a time, in topological order with sinks first.  A
 component's unknowns depend only on its own and on already-solved
 components, so an acyclic chain (every catalog protocol, apart from
 self-loops) costs O(edges) Fraction operations and only components with
-cycles fall back to an elimination on their own block.  The dense
-floating-point solver, which allocates m*m floats for m transient
-configurations, is a cross-check with residual reporting, not a fallback.
+cycles fall back to an elimination on their own block.  The solve uses no
+floating point and the module no numpy; the test suite checks it against a
+dense floating-point solve of the same system and that solve's residual.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .core import LEADER, Interaction, Protocol, apply_interaction, output_vector
 
@@ -341,38 +339,6 @@ def expected_hitting_steps(
         for i, value in zip(component, _solve_fractions(rows, rhs)):
             solved[i] = value
     return solved[0]
-
-
-def expected_hitting_steps_float(
-    space: ConfigurationSpace, target: Callable[[Config], bool]
-) -> tuple[float, float]:
-    """Dense floating-point cross-check solver; returns (value, max residual).
-
-    Same system as :func:`expected_hitting_steps`, solved in one piece via
-    numpy (m*m floats for m transient configurations); the residual is the
-    max absolute row error of the solution, reported so callers can judge
-    conditioning instead of trusting silently.
-    """
-    targets = frozenset(i for i, c in enumerate(space.configs) if target(c))
-    _check_absorbing(space, targets)
-    if 0 in targets:
-        return 0.0, 0.0
-
-    transient = [i for i in range(len(space)) if i not in targets]
-    pos = {i: r for r, i in enumerate(transient)}
-    m = len(transient)
-    total = float(space.n * (space.n - 1))
-
-    matrix = np.zeros((m, m))
-    rhs = np.full(m, total)
-    for r, i in enumerate(transient):
-        matrix[r, r] += total
-        for j, count in space.successors[i].items():
-            if j not in targets:
-                matrix[r, pos[j]] -= count
-    solution = np.linalg.solve(matrix, rhs)
-    residual = float(np.abs(matrix @ solution - rhs).max())
-    return float(solution[pos[0]]), residual
 
 
 def closed_form_pairwise(n: int) -> float:

@@ -28,14 +28,23 @@ blocks, where those passes would cost more than they save, take the draws
 one at a time.  numpy's own generators are never used, so the stream is
 unchanged; the scalar generator stays the reference the block stream is
 tested against.
+
+numpy is imported by the block passes themselves, not by this module: the
+word offsets, the shift table and the mix constants are made once per
+process, on the first :func:`pair_blocks` call (``_word_tables``), and each
+stream after that looks them up in a cache.  Importing this module loads
+only the standard library, so a command that draws no pairs (``exact``,
+``export-graph``) never loads numpy.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -104,16 +113,10 @@ class Splitmix64:
 FIRST_BLOCK = 32
 ARRAY_BLOCK = 512
 MAX_BLOCK = 4096
-_BLOCK_OFFSETS = np.arange(1, MAX_BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
-_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
-# Shift counts made once: making one per stream costs a trial of a few steps,
-# which draws a single block, about 2% of its time.
-_USHIFTS = tuple(np.uint64(s) for s in range(64))
-_UMIX_A, _UMIX_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
 
 # A block of pairs: a list of ``(u, v)`` tuples, or the initiators U and the
 # responders V as two ``uint64`` arrays of equal length.
-PairBlock = Union[list[tuple[int, int]], tuple[np.ndarray, np.ndarray]]
+PairBlock = Union[list[tuple[int, int]], "tuple[np.ndarray, np.ndarray]"]
 
 
 def pair_blocks(seed: int, n: int) -> Iterator[PairBlock]:
@@ -140,23 +143,39 @@ def pair_stream(seed: int, n: int) -> Iterator[tuple[int, int]]:
     )
 
 
+@cache
+def _word_tables():
+    """numpy and the constants of the block passes, made once per process on
+    the first stream: the offsets ``(i + 1) * GOLDEN_GAMMA`` of a block's
+    words, the 64 shift counts (making one per stream costs a trial of a few
+    steps, which draws a single block, about 2% of its time) and the mix
+    constants.  A stream then pays one cache lookup for all of them."""
+    import numpy as np
+
+    offsets = np.arange(1, MAX_BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    shifts = tuple(np.uint64(s) for s in range(64))
+    return np, offsets, shifts, np.uint64(_MIX_A), np.uint64(_MIX_B)
+
+
 def _pair_blocks(state: int, n: int) -> Iterator[PairBlock]:
+    np, offsets, shifts, mix_a, mix_b = _word_tables()
+    u30, u27, u31 = shifts[30], shifts[27], shifts[31]
     bits = (n - 1).bit_length()  # randbelow(n) keeps the top ``bits`` bits
     drop = bits - (n - 2).bit_length()  # 1 when randbelow(n - 1) keeps one bit less
-    shift = _USHIFTS[64 - bits]
+    shift = shifts[64 - bits]
     n1 = n - 1
     size = FIRST_BLOCK
     u = -1  # an accepted initiator still waiting for its k draw
     while True:
         # mix64 of the next ``size`` states, as Splitmix64.next64 computes them
-        x = _BLOCK_OFFSETS[:size] + np.uint64(state)
+        x = offsets[:size] + np.uint64(state)
         state = (state + size * GOLDEN_GAMMA) & MASK64
-        x ^= x >> _U30
-        x *= _UMIX_A
-        x ^= x >> _U27
-        x *= _UMIX_B
+        x ^= x >> u30
+        x *= mix_a
+        x ^= x >> u27
+        x *= mix_b
         if bits > 31:  # x ^ (x >> 31) leaves the top 31 bits of x as they are
-            x ^= x >> _U31
+            x ^= x >> u31
         x >>= shift
         if size >= ARRAY_BLOCK:
             U, V, u = _pairs_by_arrays(x, n, drop, u)
@@ -190,6 +209,8 @@ def _pairs_by_arrays(r: np.ndarray, n: int, drop: int, u: int) -> tuple[np.ndarr
     forced by the last force at or before i, flipped once per toggle since.
     The words that change the state then alternate: initiator, responder.
     """
+    import numpy as np
+
     as_u = r <= np.uint64(n - 1)
     k = r >> np.uint64(drop) if drop else r
     as_k = k <= np.uint64(n - 2)

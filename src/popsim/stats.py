@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-import numpy as np
-
 from .rng import Splitmix64
 
 PERCENTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
@@ -180,6 +178,10 @@ def summarize(samples: Sequence[float]) -> EstimateRecord:
     """
     if len(samples) == 0:
         raise ValueError("cannot summarize an empty sample")
+    # numpy's pairwise-summed mean and percentile interpolation fix the
+    # summary bytes; imported here, so commands that summarize nothing skip it
+    import numpy as np
+
     arr = np.asarray(samples, dtype=float)
     count = arr.size
     mean = float(arr.mean())
@@ -197,6 +199,8 @@ def summarize(samples: Sequence[float]) -> EstimateRecord:
 
 def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b|."""
+    import numpy as np
+
     xa = np.sort(np.asarray(a, dtype=float))
     xb = np.sort(np.asarray(b, dtype=float))
     if xa.size == 0 or xb.size == 0:

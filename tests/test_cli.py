@@ -2,10 +2,16 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import popsim
 from popsim.cli import _one_leader_stop, main, threshold_count
 from popsim.core import LEADER, Trial, run_trial
 from popsim.exact import closed_form_pairwise
@@ -239,6 +245,8 @@ def test_save_log_streams_the_schedule(tmp_path):
     # 206155 steps; holding them as a list of pairs, let alone one joined
     # string, would take tens of MB
     out, log_path = tmp_path / "run.csv", tmp_path / "trial0.log"
+    import numpy  # noqa: F401  popsim imports it on first use; its import is not the run's memory
+
     tracemalloc.start()
     try:
         code = main(["run", "--protocol", "pairwise-elimination", "--n", "300", "--trials", "1",
@@ -694,3 +702,43 @@ def test_export_graph_streams_its_output(tmp_path):
     code, peak, _, _ = _export_n60_graph(tmp_path)
     assert code == 0
     assert peak < 4 * 2**20
+
+
+# ------------------------------------------------------------------- cold start
+
+COLD_START = textwrap.dedent("""
+    import sys
+
+    def loaded():
+        return [m for m in ("numpy", "_hashlib") if m in sys.modules]
+
+    import popsim
+
+    assert loaded() == [], ("import popsim", loaded())
+    from popsim.cli import main
+
+    assert loaded() == [], ("import popsim.cli", loaded())
+    out = sys.argv[1]
+    assert main(["exact", "--protocol", "pairwise-elimination", "--n", "5", "--out", out]) == 0
+    assert loaded() == [], ("exact", loaded())
+    assert main(["export-graph", "--fixture", "--agent", "0", "--step", "6", "--out", out]) == 0
+    assert loaded() == [], ("export-graph", loaded())
+    try:
+        main(["exact", "--n", "5"])  # no protocol: argparse exits 2
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        raise AssertionError("the usage error did not exit")
+    assert loaded() == [], ("usage error", loaded())
+    assert main(["run", "--protocol", "pairwise-elimination", "--n", "5", "--out", out]) == 0
+    assert "numpy" in sys.modules, "run drew its pairs without numpy"
+""")
+
+
+def test_commands_without_pair_streams_load_neither_numpy_nor_hashlib(tmp_path):
+    # a fresh interpreter: this one has imported numpy long since
+    src = Path(popsim.__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path / "out")],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

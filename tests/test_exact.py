@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from popsim import (
@@ -16,7 +17,6 @@ from popsim.exact import (
     closed_form_pairwise,
     enumerate_reachable,
     expected_hitting_steps,
-    expected_hitting_steps_float,
     replay_path,
     safety_verdicts,
 )
@@ -280,12 +280,31 @@ def test_target_at_start_is_zero():
     assert expected_hitting_steps(space, lambda c: True) == 0
 
 
+def dense_hitting_steps(space, target):
+    """Oracle for the exact solver: the same first-step system over every
+    non-target configuration, solved densely in floating point by numpy.
+    Returns (h at the start, max absolute row error of the solution)."""
+    transient = [i for i, c in enumerate(space.configs) if not target(c)]
+    pos = {i: r for r, i in enumerate(transient)}
+    total = float(space.n * (space.n - 1))
+    matrix = np.zeros((len(transient), len(transient)))
+    rhs = np.full(len(transient), total)
+    for r, i in enumerate(transient):
+        matrix[r, r] += total
+        for j, count in space.successors[i].items():
+            if j in pos:
+                matrix[r, pos[j]] -= count
+    solution = np.linalg.solve(matrix, rhs)
+    residual = float(np.abs(matrix @ solution - rhs).max())
+    return float(solution[pos[0]]), residual
+
+
 def test_float_solver_agrees_with_exact():
     for n in (3, 4, 5):
         space = enumerate_reachable(pairwise_elimination(n), n)
         safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
         exact_value = expected_hitting_steps(space, lambda c: space.index[c] in safe)
-        value, residual = expected_hitting_steps_float(space, lambda c: space.index[c] in safe)
+        value, residual = dense_hitting_steps(space, lambda c: space.index[c] in safe)
         assert value == pytest.approx(float(exact_value), rel=1e-12)
         assert residual < 1e-9
 
@@ -297,7 +316,7 @@ def test_float_solver_agrees_on_a_cyclic_chain(n):
     space = enumerate_reachable(leader_swap_protocol(), n)
     target = lambda c: c.count(0) <= 1  # at most one fresh agent
     exact_value = expected_hitting_steps(space, target)
-    value, residual = expected_hitting_steps_float(space, target)
+    value, residual = dense_hitting_steps(space, target)
     assert exact_value > 0
     assert value == pytest.approx(float(exact_value), rel=1e-12)
     assert residual < 1e-9

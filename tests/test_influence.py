@@ -479,6 +479,8 @@ def test_kernel_memory_grows_with_the_prefix_not_the_masks():
     # Masks for every set would take about 25 MB here; the prefix about 3 MB.
     n = 16384
     protocol = leave_init(n)
+    import numpy  # noqa: F401  popsim imports it on first use; its import is not the kernel's memory
+
     tracemalloc.start()
     try:
         rec = first_exceed_time(protocol, n, derive_seed(0, 0), 646)
