@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -62,7 +63,9 @@ def threshold_count(expr: str, n: int) -> int:
     Supported forms: ``n``, ``n^A`` with rational A (``2/3``, ``0.5``, ``2``),
     ``log(n)`` (natural log), or a plain number.  Results are rounded up with
     exact integer arithmetic for the power form, matching the convention used
-    by the analytic oracles.
+    by the analytic oracles.  For A = p/q in lowest terms, n^p must be below
+    2^1024; a decimal exponent in A (``1e-3``) may not pass 4300, Python's
+    digit limit for integer strings, as Fraction expands it digit by digit.
     """
     expr = expr.strip()
     if expr == "log(n)":
@@ -71,6 +74,9 @@ def threshold_count(expr: str, n: int) -> int:
         value = n
     elif expr.startswith("n^"):
         try:
+            scale = re.search(r"[eE]([-+]?[\d_]+)", expr)
+            if scale and abs(int(scale[1])) > 4300:
+                raise ValueError
             a = Fraction(expr[2:])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad exponent in threshold expression {expr!r}") from None
@@ -398,11 +404,13 @@ def cmd_export_graph(args) -> int:
     edges = layered_edges(log, t)
     layers = backward_sets(log, v, t)
     # n vertical and 2 cross edges per layer, each written as text, and again
-    # as DOT with --dot
+    # as DOT with --dot, whose rank lines name the n agents of all t + 1
+    # layers; one layer is counted at --step 0, so it has a cost too
     budget = _budget()
-    if t * (log.n + 2) > budget:
+    counted = max(t, 1)
+    if counted * (log.n + 2) > budget:
         raise BudgetExceededError(
-            f"{t} layers of {log.n} agents = {t * (log.n + 2)} edges exceed budget {budget}"
+            f"{counted} layers of {log.n} agents = {counted * (log.n + 2)} edges exceed budget {budget}"
         )
     with _open_out(args.out) as fh:
         fh.write(f"# schema=popsim.graph.v1 tool=popsim/{__version__}\n")

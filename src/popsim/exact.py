@@ -18,7 +18,8 @@ non-target subgraph at a time, in topological order with sinks first.  A
 component's unknowns depend only on its own and on already-solved
 components, so an acyclic chain (every catalog protocol, apart from
 self-loops) costs O(edges) Fraction operations and only components with
-cycles fall back to an elimination on their own block.  The solve uses no
+cycles fall back to an elimination on their own block.  A component with no
+exit is a closed class that never reaches the target.  The solve uses no
 floating point and the module no numpy; the test suite checks it against a
 dense floating-point solve of the same system and that solve's residual.
 """
@@ -229,29 +230,6 @@ def _solve_fractions(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fr
     return [aug[r][m] for r in range(m)]
 
 
-def _check_absorbing(space: ConfigurationSpace, targets: frozenset[int]) -> None:
-    if not targets:
-        raise NonAbsorbingError("target set is empty")
-    # Backward closure: configs that can reach the target set.
-    predecessors: dict[int, list[int]] = {i: [] for i in range(len(space))}
-    for i, succ in enumerate(space.successors):
-        for j in succ:
-            predecessors[j].append(i)
-    can_reach = set(targets)
-    frontier = list(targets)
-    while frontier:
-        j = frontier.pop()
-        for i in predecessors[j]:
-            if i not in can_reach:
-                can_reach.add(i)
-                frontier.append(i)
-    stuck = [i for i in range(len(space)) if i not in can_reach]
-    if stuck:
-        raise NonAbsorbingError(
-            f"target unreachable from configuration {space.configs[stuck[0]]}"
-        )
-
-
 def _components_sinks_first(
     space: ConfigurationSpace, root: int, targets: frozenset[int]
 ) -> Iterator[list[int]]:
@@ -309,16 +287,18 @@ def expected_hitting_steps(
     Solves h(C) = 0 on targets and
     h(C) = 1 + (1/(n(n-1))) * sum over ordered interactions of h(successor)
     elsewhere, in rational arithmetic.  Raises :class:`NonAbsorbingError` if
-    some reachable configuration cannot reach the target.
+    the target set is empty or the hitting time is infinite.
 
     Components of the non-target subgraph are solved sinks first, each as
     one block whose right-hand side is N = n(n-1) plus its exits into solved
     components.  With c_ij the number of ordered interactions taking C_i to
     C_j, a configuration alone in its component is the 1x1 block
-    h(i) = (N + sum_{j != i} c_ij h(j)) / (N - c_ii).
+    h(i) = (N + sum_{j != i} c_ij h(j)) / (N - c_ii).  A component with no
+    exit never reaches the target; the error names its lowest-index member.
     """
     targets = frozenset(i for i, c in enumerate(space.configs) if target(c))
-    _check_absorbing(space, targets)
+    if not targets:
+        raise NonAbsorbingError("target set is empty")
     if 0 in targets:
         return Fraction(0)
 
@@ -329,6 +309,7 @@ def expected_hitting_steps(
         m = len(component)
         rows = [[Fraction(0) for _ in range(m)] for _ in range(m)]
         rhs = [Fraction(total) for _ in range(m)]
+        closed = True
         for r, i in enumerate(component):
             rows[r][r] += Fraction(total)
             for j, count in space.successors[i].items():
@@ -336,6 +317,11 @@ def expected_hitting_steps(
                     rows[r][pos[j]] -= Fraction(count)
                 else:
                     rhs[r] += count * solved[j]
+                    closed = False
+        if closed:
+            raise NonAbsorbingError(
+                f"target unreachable from configuration {space.configs[min(component)]}"
+            )
         for i, value in zip(component, _solve_fractions(rows, rhs)):
             solved[i] = value
     return solved[0]

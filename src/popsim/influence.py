@@ -120,10 +120,14 @@ class InteractionLog:
                 raise ValueError(f"{path}: first line must be the population size") from None
             log = cls(n)
             for ln in lines:
-                parts = ln.split()
-                if len(parts) != 2:
-                    raise ValueError(f"{path}: malformed entry {ln!r}")
-                log.append(Interaction(int(parts[0]), int(parts[1])))
+                try:
+                    u, v = map(int, ln.split())
+                except ValueError:
+                    raise ValueError(f"{path}: malformed entry {ln!r}") from None
+                try:
+                    log.append(Interaction(u, v))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from None
         return log
 
 
@@ -292,7 +296,9 @@ def first_exceed_time(
     The crossing step lands in ``event_steps["influencer_threshold"]``; a
     missing key with ``truncated=True`` means the step budget ran out first
     (a legitimate outcome, not an error).  ``agent`` switches from
-    first-crossing-by-anyone to first crossing by that one agent.
+    first-crossing-by-anyone to first crossing by that one agent.  No set
+    has more than n members, so a threshold of n or more returns that
+    truncated record at once, without running the kernel.
 
     The stream kernel finds the crossing without applying ``protocol``, so
     the record's ``final_states`` is None.  With ``extra_observers``, the
@@ -307,7 +313,7 @@ def first_exceed_time(
         _check_agent(n, agent)
     _check_tracked_size(n)
     budget = step_budget(n, max_steps)
-    step = _crossing_step(seed, n, threshold, agent, budget)
+    step = _crossing_step(seed, n, threshold, agent, budget) if threshold < n else None
     if step is None:
         rec = TrialRecord(seed, n, budget, truncated=True)
     else:

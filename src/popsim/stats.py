@@ -121,18 +121,21 @@ def simulate_geometric_sum(rng: Splitmix64, spec: GeometricSumSpec) -> int:
 def ceil_rational_power(n: int, num: int, den: int) -> int:
     """Smallest integer m with m**den >= n**num, i.e. ceil(n**(num/den)).
 
-    Pure integer arithmetic; a float guess is only used as a starting point,
-    so perfect powers (say n a perfect cube for num/den = 2/3) come out exact.
+    Pure integer arithmetic, so perfect powers (say n a perfect cube for
+    num/den = 2/3) come out exact.  Thresholds feed float arithmetic, so
+    n**num must be below 2**1024, the float range; that also bounds the
+    work, since the root is built one bit at a time from its top bit with
+    powers of at most about 2048 bits.
     """
     if n < 1 or num < 0 or den < 1:
         raise ValueError("need n >= 1, num >= 0, den >= 1")
-    target = n**num
-    m = max(1, round(float(target) ** (1.0 / den)))
-    while m**den < target:
-        m += 1
-    while m > 1 and (m - 1) ** den >= target:
-        m -= 1
-    return m
+    if num * (n.bit_length() - 1) >= 1024 or (target := n**num).bit_length() > 1024:
+        raise ValueError(f"{n}^{num} is not below 2^1024, the float range of thresholds")
+    root = 0  # the largest integer whose den-th power is at most target
+    for bit in reversed(range(target.bit_length() // den + 1)):
+        if (root | 1 << bit) ** den <= target:
+            root |= 1 << bit
+    return root if root**den == target else root + 1
 
 
 def block_lower_bound(n: int) -> int:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -49,7 +50,7 @@ def test_threshold_expressions():
     assert threshold_count("2.5", 100) == 3
 
 
-def test_threshold_expression_errors():
+def test_threshold_expression_errors(capsys):
     with pytest.raises(ValueError):
         threshold_count("n^", 10)
     with pytest.raises(ValueError):
@@ -58,6 +59,19 @@ def test_threshold_expression_errors():
         threshold_count("0", 10)
     with pytest.raises(ValueError):
         threshold_count("n^-1", 10)
+    # n^p must stay below 2^1024; past it, and for a decimal exponent too
+    # long to expand, the error comes at once
+    for expr in ("n^400", "n^1000000", "n^100000000", "n^1e10000000", "n^1e-10000000"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            threshold_count(expr, 10)
+        assert time.perf_counter() - start < 1, expr
+    with pytest.raises(ValueError, match="not below 2\\^1024"):
+        threshold_count("n^1024", 2)
+    assert threshold_count("n^1023", 2) == 2**1023
+    assert threshold_count("n^308", 10) == 10**308
+    assert main(["influencer", "--n", "10", "--threshold", "n^1000000"]) == 2
+    assert capsys.readouterr().err == "popsim: 10^1000000 is not below 2^1024, the float range of thresholds\n"
 
 
 # -------------------------------------------------------------------------- run
@@ -611,6 +625,22 @@ def test_export_graph_step_zero(tmp_path):
     assert code == 0
     text = out.read_text()
     assert "layer=0 size=1 members=3" in text
+
+
+def test_export_graph_step_zero_counts_one_layer(tmp_path, monkeypatch, capsys):
+    # --dot names the 5 agents of layer 0 even at --step 0, so one layer of
+    # 5 + 2 edges is counted
+    out, dot = tmp_path / "graph.txt", tmp_path / "graph.dot"
+    args = ["export-graph", "--fixture", "--agent", "0", "--step", "0",
+            "--out", str(out), "--dot", str(dot)]
+    monkeypatch.setenv("POPSIM_BUDGET", "6")
+    assert main(args) == 3
+    assert "1 layers of 5 agents = 7 edges exceed budget 6" in capsys.readouterr().err
+    assert not out.exists()
+    assert not dot.exists()
+    monkeypatch.setenv("POPSIM_BUDGET", "7")
+    assert main(args) == 0
+    assert dot.read_text().count(" -> ") == 0
 
 
 def test_export_graph_from_saved_log_is_stable(tmp_path):

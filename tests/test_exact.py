@@ -267,6 +267,21 @@ def test_unreachable_target_raises():
     space = enumerate_reachable(pairwise_elimination(3), 3)
     with pytest.raises(NonAbsorbingError):
         expected_hitting_steps(space, lambda c: output_vector(space.protocol, c).count(LEADER) == 0)
+    # From (0, 0, 0) the walk reaches (1, 0, 1) and (1, 1, 0), whose one
+    # leader never passes to agent 0: each is a closed class of one
+    # configuration, and the error names one of them.
+    with pytest.raises(NonAbsorbingError) as err:
+        expected_hitting_steps(space, lambda c: c == (0, 1, 1))
+    named = str(err.value).removeprefix("target unreachable from configuration ")
+    assert named in {"(1, 0, 1)", "(1, 1, 0)"}
+
+
+def test_stuck_configurations_behind_the_target_do_not_raise():
+    # every first step leaves two leaders; the one-leader configurations
+    # after them never return to two, but the target is hit before them
+    space = enumerate_reachable(pairwise_elimination(3), 3)
+    two_leaders = lambda c: output_vector(space.protocol, c).count(LEADER) == 2
+    assert expected_hitting_steps(space, two_leaders) == 1
 
 
 def test_empty_target_raises():

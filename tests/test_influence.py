@@ -23,6 +23,7 @@ from popsim import (
     sources_reaching,
 )
 from popsim import influence
+from popsim.core import step_budget
 from popsim.influence import (
     DEMO_SCHEDULE_N5,
     INFLUENCER_EVENT,
@@ -276,6 +277,25 @@ def test_threshold_at_population_size_never_reached():
     assert INFLUENCER_EVENT not in rec.event_steps
     assert rec.truncated
     assert rec.steps_taken == 400
+
+
+def test_unreachable_threshold_skips_the_kernel(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(influence, "_crossing_step", kernel)
+    for n, threshold, max_steps in [(5, 5, 400), (5, 7.5, 400), (4096, 4096, None)]:
+        rec = first_exceed_time(leave_init(n), n, seed=4, threshold=threshold, max_steps=max_steps)
+        budget = step_budget(n, max_steps)
+        assert (rec.seed, rec.n, rec.steps_taken, rec.event_steps, rec.final_states, rec.truncated) == (
+            4, n, budget, {}, None, True)
+    # extra observers still see the budget's steps, replayed on the agent engine
+    recorder = ScheduleRecorder(5)
+    rec = first_exceed_time(leave_init(5), 5, seed=4, threshold=5, max_steps=400,
+                            extra_observers=[recorder])
+    assert (rec.seed, rec.n, rec.steps_taken, rec.event_steps, rec.truncated) == (4, 5, 400, {}, True)
+    assert rec.final_states == run_trial(leave_init(5), 5, 4, max_steps=400).final_states
+    assert recorder.log.entries == [Interaction(u, v) for u, v in islice(pair_stream(4, 5), 400)]
 
 
 def test_threshold_below_one_rejected():
@@ -549,6 +569,9 @@ def test_log_load_skips_blank_lines_and_keeps_its_messages(tmp_path):
         ("x\n0 1\n", f"{path}: first line must be the population size"),
         ("4\n1 2 3\n", f"{path}: malformed entry '1 2 3'"),
         ("4\n1 2\n3\n", f"{path}: malformed entry '3'"),
+        ("3\n0 x\n", f"{path}: malformed entry '0 x'"),
+        ("3\n0 5\n", f"{path}: interaction Interaction(initiator=0, responder=5) out of range for n=3"),
+        ("3\n1 1\n", f"{path}: initiator and responder must be distinct"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError) as err:
