@@ -57,6 +57,16 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
+def _number(text: str) -> Fraction:
+    """``Fraction(text)``, with a decimal exponent (``1e-3``) of at most 4300,
+    Python's digit limit for integer strings: Fraction expands the exponent
+    digit by digit, which takes seconds past about 10^6."""
+    scale = re.search(r"[eE]([-+]?[\d_]+)", text)
+    if scale and abs(int(scale[1])) > 4300:
+        raise ValueError(f"decimal exponent of {text!r} passes 4300")
+    return Fraction(text)
+
+
 def threshold_count(expr: str, n: int) -> int:
     """Evaluate a threshold expression for one population size.
 
@@ -64,8 +74,8 @@ def threshold_count(expr: str, n: int) -> int:
     ``log(n)`` (natural log), or a plain number.  Results are rounded up with
     exact integer arithmetic for the power form, matching the convention used
     by the analytic oracles.  For A = p/q in lowest terms, n^p must be below
-    2^1024; a decimal exponent in A (``1e-3``) may not pass 4300, Python's
-    digit limit for integer strings, as Fraction expands it digit by digit.
+    2^1024; a decimal exponent, in A or in a plain number, may not pass 4300
+    (see :func:`_number`).
     """
     expr = expr.strip()
     if expr == "log(n)":
@@ -74,10 +84,7 @@ def threshold_count(expr: str, n: int) -> int:
         value = n
     elif expr.startswith("n^"):
         try:
-            scale = re.search(r"[eE]([-+]?[\d_]+)", expr)
-            if scale and abs(int(scale[1])) > 4300:
-                raise ValueError
-            a = Fraction(expr[2:])
+            a = _number(expr[2:])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad exponent in threshold expression {expr!r}") from None
         if a < 0:
@@ -85,7 +92,7 @@ def threshold_count(expr: str, n: int) -> int:
         value = ceil_rational_power(n, a.numerator, a.denominator)
     else:
         try:
-            value = math.ceil(Fraction(expr))
+            value = math.ceil(_number(expr))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"unsupported threshold expression {expr!r}") from None
     if value < 1:
@@ -277,6 +284,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_influencer(args) -> int:
+    # The kernel keeps n-entry lists and 8 bytes a step, about n ln n steps,
+    # so n itself is the work counted against the budget.
+    budget = _budget()
+    for n in args.n:
+        if n > budget:
+            raise BudgetExceededError(f"n={n} exceeds budget {budget}")
     trial_rows = []
     summary_rows = []
     series_done = False
@@ -350,8 +363,8 @@ def cmd_coupon(args) -> int:
 
 
 def _budget() -> int:
-    """The resource budget of ``exact`` and ``export-graph``: ``POPSIM_BUDGET``,
-    or ``DEFAULT_BUDGET``."""
+    """The resource budget of ``exact``, ``export-graph`` and ``influencer``:
+    ``POPSIM_BUDGET``, or ``DEFAULT_BUDGET``."""
     return int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
 
 

@@ -40,7 +40,8 @@ Config = tuple[int, ...]
 
 class BudgetExceededError(RuntimeError):
     """The work asked for exceeds the budget: the potential configuration
-    space of an enumeration, or the edges of an exported graph."""
+    space of an enumeration, the edges of an exported graph, the population
+    of an influencer sweep, or the masks of a crossing kernel past the cap."""
 
 
 class NonAbsorbingError(RuntimeError):

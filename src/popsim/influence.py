@@ -24,8 +24,13 @@ Sets are represented as arbitrary-precision integers used as bit vectors
 (bit u set means agent u belongs), so a union is one word-parallel ``|`` and
 a size is one ``bit_count()``.  An agent's mask is made at its first
 interaction, so memory grows with the sets a run reaches, up to n*n/8 bytes
-per table; tables are capped at n <= 2**17, which keeps exactness instead of
-trading it for scale.
+per table.  Only masks are capped: a table, and the crossing kernel's switch
+to masks below, refuse n > ``MAX_TRACKED_AGENTS`` (2**17), which keeps
+exactness instead of trading it for scale.
+
+A schedule, whether a log or the kernel's recorded prefix, is kept as two
+``array('I')`` columns of initiators and responders, 8 bytes a step, so a
+population is below 2**32.
 
 First crossings of a size threshold (:func:`first_exceed_time`) run on a
 stream kernel that reads the pairs of ``rng.pair_blocks`` and applies no
@@ -33,20 +38,21 @@ protocol, since influence does not depend on states.  Per step it keeps only
 an upper bound on each set's size: a merged set's bound is the sum of the two
 participants' bounds (when one agent is tracked, other bounds are capped at
 n), which never falls below the true size, so no crossing is skipped.  It
-also records the prefix of the stream, block by block.  Only a bound above
-the threshold needs an exact size, and one backward scan of the recorded
-prefix gives it: the :func:`backward_step` recurrence from the two
+also records the prefix of the stream as an :class:`InteractionLog`.  Only a
+bound above the threshold needs an exact size, and one backward scan of the
+recorded prefix gives it: the :func:`backward_step` recurrence from the two
 participants, counted on a flag per agent rather than stored, whose result
 then replaces both bounds.  A scan reads the whole prefix, so once the scans
 of a trial pass a multiple of its current step in all (as with thresholds
 near n, whose bounds overflow at almost every step; the multiple is
 ``SWITCH_MULTIPLE`` below n=8192 and grows with n, as a union of n-bit masks
-grows dearer than a scanned pair), the kernel
-replays the prefix into masks as :class:`InfluencerTable` keeps them and goes
-on with a union per step and a ``bit_count()`` where the bound passes the
-threshold.  Memory grows with the prefix, about 80 bytes per step at
-n=16384, and reaches n*n/8 bytes only after a switch.  The kernel is the only
-implementation of the crossing rule.
+grows dearer than a scanned pair), the kernel replays the prefix with
+:func:`forward_sets` and goes on with a union per step and a
+``bit_count()`` where the bound passes the threshold.  Without a switch
+memory is the prefix's 8 bytes a step and two lists of n entries, so n is
+limited by time rather than by the mask cap; a switch at n above the cap
+raises :class:`~popsim.exact.BudgetExceededError` rather than approximate.
+The kernel is the only implementation of the crossing rule.
 
 The schedule of a trial is the first ``steps_taken`` pairs of its pair
 stream, whatever the protocol, so everything else a trial's influence is
@@ -57,13 +63,14 @@ rather than running a second crossing check.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from array import array
+from functools import cache
 from pathlib import Path
 from itertools import accumulate, chain, islice
 from typing import Iterable, Iterator, Optional, Union
 
 from .core import Interaction, Protocol, TrialRecord, run_trial, step_budget
-from .rng import PairBlock, pair_blocks
+from .rng import MAX_BLOCK, PairBlock, pair_blocks
 
 MAX_TRACKED_AGENTS = 1 << 17
 
@@ -83,28 +90,50 @@ DEMO_SCHEDULE_N5: tuple[Interaction, ...] = (
 )
 
 
-@dataclass
+def _check_population(n: int) -> None:
+    if not 1 <= n < 1 << 32:
+        raise ValueError("population size must be >= 1 and below 2^32, the range of a schedule's entries")
+
+
 class InteractionLog:
-    """A recorded schedule: entry j is the j-th interaction of the run."""
+    """A recorded schedule: entry j is the j-th interaction of the run.
 
-    n: int
-    entries: list[Interaction] = field(default_factory=list)
+    The entries live in two ``array('I')`` columns, ``initiators`` and
+    ``responders``, 8 bytes a step; indexing and iteration give them as
+    :class:`Interaction` values, and ``entries`` as a list of them.
+    """
 
-    def append(self, e: Interaction) -> None:
-        if not (0 <= e.initiator < self.n and 0 <= e.responder < self.n):
-            raise ValueError(f"interaction {e} out of range for n={self.n}")
-        if e.initiator == e.responder:
+    __slots__ = ("n", "initiators", "responders")
+
+    def __init__(self, n: int, entries: Iterable[tuple[int, int]] = ()):
+        _check_population(n)
+        self.n = n
+        self.initiators = array("I")
+        self.responders = array("I")
+        for e in entries:
+            self.append(e)
+
+    def append(self, e: tuple[int, int]) -> None:
+        u, v = e
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"interaction {Interaction(u, v)} out of range for n={self.n}")
+        if u == v:
             raise ValueError("initiator and responder must be distinct")
-        self.entries.append(e)
+        self.initiators.append(u)
+        self.responders.append(v)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.initiators)
 
-    def __iter__(self):
-        return iter(self.entries)
+    def __iter__(self) -> Iterator[Interaction]:
+        return map(Interaction, self.initiators, self.responders)
 
     def __getitem__(self, j: int) -> Interaction:
-        return self.entries[j]
+        return Interaction(self.initiators[j], self.responders[j])
+
+    @property
+    def entries(self) -> list[Interaction]:
+        return list(self)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "InteractionLog":
@@ -118,14 +147,17 @@ class InteractionLog:
                 n = int(first)
             except ValueError:
                 raise ValueError(f"{path}: first line must be the population size") from None
-            log = cls(n)
+            try:
+                log = cls(n)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             for ln in lines:
                 try:
                     u, v = map(int, ln.split())
                 except ValueError:
                     raise ValueError(f"{path}: malformed entry {ln!r}") from None
                 try:
-                    log.append(Interaction(u, v))
+                    log.append((u, v))
                 except ValueError as exc:
                     raise ValueError(f"{path}: {exc}") from None
         return log
@@ -141,14 +173,7 @@ def write_log(n: int, pairs: Iterable[tuple[int, int]], path: Union[str, Path]) 
 
 
 def demo_log() -> InteractionLog:
-    return InteractionLog(5, list(DEMO_SCHEDULE_N5))
-
-
-def _check_tracked_size(n: int) -> None:
-    if n < 1:
-        raise ValueError("population size must be >= 1")
-    if n > MAX_TRACKED_AGENTS:
-        raise ValueError(f"influencer tracking is capped at n <= {MAX_TRACKED_AGENTS}")
+    return InteractionLog(5, DEMO_SCHEDULE_N5)
 
 
 class InfluencerTable:
@@ -164,7 +189,10 @@ class InfluencerTable:
     __slots__ = ("n", "step", "masks")
 
     def __init__(self, n: int):
-        _check_tracked_size(n)
+        if n < 1:
+            raise ValueError("population size must be >= 1")
+        if n > MAX_TRACKED_AGENTS:
+            raise ValueError(f"influencer tracking is capped at n <= {MAX_TRACKED_AGENTS}")
         self.n = n
         self.step = 0
         self.masks: list[int] = [0] * n
@@ -203,8 +231,12 @@ def forward_sets(log: InteractionLog, t: Optional[int] = None) -> InfluencerTabl
         t = len(log)
     _check_step(log, t)
     table = InfluencerTable(log.n)
-    for j in range(t):
-        table.update(log[j])
+    masks = table.masks
+    # InfluencerTable.update, inlined: the crossing kernel's switch replays
+    # its whole prefix here
+    for u, v in islice(zip(log.initiators, log.responders), t):
+        masks[u] = masks[v] = (masks[u] or 1 << u) | (masks[v] or 1 << v)
+    table.step = t
     return table
 
 
@@ -278,7 +310,7 @@ class ScheduleRecorder:
         self.log = InteractionLog(n)
 
     def notify(self, trial, e: Interaction, old, new) -> None:
-        self.log.entries.append(e)
+        self.log.append(e)
 
 
 def first_exceed_time(
@@ -300,6 +332,13 @@ def first_exceed_time(
     has more than n members, so a threshold of n or more returns that
     truncated record at once, without running the kernel.
 
+    The kernel keeps 8 bytes a step of the pair stream and two lists of n
+    entries, so n may pass ``MAX_TRACKED_AGENTS``; it must be below 2**32.
+    Only a switch to masks (see the module docstring) at such an n raises
+    :class:`~popsim.exact.BudgetExceededError`, as it would need masks past
+    the cap.  At n = 2**20 the n^(2/3) crossing comes near 3.5 million
+    steps, a prefix of about 28 MB.
+
     The stream kernel finds the crossing without applying ``protocol``, so
     the record's ``final_states`` is None.  With ``extra_observers``, the
     kernel's ``steps_taken`` interactions are then replayed through
@@ -309,9 +348,9 @@ def first_exceed_time(
     extra_observers = tuple(extra_observers)
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
+    _check_population(n)
     if agent is not None:
         _check_agent(n, agent)
-    _check_tracked_size(n)
     budget = step_budget(n, max_steps)
     step = _crossing_step(seed, n, threshold, agent, budget) if threshold < n else None
     if step is None:
@@ -344,9 +383,12 @@ SWITCH_MULTIPLE = 3
 def _switch_multiple(n: int) -> float:
     return SWITCH_MULTIPLE * max(1, n >> 12)
 
-# The prefix keeps each block of the pair stream as read: a short list of
-# pairs, or the Python lists of its initiators and responders.
-_Recorded = Union[list[tuple[int, int]], tuple[list[int], list[int]]]
+
+@cache
+def _positions() -> list[int]:
+    """The positions a pair can take in a block: a block of the pair stream
+    draws at most MAX_BLOCK words and each pair at least one."""
+    return list(range(MAX_BLOCK))
 
 
 def _crossing_step(seed: int, n: int, threshold: float, agent: Optional[int], budget: int) -> Optional[int]:
@@ -355,26 +397,37 @@ def _crossing_step(seed: int, n: int, threshold: float, agent: Optional[int], bu
     participant's set (the tracked agent's, when there is one) has more than
     ``threshold`` members, or None."""
     bound = [1] * n  # bound[v] >= the size of v's set
-    prefix: Optional[list[_Recorded]] = []  # the blocks read, until the switch
+    prefix: Optional[InteractionLog] = InteractionLog(n)  # the pairs read, until the switch
+    first = read = 0  # the step of the current block's first pair; pairs read
 
-    def record(block: PairBlock) -> Iterable[tuple[int, int]]:
-        if type(block) is not list:
-            block = block[0].tolist(), block[1].tolist()
+    def record(block: PairBlock) -> Iterator[tuple[int, int, int]]:
+        """The block's pairs with their positions in it.  A pair's step is
+        ``first`` plus its position, worked out only where the loop needs
+        it: the positions are shared ints, where a count of every step would
+        make a new int per step."""
+        nonlocal first, read
+        if type(block) is list:  # a short block comes as pairs
+            U, V = array("I", [u for u, _ in block]), array("I", [v for _, v in block])
+        else:
+            U, V = (array("I", X.astype("u4").tobytes()) for X in block)
         if prefix is not None:
-            prefix.append(block)
-        return _block_pairs(block)
+            prefix.initiators += U
+            prefix.responders += V
+        first, read = read + 1, read + len(U)
+        return zip(U, V, _positions())
 
-    stream = zip(range(1, budget + 1), chain.from_iterable(map(record, pair_blocks(seed, n))))
+    stream = islice(chain.from_iterable(map(record, pair_blocks(seed, n))), budget)
     scanned = 0  # pairs read by the backward scans
     multiple = _switch_multiple(n)
-    for step, (u, v) in stream:
+    for u, v, j in stream:
         size = bound[u] + bound[v]
         if size > threshold:
             if agent is None or agent == u or agent == v:
+                step = first + j
                 if scanned + step - 1 > multiple * step:
                     break
                 scanned += step - 1
-                size = _backward_size(prefix, step - 1, u, v, threshold, n)
+                size = _backward_size(prefix, step - 1, u, v, threshold)
                 if size > threshold:
                     return step
             elif size > n:  # no set has more than n members
@@ -384,55 +437,45 @@ def _crossing_step(seed: int, n: int, threshold: float, agent: Optional[int], bu
         return None
     # The switch: the masks of every set before this step, then this step and
     # the rest with an exact popcount wherever the bound passes the threshold.
-    masks = _replay_masks(prefix, step - 1, n)
+    if n > MAX_TRACKED_AGENTS:
+        # imported here: loading exact from within this module's import
+        # raised the peak memory of `import popsim.cli` by about 0.25 MB
+        from .exact import BudgetExceededError
+
+        raise BudgetExceededError(
+            f"the crossing kernel needs masks at step {step}, and masks are capped at n <= {MAX_TRACKED_AGENTS}"
+        )
+    masks = forward_sets(prefix, step - 1).masks
     prefix = None
-    for step, (u, v) in chain([(step, (u, v))], stream):
+    for u, v, j in chain([(u, v, j)], stream):
         masks[u] = masks[v] = merged = (masks[u] or 1 << u) | (masks[v] or 1 << v)
         size = bound[u] + bound[v]
         if size > threshold:
             if agent is None or agent == u or agent == v:
                 size = merged.bit_count()
                 if size > threshold:
-                    return step
+                    return first + j
             elif size > n:
                 size = n
         bound[u] = bound[v] = size
     return None
 
 
-def _replay_masks(prefix: list[_Recorded], t: int, n: int) -> list[int]:
-    """The masks of all sets after the first ``t`` pairs of ``prefix``, as
-    :class:`InfluencerTable` keeps them (0 for an agent yet to interact)."""
-    masks = [0] * n
-    for u, v in islice(chain.from_iterable(map(_block_pairs, prefix)), t):
-        masks[u] = masks[v] = (masks[u] or 1 << u) | (masks[v] or 1 << v)
-    return masks
-
-
-def _block_pairs(block: _Recorded) -> Iterable[tuple[int, int]]:
-    return block if type(block) is list else zip(*block)
-
-
-def _backward_size(prefix: list[_Recorded], t: int, u: int, v: int, limit: float, n: int) -> int:
+def _backward_size(log: InteractionLog, t: int, u: int, v: int, limit: float) -> int:
     """The size of the union of the sets of ``u`` and ``v`` after the first
-    ``t`` pairs of ``prefix``, or a number above ``limit`` once the count
+    ``t`` entries of ``log``, or a number above ``limit`` once the count
     passes it.
 
-    One backward scan of those pairs, newest first, by the recurrence of
+    One backward scan of those entries, newest first, by the recurrence of
     :func:`backward_step` counted on a membership flag per agent: a pair
     with exactly one member adds the other agent.
     """
-    member = [False] * n
+    member = [False] * log.n
     member[u] = member[v] = True
     size = 2
-    # the pairs after the first t, all in the newest block
-    skip = sum(len(block) if type(block) is list else len(block[0]) for block in prefix) - t
-    for block in reversed(prefix):
-        pairs = reversed(block) if type(block) is list else zip(reversed(block[0]), reversed(block[1]))
-        if skip:
-            pairs = islice(pairs, skip, None)
-            skip = 0
-        for a, b in pairs:
+    # views, so the scan copies nothing; the log cannot grow while they last
+    with memoryview(log.initiators) as initiators, memoryview(log.responders) as responders:
+        for a, b in zip(reversed(initiators[:t]), reversed(responders[:t])):
             if member[a] is not member[b]:
                 member[a] = member[b] = True
                 size += 1

@@ -60,8 +60,9 @@ def test_threshold_expression_errors(capsys):
     with pytest.raises(ValueError):
         threshold_count("n^-1", 10)
     # n^p must stay below 2^1024; past it, and for a decimal exponent too
-    # long to expand, the error comes at once
-    for expr in ("n^400", "n^1000000", "n^100000000", "n^1e10000000", "n^1e-10000000"):
+    # long to expand, in a power or a plain number, the error comes at once
+    for expr in ("n^400", "n^1000000", "n^100000000", "n^1e10000000", "n^1e-10000000",
+                 "1e10000000", "1e-10000000", "1e4301"):
         start = time.perf_counter()
         with pytest.raises(ValueError):
             threshold_count(expr, 10)
@@ -70,6 +71,7 @@ def test_threshold_expression_errors(capsys):
         threshold_count("n^1024", 2)
     assert threshold_count("n^1023", 2) == 2**1023
     assert threshold_count("n^308", 10) == 10**308
+    assert threshold_count("1e4300", 10) == 10**4300
     assert main(["influencer", "--n", "10", "--threshold", "n^1000000"]) == 2
     assert capsys.readouterr().err == "popsim: 10^1000000 is not below 2^1024, the float range of thresholds\n"
 
@@ -599,6 +601,19 @@ def test_exact_budget_env_exit_3(tmp_path, monkeypatch, capsys):
     code = main(["exact", "--protocol", "pairwise-elimination", "--n", "8"])
     assert code == 3
     assert "exceeds budget 10" in capsys.readouterr().err
+
+
+def test_influencer_counts_n_against_the_budget(tmp_path, monkeypatch, capsys):
+    # The crossing kernel builds no masks on its own, so the mask cap does
+    # not bound n; the budget does, before any trial runs or output opens.
+    out = tmp_path / "inf.csv"
+    monkeypatch.setenv("POPSIM_BUDGET", "63")
+    assert main(["influencer", "--n", "8", "--n", "64", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "popsim: n=64 exceeds budget 63\n"
+    assert not out.exists()
+    monkeypatch.setenv("POPSIM_BUDGET", "64")
+    assert main(["influencer", "--n", "8", "--n", "64", "--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 2
 
 
 # ----------------------------------------------------------------- export-graph

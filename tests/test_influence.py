@@ -23,11 +23,12 @@ from popsim import (
     sources_reaching,
 )
 from popsim import influence
+from popsim.cli import main
 from popsim.core import step_budget
+from popsim.exact import BudgetExceededError
 from popsim.influence import (
     DEMO_SCHEDULE_N5,
     INFLUENCER_EVENT,
-    MAX_TRACKED_AGENTS,
     InfluencerTable,
     InteractionLog,
     ScheduleRecorder,
@@ -390,7 +391,7 @@ def test_stream_kernel_matches_observer_route(n):
         (4, 0, {}),
         (4, 2, {"max_steps": -1}),
         (1, 1, {}),
-        (MAX_TRACKED_AGENTS + 1, 2, {}),
+        (1 << 32, 2, {}),  # past the uint32 entries of a schedule
         (4, 2, {"agent": 4}),
     ],
 )
@@ -425,22 +426,23 @@ def test_single_agent_mode_waits_for_that_agent():
 
 
 def _kernel_counters(monkeypatch):
-    """Wrap the kernel's backward scan and its switch to masks; the returned
-    dict counts the pairs the scans read (each reads the first ``t`` pairs
-    of the prefix, or stops early) and the switches."""
+    """Wrap the kernel's backward scan and its switch to masks (the one
+    ``forward_sets`` call of a trial); the returned dict counts the pairs the
+    scans read (each reads the first ``t`` pairs of the prefix, or stops
+    early) and the switches."""
     seen = {"scanned": 0, "switches": 0}
-    scan, replay = influence._backward_size, influence._replay_masks
+    scan, replay = influence._backward_size, influence.forward_sets
 
     def counted_scan(prefix, t, *args):
         seen["scanned"] += t
         return scan(prefix, t, *args)
 
-    def counted_replay(prefix, t, n):
+    def counted_replay(prefix, t):
         seen["switches"] += 1
-        return replay(prefix, t, n)
+        return replay(prefix, t)
 
     monkeypatch.setattr(influence, "_backward_size", counted_scan)
-    monkeypatch.setattr(influence, "_replay_masks", counted_replay)
+    monkeypatch.setattr(influence, "forward_sets", counted_replay)
     return seen
 
 
@@ -511,6 +513,44 @@ def test_kernel_memory_grows_with_the_prefix_not_the_masks():
     assert peak < 8 * 2**20
 
 
+def test_kernel_keeps_its_prefix_at_8_bytes_a_step():
+    # The prefix of 32665 steps takes about 260 kB as two uint32 arrays, and
+    # the bounds and a scan's flags about 130 kB each.
+    n = 16384
+    protocol = leave_init(n)
+    import numpy  # noqa: F401  popsim imports it on first use; its import is not the kernel's memory
+
+    tracemalloc.start()
+    try:
+        rec = first_exceed_time(protocol, n, derive_seed(0, 0), 646)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.event_steps[INFLUENCER_EVENT] == 32665
+    assert peak < 2**20
+
+
+def test_switch_above_the_mask_cap_exceeds_the_budget(monkeypatch):
+    # Masks are the only capped part: past the cap, a kernel that needs them
+    # stops with the budget error (exit 3) rather than approximate.  A
+    # threshold near n overflows at almost every step, so the scans pass
+    # their share and the kernel reaches its switch.
+    n, seed = 100, derive_seed(100, 0)
+    seen = _kernel_counters(monkeypatch)
+    first_exceed_time(leave_init(n), n, seed, n - 1)
+    assert seen["switches"] == 1
+    low = first_exceed_time(leave_init(n), n, seed, 21)
+    assert seen["switches"] == 1
+    monkeypatch.setattr(influence, "MAX_TRACKED_AGENTS", 64)
+    seen.update(scanned=0)
+    with pytest.raises(BudgetExceededError, match="masks are capped at n <= 64"):
+        first_exceed_time(leave_init(n), n, seed, n - 1)
+    assert seen["scanned"] > 0 and seen["switches"] == 1
+    assert main(["influencer", "--n", str(n), "--threshold", str(n - 1), "--trials", "1"]) == 3
+    # a run that needs no masks is the same past the cap
+    assert _fields(first_exceed_time(leave_init(n), n, seed, 21)) == _fields(low)
+
+
 def test_series_tracking(tmp_path):
     recorder = ScheduleRecorder(4)
     run_trial(leave_init(4), 4, seed=3, max_steps=6, observers=[recorder])
@@ -548,6 +588,26 @@ def test_log_save_load_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "9"
     assert lines[1] == f"{log[0].initiator} {log[0].responder}"
+
+
+def test_long_log_loads_at_8_bytes_a_step(tmp_path):
+    # Two uint32 arrays hold these entries in 1.6 MB; one Interaction tuple
+    # per entry would take about 16 MB.
+    n, steps = 300, 200_000
+    path = tmp_path / "long.log"
+    write_log(n, islice(pair_stream(12, n), steps), path)
+    tracemalloc.start()
+    try:
+        log = InteractionLog.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    written = [Interaction(*e) for e in islice(pair_stream(12, n), steps)]
+    assert len(log) == steps
+    assert [log[j] for j in (0, 1, steps - 1, -1)] == [written[j] for j in (0, 1, steps - 1, -1)]
+    assert list(log) == log.entries == written
+    assert type(log[7]) is type(next(iter(log))) is Interaction
 
 
 def test_log_load_rejects_garbage(tmp_path):
