@@ -39,6 +39,7 @@ from .influence import (
     INFLUENCER_EVENT,
     InteractionLog,
     backward_sets,
+    check_mask_cap,
     demo_log,
     first_exceed_time,
     layered_edges,
@@ -290,6 +291,8 @@ def cmd_influencer(args) -> int:
     for n in args.n:
         if n > budget:
             raise BudgetExceededError(f"n={n} exceeds budget {budget}")
+    if args.series_out:
+        check_mask_cap(args.n[0])  # the series of the first size replays masks
     trial_rows = []
     summary_rows = []
     series_done = False
@@ -364,8 +367,17 @@ def cmd_coupon(args) -> int:
 
 def _budget() -> int:
     """The resource budget of ``exact``, ``export-graph`` and ``influencer``:
-    ``POPSIM_BUDGET``, or ``DEFAULT_BUDGET``."""
-    return int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
+    ``POPSIM_BUDGET``, a non-negative integer, or ``DEFAULT_BUDGET``."""
+    text = os.environ.get(BUDGET_ENV)
+    if text is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(text)
+        if budget < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV}={text!r} is not a non-negative integer") from None
+    return budget
 
 
 def cmd_exact(args) -> int:

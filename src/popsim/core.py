@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .rng import Splitmix64, pair_blocks
@@ -43,52 +41,77 @@ class Interaction(NamedTuple):
     responder: int
 
 
-@dataclass(frozen=True)
 class Protocol:
-    """Immutable protocol definition, shareable across concurrent trials.
+    """Protocol definition, shareable across concurrent trials.
 
     ``transitions[a][b]`` is the ordered pair of next states when an agent in
     state ``a`` initiates an interaction with a responder in state ``b``.
     The table is total by construction, so every reachable state id is valid.
+    A protocol is not modified after construction: it compares and hashes
+    by its five fields.
     """
 
-    num_states: int
-    initial_state: int
-    transitions: TransitionTable
-    outputs: tuple[str, ...]
-    name: str = ""
+    __slots__ = ("num_states", "initial_state", "transitions", "outputs", "name", "_mask")
 
-    def __post_init__(self):
-        if self.num_states < 1:
+    def __init__(
+        self,
+        num_states: int,
+        initial_state: int,
+        transitions: TransitionTable,
+        outputs: tuple[str, ...],
+        name: str = "",
+    ):
+        if num_states < 1:
             raise ValueError("protocol needs at least one state")
-        if not 0 <= self.initial_state < self.num_states:
+        if not 0 <= initial_state < num_states:
             raise ValueError("initial state out of range")
-        if len(self.transitions) != self.num_states:
+        if len(transitions) != num_states:
             raise ValueError("transition table must have one row per state")
-        for a, row in enumerate(self.transitions):
-            if len(row) != self.num_states:
+        for a, row in enumerate(transitions):
+            if len(row) != num_states:
                 raise ValueError(f"transition row {a} is not total")
             for pair in row:
-                if len(pair) != 2 or not all(0 <= s < self.num_states for s in pair):
+                if len(pair) != 2 or not all(0 <= s < num_states for s in pair):
                     raise ValueError(f"transition entry {pair} out of range")
-        if len(self.outputs) != self.num_states:
+        if len(outputs) != num_states:
             raise ValueError("outputs must be total over states")
+        self.num_states = num_states
+        self.initial_state = initial_state
+        self.transitions = transitions
+        self.outputs = outputs
+        self.name = name
+        self._mask = None
+
+    def _fields(self) -> tuple:
+        return self.num_states, self.initial_state, self.transitions, self.outputs, self.name
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is Protocol else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "Protocol({}, {}, {!r}, {!r}, name={!r})".format(*self._fields())
 
     def output_states(self, symbol: str) -> tuple[int, ...]:
         """State ids mapped to ``symbol`` by the output function."""
         return tuple(s for s, y in enumerate(self.outputs) if y == symbol)
 
-    @cached_property
+    @property
     def _changes(self) -> np.ndarray:
-        """Read-only flat mask: entry ``a * num_states + b`` says whether the
-        rule for initiator ``a`` and responder ``b`` changes a state."""
-        import numpy as np
+        """Read-only flat mask, built at first use: entry ``a * num_states +
+        b`` says whether the rule for initiator ``a`` and responder ``b``
+        changes a state."""
+        if self._mask is None:
+            import numpy as np
 
-        mask = np.array(
-            [pair != (a, b) for a, row in enumerate(self.transitions) for b, pair in enumerate(row)]
-        )
-        mask.flags.writeable = False
-        return mask
+            mask = np.array(
+                [pair != (a, b) for a, row in enumerate(self.transitions) for b, pair in enumerate(row)]
+            )
+            mask.flags.writeable = False
+            self._mask = mask
+        return self._mask
 
 
 def apply_interaction(protocol: Protocol, config: Sequence[int], e: Interaction) -> Configuration:
@@ -168,16 +191,38 @@ class Trial:
         self.step = 0
 
 
-@dataclass(slots=True)
 class TrialRecord:
-    """Summary of one finished execution."""
+    """Summary of one finished execution; equal to another record when every
+    field is."""
 
-    seed: int
-    n: int
-    steps_taken: int
-    event_steps: dict[str, int] = field(default_factory=dict)
-    final_states: Optional[Configuration] = None
-    truncated: bool = False
+    __slots__ = ("seed", "n", "steps_taken", "event_steps", "final_states", "truncated")
+
+    def __init__(
+        self,
+        seed: int,
+        n: int,
+        steps_taken: int,
+        event_steps: Optional[dict[str, int]] = None,
+        final_states: Optional[Configuration] = None,
+        truncated: bool = False,
+    ):
+        self.seed = seed
+        self.n = n
+        self.steps_taken = steps_taken
+        self.event_steps = {} if event_steps is None else event_steps
+        self.final_states = final_states
+        self.truncated = truncated
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in TrialRecord.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is TrialRecord else NotImplemented
+
+    def __repr__(self):
+        return "TrialRecord({})".format(
+            ", ".join(f"{name}={getattr(self, name)!r}" for name in TrialRecord.__slots__)
+        )
 
     @property
     def parallel_time(self) -> float:

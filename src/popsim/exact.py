@@ -17,19 +17,20 @@ space in exact rational arithmetic, one strongly connected component of the
 non-target subgraph at a time, in topological order with sinks first.  A
 component's unknowns depend only on its own and on already-solved
 components, so an acyclic chain (every catalog protocol, apart from
-self-loops) costs O(edges) Fraction operations and only components with
-cycles fall back to an elimination on their own block.  A component with no
-exit is a closed class that never reaches the target.  The solve uses no
-floating point and the module no numpy; the test suite checks it against a
-dense floating-point solve of the same system and that solve's residual.
+self-loops) costs O(edges) integer operations and one Fraction per
+configuration, and only components with cycles fall back to an elimination
+on their own block.  A component with no exit is a closed class that never
+reaches the target.  The solve uses no floating point and the module no
+numpy; the test suite checks it against a dense floating-point solve of the
+same system and that solve's residual.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from math import gcd
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import LEADER, Interaction, Protocol, apply_interaction, output_vector
 
@@ -48,7 +49,6 @@ class NonAbsorbingError(RuntimeError):
     """The target set is not reached with probability 1 from the start."""
 
 
-@dataclass
 class ConfigurationSpace:
     """All configurations reachable from the all-initial one, with structure.
 
@@ -58,11 +58,21 @@ class ConfigurationSpace:
     successors over all n(n-1) interactions).
     """
 
-    protocol: Protocol
-    n: int
-    configs: list[Config]
-    index: dict[Config, int]
-    successors: list[dict[int, int]]
+    __slots__ = ("protocol", "n", "configs", "index", "successors")
+
+    def __init__(
+        self,
+        protocol: Protocol,
+        n: int,
+        configs: list[Config],
+        index: dict[Config, int],
+        successors: list[dict[int, int]],
+    ):
+        self.protocol = protocol
+        self.n = n
+        self.configs = configs
+        self.index = index
+        self.successors = successors
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -123,8 +133,7 @@ def enumerate_reachable(
     )
 
 
-@dataclass(frozen=True)
-class SafetyVerdict:
+class SafetyVerdict(NamedTuple):
     """Classification of one configuration against the safety criterion.
 
     Unsafe verdicts carry a witness: either the offending leader count, or a
@@ -294,8 +303,9 @@ def expected_hitting_steps(
     one block whose right-hand side is N = n(n-1) plus its exits into solved
     components.  With c_ij the number of ordered interactions taking C_i to
     C_j, a configuration alone in its component is the 1x1 block
-    h(i) = (N + sum_{j != i} c_ij h(j)) / (N - c_ii).  A component with no
-    exit never reaches the target; the error names its lowest-index member.
+    h(i) = (N + sum_{j != i} c_ij h(j)) / (N - c_ii), solved in integers by
+    :func:`_solve_one`.  A component with no exit never reaches the target;
+    the error names its lowest-index member.
     """
     targets = frozenset(i for i, c in enumerate(space.configs) if target(c))
     if not targets:
@@ -306,26 +316,61 @@ def expected_hitting_steps(
     total = space.n * (space.n - 1)
     solved: dict[int, Fraction] = dict.fromkeys(targets, Fraction(0))
     for component in _components_sinks_first(space, 0, targets):
-        pos = {i: r for r, i in enumerate(component)}
-        m = len(component)
-        rows = [[Fraction(0) for _ in range(m)] for _ in range(m)]
-        rhs = [Fraction(total) for _ in range(m)]
-        closed = True
-        for r, i in enumerate(component):
-            rows[r][r] += Fraction(total)
-            for j, count in space.successors[i].items():
-                if j in pos:
-                    rows[r][pos[j]] -= Fraction(count)
-                else:
-                    rhs[r] += count * solved[j]
-                    closed = False
-        if closed:
+        if len(component) == 1:
+            values = _solve_one(space, component[0], total, solved)
+        else:
+            values = _solve_block(space, component, total, solved)
+        if values is None:
             raise NonAbsorbingError(
                 f"target unreachable from configuration {space.configs[min(component)]}"
             )
-        for i, value in zip(component, _solve_fractions(rows, rhs)):
-            solved[i] = value
+        solved.update(zip(component, values))
     return solved[0]
+
+
+def _solve_one(
+    space: ConfigurationSpace, i: int, total: int, solved: dict[int, Fraction]
+) -> Optional[list[Fraction]]:
+    """The 1x1 block h(i) = (N + sum_{j != i} c_ij h(j)) / (N - c_ii) in
+    integers: the sum is kept as num/den over the least common multiple of
+    the solved successors' denominators, so only the result is a Fraction.
+    None when every interaction loops back to ``i``."""
+    num, den, loops = total, 1, 0
+    for j, count in space.successors[i].items():
+        if j == i:
+            loops = count
+            continue
+        h = solved[j]
+        q = h.denominator
+        if den % q:
+            scale = q // gcd(den, q)
+            num *= scale
+            den *= scale
+        num += count * h.numerator * (den // q)
+    if loops == total:
+        return None
+    return [Fraction(num, den * (total - loops))]
+
+
+def _solve_block(
+    space: ConfigurationSpace, component: list[int], total: int, solved: dict[int, Fraction]
+) -> Optional[list[Fraction]]:
+    """A component with cycles, eliminated as one block in Fractions; None
+    when no interaction leaves it."""
+    pos = {i: r for r, i in enumerate(component)}
+    m = len(component)
+    rows = [[Fraction(0) for _ in range(m)] for _ in range(m)]
+    rhs = [Fraction(total) for _ in range(m)]
+    closed = True
+    for r, i in enumerate(component):
+        rows[r][r] += Fraction(total)
+        for j, count in space.successors[i].items():
+            if j in pos:
+                rows[r][pos[j]] -= Fraction(count)
+            else:
+                rhs[r] += count * solved[j]
+                closed = False
+    return None if closed else _solve_fractions(rows, rhs)
 
 
 def closed_form_pairwise(n: int) -> float:

@@ -176,6 +176,12 @@ def demo_log() -> InteractionLog:
     return InteractionLog(5, DEMO_SCHEDULE_N5)
 
 
+def check_mask_cap(n: int) -> None:
+    """Refuse masks for more than ``MAX_TRACKED_AGENTS`` agents (ValueError)."""
+    if n > MAX_TRACKED_AGENTS:
+        raise ValueError(f"influencer tracking is capped at n <= {MAX_TRACKED_AGENTS}")
+
+
 class InfluencerTable:
     """Forward influencer sets for every agent, updated incrementally.
 
@@ -191,8 +197,7 @@ class InfluencerTable:
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("population size must be >= 1")
-        if n > MAX_TRACKED_AGENTS:
-            raise ValueError(f"influencer tracking is capped at n <= {MAX_TRACKED_AGENTS}")
+        check_mask_cap(n)
         self.n = n
         self.step = 0
         self.masks: list[int] = [0] * n

@@ -429,6 +429,19 @@ def test_influencer_series_export(tmp_path):
     assert len(lines) > 1
 
 
+def test_series_out_past_the_mask_cap_exits_before_any_trial(tmp_path, monkeypatch, capsys):
+    def kernel(*args, **kwargs):
+        raise AssertionError("the crossing kernel ran")
+
+    monkeypatch.setattr("popsim.cli.first_exceed_time", kernel)
+    out, series = tmp_path / "inf.csv", tmp_path / "series.csv"
+    code = main(["influencer", "--n", "262144", "--trials", "2", "--out", str(out),
+                 "--series-out", str(series)])
+    assert code == 2
+    assert capsys.readouterr().err == "popsim: influencer tracking is capped at n <= 131072\n"
+    assert not out.exists() and not series.exists()
+
+
 def _influencer_outputs(tmp_path, name, argv):
     out = tmp_path / f"{name}.csv"
     assert main(["influencer", *argv, "--out", str(out)]) == 0
@@ -603,6 +616,15 @@ def test_exact_budget_env_exit_3(tmp_path, monkeypatch, capsys):
     assert "exceeds budget 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "1e7", ""])
+def test_bad_budget_env_exits_2_naming_it(monkeypatch, capsys, value):
+    monkeypatch.setenv("POPSIM_BUDGET", value)
+    assert main(["exact", "--protocol", "pairwise-elimination", "--n", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"popsim: POPSIM_BUDGET={value!r} is not a non-negative integer\n"
+    )
+
+
 def test_influencer_counts_n_against_the_budget(tmp_path, monkeypatch, capsys):
     # The crossing kernel builds no masks on its own, so the mask cap does
     # not bound n; the budget does, before any trial runs or output opens.
@@ -755,7 +777,7 @@ COLD_START = textwrap.dedent("""
     import sys
 
     def loaded():
-        return [m for m in ("numpy", "_hashlib") if m in sys.modules]
+        return [m for m in ("numpy", "_hashlib", "dataclasses", "inspect") if m in sys.modules]
 
     import popsim
 
@@ -781,7 +803,8 @@ COLD_START = textwrap.dedent("""
 
 
 def test_commands_without_pair_streams_load_neither_numpy_nor_hashlib(tmp_path):
-    # a fresh interpreter: this one has imported numpy long since
+    # nor dataclasses and inspect, which popsim's records do without; a
+    # fresh interpreter: this one has imported numpy long since
     src = Path(popsim.__file__).resolve().parent.parent
     result = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path / "out")],
                             env={**os.environ, "PYTHONPATH": str(src)},

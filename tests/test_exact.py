@@ -6,6 +6,7 @@ import pytest
 from popsim import (
     LEADER,
     Protocol,
+    exact,
     leave_init,
     output_vector,
     pairwise_elimination,
@@ -232,7 +233,7 @@ def test_pairwise_two_agents_one_step():
     assert steps == Fraction(1)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
 def test_pairwise_matches_square_closed_form(n):
     space = enumerate_reachable(pairwise_elimination(n), n)
     safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
@@ -325,12 +326,22 @@ def test_float_solver_agrees_with_exact():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_float_solver_agrees_on_a_cyclic_chain(n):
+def test_float_solver_agrees_on_a_cyclic_chain(n, monkeypatch):
     # Token swaps make multi-configuration strongly connected components, so
     # this exercises the block solve, not just one-configuration steps.
+    blocks = []
+    block_solve = exact._solve_fractions
+
+    def counted(rows, rhs):
+        blocks.append(len(rows))
+        return block_solve(rows, rhs)
+
+    monkeypatch.setattr(exact, "_solve_fractions", counted)
     space = enumerate_reachable(leader_swap_protocol(), n)
     target = lambda c: c.count(0) <= 1  # at most one fresh agent
     exact_value = expected_hitting_steps(space, target)
+    # at n = 3 the first step hits the target; from n = 4 on there are cycles
+    assert (n > 3) == bool(blocks) and all(m > 1 for m in blocks)
     value, residual = dense_hitting_steps(space, target)
     assert exact_value > 0
     assert value == pytest.approx(float(exact_value), rel=1e-12)

@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import popsim
 from popsim.rng import Splitmix64, derive_seed
 from popsim.stats import (
+    PERCENTILE_LEVELS,
     GeometricSumSpec,
     block_lower_bound,
     ceil_rational_power,
@@ -335,6 +342,31 @@ def test_summarize_percentiles_monotone():
 def test_summarize_rejects_empty():
     with pytest.raises(ValueError):
         summarize([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+    st.lists(st.integers(0, 7), min_size=1, max_size=60),
+)
+def test_summarize_percentiles_are_numpys_bits(pool, picks):
+    # a few distinct values drawn with repetition, so ties are common
+    samples = [pool[i % len(pool)] for i in picks]
+    got = summarize(samples).percentiles
+    want = np.percentile(np.asarray(samples, dtype=float), PERCENTILE_LEVELS)
+    assert [got[lvl].hex() for lvl in PERCENTILE_LEVELS] == [float(w).hex() for w in want]
+
+
+def test_summarize_leaves_numpy_ma_unloaded():
+    # a fresh interpreter: numpy.ma may have been loaded here by another test
+    code = (
+        "import sys; from popsim.stats import summarize; summarize([3.0, 1.0, 2.0]); "
+        "assert 'numpy' in sys.modules and 'numpy.ma' not in sys.modules"
+    )
+    src = Path(popsim.__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 # ------------------------------------------------------------------------- KS
