@@ -26,9 +26,8 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from . import __version__
-from .core import LEADER, Protocol, run_trial, step_budget
+from .core import LEADER, BudgetExceededError, Protocol, run_trial, step_budget
 from .exact import (
-    BudgetExceededError,
     DEFAULT_BUDGET,
     NonAbsorbingError,
     enumerate_reachable,
@@ -101,10 +100,13 @@ def threshold_count(expr: str, n: int) -> int:
     return value
 
 
-def _resolve_protocol(args, n: int) -> Protocol:
+def _resolve_protocol(args, n: int) -> Optional[Protocol]:
+    """The protocol of ``--protocol-file`` or ``--protocol`` at this n, or
+    None for a command that takes neither (``influencer``)."""
     if getattr(args, "protocol_file", None):
         return load_protocol(args.protocol_file)
-    return make_protocol(args.protocol, n)
+    name = getattr(args, "protocol", None)
+    return None if name is None else make_protocol(name, n)
 
 
 def _one_leader_stop(protocol: Protocol):
@@ -162,10 +164,8 @@ def _run_job(job) -> dict:
 
 
 def _influencer_job(job) -> dict:
-    protocol, n, threshold, trial_idx, seed, max_steps, agent = job
-    rec = first_exceed_time(
-        protocol, n, seed, threshold, max_steps=max_steps, agent=agent
-    )
+    _, n, threshold, trial_idx, seed, max_steps, agent = job
+    rec = first_exceed_time(None, n, seed, threshold, max_steps=max_steps, agent=agent)
     t_min = rec.event_steps.get(INFLUENCER_EVENT)
     ratio = t_min / (n * math.log(n)) if t_min is not None else None
     return {
@@ -195,7 +195,8 @@ def _sweep(args, job, *extra):
     """Run ``job`` on every trial of every ``--n``, yielding
     ``(n, threshold, rows)`` per size with the rows in trial order
     whatever ``--jobs``.  A job is ``(protocol, n, threshold, trial, seed,
-    max_steps, *extra)``; threshold is None when no ``--threshold`` is set."""
+    max_steps, *extra)``; threshold is None when no ``--threshold`` is set,
+    and protocol when the command takes none."""
     for n in args.n:
         protocol = _resolve_protocol(args, n)
         threshold = threshold_count(args.threshold, n) if args.threshold is not None else None
@@ -516,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write trial 0's size time series as CSV")
     _add_common(p_inf)
     # Influence growth does not depend on the protocol, so none is chosen.
-    p_inf.set_defaults(func=cmd_influencer, protocol="leave-init")
+    p_inf.set_defaults(func=cmd_influencer)
 
     p_coupon = sub.add_parser("coupon", help="initial-state drain experiment with analytic bound")
     p_coupon.add_argument("--threshold", default="n^2/3",

@@ -34,6 +34,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+class BudgetExceededError(RuntimeError):
+    """The work asked for exceeds the budget: the potential configuration
+    space of an enumeration, the edges of an exported graph, the population
+    of an influencer sweep, or the masks of a crossing kernel past the cap."""
+
+
 class Interaction(NamedTuple):
     """One ordered interaction; the two roles are asymmetric."""
 
@@ -308,20 +314,16 @@ def run_trial(
     # Each block is walked in segments that are stepped pair by pair: the rest
     # of the block, or, once ``skip_after`` nulls in a row have set
     # ``skipping``, the one state-changing pair that an array scan of the
-    # block finds, the null steps before it counted at once.  Short leading
-    # blocks and runs with observers are never scanned.  ``mirror`` (made at
-    # the first scan, which also imports numpy) is a numpy view of ``buf``, a
-    # copy of ``states`` kept in step with it.  No block is drawn for a run
-    # that ends at step 0.
+    # block finds, the null steps before it counted at once.  Runs with
+    # observers are never scanned.  ``mirror`` (made at the first scan, which
+    # also imports numpy) is a numpy view of ``buf``, a copy of ``states``
+    # kept in step with it.  No block is drawn for a run that ends at step 0.
     skipping, nulls, mirror = False, 0, None
+    skip_after = max_steps + 1 if notify_fns else DENSE_GAP
     done = stopped or max_steps == 0
-    for block in pair_blocks(seed, n) if not done else ():
-        if type(block) is list:  # a short leading block of pairs: stepped whole
-            i, end, pairs, skip_after = 0, len(block), block, max_steps + 1
-        else:  # stepped from lists or scanned, as the nulls come
-            U, V = block
-            i, end, us, Ui, pairs = 0, len(U), None, None, ()
-            skip_after = max_steps + 1 if notify_fns else DENSE_GAP
+    for U, V in pair_blocks(seed, n) if not done else ():
+        i, end, Ui = 0, len(U), None
+        pairs = () if skipping else zip(U, V)  # a block in a null run is scanned at once
         while True:
             first = step
             for u, v in pairs:
@@ -369,9 +371,7 @@ def run_trial(
             if i == end:
                 break
             if not skipping:
-                if us is None:
-                    us, vs = U.tolist(), V.tolist()
-                pairs = zip(us[i:], vs[i:]) if i else zip(us, vs)
+                pairs = zip(U[i:], V[i:])
                 continue
             if mirror is None:
                 import numpy as np
@@ -380,7 +380,7 @@ def run_trial(
                 mirror = np.frombuffer(buf, np.int64)
                 changes, width = protocol._changes, protocol.num_states
             if Ui is None:
-                Ui, Vi = U.astype(np.intp), V.astype(np.intp)
+                Ui, Vi = (np.frombuffer(X, np.uint32).astype(np.intp) for X in (U, V))
             rest = changes[mirror[Ui[i:]] * width + mirror[Vi[i:]]]
             gap = int(rest.argmax())
             if not rest[gap]:
@@ -394,7 +394,7 @@ def run_trial(
             if i == end:
                 break
             skipping = gap >= DENSE_GAP
-            pairs = ((Ui.item(i), Vi.item(i)),)
+            pairs = ((U[i], V[i]),)
         if done:
             break
     trial.step = step

@@ -32,17 +32,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .core import LEADER, Interaction, Protocol, apply_interaction, output_vector
+from .core import LEADER, BudgetExceededError, Interaction, Protocol, apply_interaction, output_vector
 
 DEFAULT_BUDGET = 10**7
 
 Config = tuple[int, ...]
-
-
-class BudgetExceededError(RuntimeError):
-    """The work asked for exceeds the budget: the potential configuration
-    space of an enumeration, the edges of an exported graph, the population
-    of an influencer sweep, or the masks of a crossing kernel past the cap."""
 
 
 class NonAbsorbingError(RuntimeError):

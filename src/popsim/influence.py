@@ -28,9 +28,10 @@ per table.  Only masks are capped: a table, and the crossing kernel's switch
 to masks below, refuse n > ``MAX_TRACKED_AGENTS`` (2**17), which keeps
 exactness instead of trading it for scale.
 
-A schedule, whether a log or the kernel's recorded prefix, is kept as two
-``array('I')`` columns of initiators and responders, 8 bytes a step, so a
-population is below 2**32.
+A schedule, whether a log, a block of ``rng.pair_blocks`` or the kernel's
+recorded prefix, is kept as two ``array('I')`` columns of initiators and
+responders, 8 bytes a step, so a population is below 2**32
+(``rng.check_population``).
 
 First crossings of a size threshold (:func:`first_exceed_time`) run on a
 stream kernel that reads the pairs of ``rng.pair_blocks`` and applies no
@@ -51,7 +52,7 @@ grows dearer than a scanned pair), the kernel replays the prefix with
 ``bit_count()`` where the bound passes the threshold.  Without a switch
 memory is the prefix's 8 bytes a step and two lists of n entries, so n is
 limited by time rather than by the mask cap; a switch at n above the cap
-raises :class:`~popsim.exact.BudgetExceededError` rather than approximate.
+raises :class:`~popsim.core.BudgetExceededError` rather than approximate.
 The kernel is the only implementation of the crossing rule.
 
 The schedule of a trial is the first ``steps_taken`` pairs of its pair
@@ -66,11 +67,11 @@ import csv
 from array import array
 from functools import cache
 from pathlib import Path
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, starmap
 from typing import Iterable, Iterator, Optional, Union
 
-from .core import Interaction, Protocol, TrialRecord, run_trial, step_budget
-from .rng import MAX_BLOCK, PairBlock, pair_blocks
+from .core import BudgetExceededError, Interaction, Protocol, TrialRecord, run_trial, step_budget
+from .rng import MAX_BLOCK, check_population, pair_blocks
 
 MAX_TRACKED_AGENTS = 1 << 17
 
@@ -90,11 +91,6 @@ DEMO_SCHEDULE_N5: tuple[Interaction, ...] = (
 )
 
 
-def _check_population(n: int) -> None:
-    if not 1 <= n < 1 << 32:
-        raise ValueError("population size must be >= 1 and below 2^32, the range of a schedule's entries")
-
-
 class InteractionLog:
     """A recorded schedule: entry j is the j-th interaction of the run.
 
@@ -106,7 +102,7 @@ class InteractionLog:
     __slots__ = ("n", "initiators", "responders")
 
     def __init__(self, n: int, entries: Iterable[tuple[int, int]] = ()):
-        _check_population(n)
+        check_population(n, 1)
         self.n = n
         self.initiators = array("I")
         self.responders = array("I")
@@ -319,7 +315,7 @@ class ScheduleRecorder:
 
 
 def first_exceed_time(
-    protocol: Protocol,
+    protocol: Optional[Protocol],
     n: int,
     seed: int,
     threshold: float,
@@ -340,7 +336,7 @@ def first_exceed_time(
     The kernel keeps 8 bytes a step of the pair stream and two lists of n
     entries, so n may pass ``MAX_TRACKED_AGENTS``; it must be below 2**32.
     Only a switch to masks (see the module docstring) at such an n raises
-    :class:`~popsim.exact.BudgetExceededError`, as it would need masks past
+    :class:`~popsim.core.BudgetExceededError`, as it would need masks past
     the cap.  At n = 2**20 the n^(2/3) crossing comes near 3.5 million
     steps, a prefix of about 28 MB.
 
@@ -348,12 +344,13 @@ def first_exceed_time(
     the record's ``final_states`` is None.  With ``extra_observers``, the
     kernel's ``steps_taken`` interactions are then replayed through
     ``core.run_trial``, so the observers see the protocol's states, and the
-    record takes that replay's ``final_states``.
+    record takes that replay's ``final_states``.  Only that replay reads
+    ``protocol``, so it may be None when there are no extra observers.
     """
     extra_observers = tuple(extra_observers)
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    _check_population(n)
+    check_population(n, 1)
     if agent is not None:
         _check_agent(n, agent)
     budget = step_budget(n, max_steps)
@@ -405,23 +402,19 @@ def _crossing_step(seed: int, n: int, threshold: float, agent: Optional[int], bu
     prefix: Optional[InteractionLog] = InteractionLog(n)  # the pairs read, until the switch
     first = read = 0  # the step of the current block's first pair; pairs read
 
-    def record(block: PairBlock) -> Iterator[tuple[int, int, int]]:
-        """The block's pairs with their positions in it.  A pair's step is
-        ``first`` plus its position, worked out only where the loop needs
-        it: the positions are shared ints, where a count of every step would
-        make a new int per step."""
+    def record(U: array, V: array) -> Iterator[tuple[int, int, int]]:
+        """The pairs of block ``(U, V)`` with their positions in it.  A
+        pair's step is ``first`` plus its position, worked out only where the
+        loop needs it: the positions are shared ints, where a count of every
+        step would make a new int per step."""
         nonlocal first, read
-        if type(block) is list:  # a short block comes as pairs
-            U, V = array("I", [u for u, _ in block]), array("I", [v for _, v in block])
-        else:
-            U, V = (array("I", X.astype("u4").tobytes()) for X in block)
         if prefix is not None:
             prefix.initiators += U
             prefix.responders += V
         first, read = read + 1, read + len(U)
         return zip(U, V, _positions())
 
-    stream = islice(chain.from_iterable(map(record, pair_blocks(seed, n))), budget)
+    stream = islice(chain.from_iterable(starmap(record, pair_blocks(seed, n))), budget)
     scanned = 0  # pairs read by the backward scans
     multiple = _switch_multiple(n)
     for u, v, j in stream:
@@ -443,10 +436,6 @@ def _crossing_step(seed: int, n: int, threshold: float, agent: Optional[int], bu
     # The switch: the masks of every set before this step, then this step and
     # the rest with an exact popcount wherever the bound passes the threshold.
     if n > MAX_TRACKED_AGENTS:
-        # imported here: loading exact from within this module's import
-        # raised the peak memory of `import popsim.cli` by about 0.25 MB
-        from .exact import BudgetExceededError
-
         raise BudgetExceededError(
             f"the crossing kernel needs masks at step {step}, and masks are capped at n <= {MAX_TRACKED_AGENTS}"
         )

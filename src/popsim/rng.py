@@ -23,11 +23,14 @@ time.  The draws alternate between an initiator (accepted below n) and a
 responder index (accepted below n - 1), so each word either toggles which
 of the two is awaited, forces one of them, or is skipped; the running
 parity of the toggles and the positions of the forces give every word's
-role in a few array passes, with no per-word Python loop.  Only the short leading
-blocks, where those passes would cost more than they save, take the draws
-one at a time.  numpy's own generators are never used, so the stream is
-unchanged; the scalar generator stays the reference the block stream is
-tested against.
+role in a few array passes, with no per-word Python loop.  Only the short
+leading blocks, where those passes would cost more than they save, take the
+draws one at a time.  Either way a block comes out in the schedule format
+of ``influence.InteractionLog``: two ``array('I')`` columns of initiators
+and responders, 8 bytes a pair, so a stream's population is below 2**32
+(:func:`check_population`).  numpy's own generators are never used, so the
+stream is unchanged; the scalar generator stays the reference the block
+stream is tested against.
 
 numpy is imported by the block passes themselves, not by this module: the
 word offsets, the shift table and the mix constants are made once per
@@ -39,9 +42,10 @@ only the standard library, so a command that draws no pairs (``exact``,
 
 from __future__ import annotations
 
+from array import array
 from functools import cache
-from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Union
+from itertools import chain, starmap
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -106,23 +110,29 @@ class Splitmix64:
 
 
 # Blocks start small so that short trials compute few unused words, and double
-# up to a cap that bounds the memory of a long run.  Blocks below ARRAY_BLOCK
-# words form their pairs one word at a time into a list of tuples: the array
-# passes and the conversions back to Python ints cost a fixed few tens of
-# microseconds, which a trial of a few steps would pay for its first block.
+# up to a cap that bounds the memory of a long run.  Blocks below _ARRAY_BLOCK
+# words form their pairs one word at a time: the array passes cost a fixed
+# few tens of microseconds, which a trial of a few steps would pay for its
+# first block.
 FIRST_BLOCK = 32
-ARRAY_BLOCK = 512
+_ARRAY_BLOCK = 512
 MAX_BLOCK = 4096
 
-# A block of pairs: a list of ``(u, v)`` tuples, or the initiators U and the
-# responders V as two ``uint64`` arrays of equal length.
-PairBlock = Union[list[tuple[int, int]], "tuple[np.ndarray, np.ndarray]"]
+
+def check_population(n: int, fewest: int) -> None:
+    """Refuse a population outside ``[fewest, 2**32)``: a schedule, a block
+    of pairs included, keeps its agents as ``array('I')`` entries."""
+    if not fewest <= n < 1 << 32:
+        raise ValueError(
+            f"population size must be >= {fewest} and below 2^32, the range of a schedule's entries"
+        )
 
 
-def pair_blocks(seed: int, n: int) -> Iterator[PairBlock]:
-    """Endless blocks of ordered pairs of distinct agents in ``[0, n)``: a
-    list of ``(u, v)`` tuples for each block below ``ARRAY_BLOCK`` words,
-    then arrays ``(U, V)`` with pairs ``(U[i], V[i])`` for the rest.
+def pair_blocks(seed: int, n: int) -> Iterator[tuple[array, array]]:
+    """Endless blocks ``(U, V)`` of ordered pairs ``(U[i], V[i])`` of
+    distinct agents in ``[0, n)``, for ``2 <= n < 2**32``: two
+    ``array('I')`` columns of equal length, the initiators and the
+    responders.
 
     The pairs of the blocks in turn are exactly the sequence of
     ``sample_interaction(rng, n)`` results for ``rng = Splitmix64(seed)``:
@@ -130,17 +140,13 @@ def pair_blocks(seed: int, n: int) -> Iterator[PairBlock]:
     responder is k skipping over u.  An initiator accepted in one block can
     get its responder from the next.
     """
-    if not 2 <= n <= 1 << 64:
-        raise ValueError("pair streams need 2 <= n <= 2**64 agents")
+    check_population(n, 2)
     return _pair_blocks(seed & MASK64, n)
 
 
 def pair_stream(seed: int, n: int) -> Iterator[tuple[int, int]]:
     """The pairs of :func:`pair_blocks` one at a time, as Python ints."""
-    return chain.from_iterable(
-        block if type(block) is list else zip(block[0].tolist(), block[1].tolist())
-        for block in pair_blocks(seed, n)
-    )
+    return chain.from_iterable(starmap(zip, pair_blocks(seed, n)))
 
 
 @cache
@@ -157,7 +163,7 @@ def _word_tables():
     return np, offsets, shifts, np.uint64(_MIX_A), np.uint64(_MIX_B)
 
 
-def _pair_blocks(state: int, n: int) -> Iterator[PairBlock]:
+def _pair_blocks(state: int, n: int) -> Iterator[tuple[array, array]]:
     np, offsets, shifts, mix_a, mix_b = _word_tables()
     u30, u27, u31 = shifts[30], shifts[27], shifts[31]
     bits = (n - 1).bit_length()  # randbelow(n) keeps the top ``bits`` bits
@@ -177,12 +183,12 @@ def _pair_blocks(state: int, n: int) -> Iterator[PairBlock]:
         if bits > 31:  # x ^ (x >> 31) leaves the top 31 bits of x as they are
             x ^= x >> u31
         x >>= shift
-        if size >= ARRAY_BLOCK:
-            U, V, u = _pairs_by_arrays(x, n, drop, u)
-            yield U, V
+        if size >= _ARRAY_BLOCK:
+            U, V, u = _pairs_by_arrays(x.astype(np.uint32), n, drop, u)
+            yield array("I", U.tobytes()), array("I", V.tobytes())
         else:  # one draw (the top bits of a word) at a time
-            pairs = []
-            append = pairs.append
+            U, V = array("I"), array("I")
+            add_u, add_v = U.append, V.append
             for r in x.tolist():
                 if u < 0:
                     if r < n:
@@ -190,16 +196,17 @@ def _pair_blocks(state: int, n: int) -> Iterator[PairBlock]:
                 else:
                     k = r >> drop
                     if k < n1:
-                        append((u, k if k < u else k + 1))
+                        add_u(u)
+                        add_v(k if k < u else k + 1)
                         u = -1
-            yield pairs
+            yield U, V
         size = min(2 * size, MAX_BLOCK)
 
 
 def _pairs_by_arrays(r: np.ndarray, n: int, drop: int, u: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The pairs of a block's draws ``r`` (the top bits of its words) in array
-    passes; ``u`` is the initiator carried in (-1 for none) and the one
-    carried out.
+    """The pairs of a block's draws ``r`` (the top bits of its words, as
+    ``uint32``) in array passes; ``u`` is the initiator carried in (-1 for
+    none) and the one carried out.
 
     The draw a word serves is a two-state automaton: awaiting an initiator
     (False) or a responder index (True).  A word accepted at both bounds
@@ -211,9 +218,9 @@ def _pairs_by_arrays(r: np.ndarray, n: int, drop: int, u: int) -> tuple[np.ndarr
     """
     import numpy as np
 
-    as_u = r <= np.uint64(n - 1)
-    k = r >> np.uint64(drop) if drop else r
-    as_k = k <= np.uint64(n - 2)
+    as_u = r <= np.uint32(n - 1)
+    k = r >> np.uint32(drop) if drop else r
+    as_k = k <= np.uint32(n - 2)
     flips = np.logical_xor.accumulate(as_u & as_k)  # toggle parity through word i
     forced = (as_u ^ as_k).nonzero()[0]
     waiting = int(u >= 0)
@@ -231,6 +238,6 @@ def _pairs_by_arrays(r: np.ndarray, n: int, drop: int, u: int) -> tuple[np.ndarr
     inits = r.take(moves[waiting::2])
     K = k.take(moves[1 - waiting :: 2])
     if waiting:
-        inits = np.concatenate((np.array([u], np.uint64), inits))
+        inits = np.concatenate((np.array([u], np.uint32), inits))
     U = inits[: len(K)]
     return U, K + (K >= U), int(inits[-1]) if state[-1] else -1

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +21,7 @@ from popsim import (
 from popsim.core import DENSE_GAP, step_budget
 from popsim.influence import ScheduleRecorder
 from popsim.protocols import CATALOG, protocol_from_dict
+from popsim.rng import pair_blocks
 
 # 0.999 quantile of the chi-square distribution with 55 degrees of freedom
 # (8 agents -> 56 ordered pairs).
@@ -366,6 +368,26 @@ def test_observers_see_every_step_and_leave_the_record_unchanged(name, n):
     observed = run_trial(entry.build(n), n, 17, max_steps=10**6, stop_event=stop, observers=[counter])
     assert observed == bare
     assert counter.steps == list(range(1, bare.steps_taken + 1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_null_skip_in_the_leading_blocks_matches_observed_and_reference_runs(seed):
+    # At n=4 leave-init turns null once every agent has interacted, a few
+    # steps in, so the first scan comes DENSE_GAP steps after that and the
+    # budget of 150 ends inside the same null run.  Both fall in the leading
+    # 32 + 64 + 128 + 256 = 480 words, whose blocks form their pairs one
+    # word at a time.
+    proto = leave_init(4)
+    changes = []
+    expected = reference_run(proto, 4, seed, max_steps=150, changes=changes)
+    assert changes[-1] + DENSE_GAP < 150
+    assert sum(len(U) for U, _ in islice(pair_blocks(seed, 4), 4)) >= 150
+    assert proto._mask is None
+    assert run_trial(proto, 4, seed, max_steps=150) == expected
+    assert proto._mask is not None  # built by the run's first scan
+    counter = StepCounter()
+    assert run_trial(proto, 4, seed, max_steps=150, observers=[counter]) == expected
+    assert counter.steps == list(range(1, 151))
 
 
 def test_with_observers_the_predicate_is_checked_every_step():

@@ -1,13 +1,12 @@
+from array import array
 from itertools import accumulate, islice
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popsim.core import sample_interaction
 from popsim.rng import (
-    ARRAY_BLOCK,
     FIRST_BLOCK,
     GOLDEN_GAMMA,
     MASK64,
@@ -96,11 +95,11 @@ def test_derive_seed_rejects_negative_index():
 # --------------------------------------------------------------- pair stream
 
 # Sizes where both bounds share a shift (1000, 4096), where n-1 is a power of
-# two so the k draw uses one bit less (3, 5, 17, 1025, 16385, 2**33 + 1),
+# two so the k draw uses one bit less (3, 5, 17, 1025, 16385, 2**31 + 1),
 # where bound n-1 is 1 (2), where about half the initiator draws are
 # rejected (513), and above 2**31, where the last mixing step reaches the
-# top bits.
-STREAM_SIZES = (2, 3, 5, 17, 513, 1000, 1024, 1025, 4096, 16384, 16385, 2**33 + 1, 2**40 + 3, 2**64)
+# top bits, up to the top of a stream's range (2**32 - 1).
+STREAM_SIZES = (2, 3, 5, 17, 513, 1000, 1024, 1025, 4096, 16384, 16385, 2**31 + 1, 3 * 2**30 + 3, 2**32 - 1)
 
 
 def scalar_pairs(seed, n, count):
@@ -143,6 +142,15 @@ def test_pair_stream_rejects_sizes_the_scalar_draws_reject():
             sample_interaction(Splitmix64(0), n)
 
 
+def test_pair_streams_stop_below_2_32():
+    # a block is two uint32 columns, so streams stop where the scalar draws
+    # go on
+    for make in (pair_stream, pair_blocks):
+        with pytest.raises(ValueError, match="below 2\\^32"):
+            make(0, 2**32)
+    assert 0 <= sample_interaction(Splitmix64(0), 2**32).initiator < 2**32
+
+
 class WordCountingSplitmix64(Splitmix64):
     """Splitmix64 that records the index of the word each accepted bounded
     draw came from."""
@@ -164,35 +172,35 @@ class WordCountingSplitmix64(Splitmix64):
         return r
 
 
-# Sizes with n-1 a power of two (3, 5, 9, 17, 1025, 2**32 + 1, 2**63 + 1),
+# Sizes with n-1 a power of two (3, 5, 9, 17, 1025, 2**30 + 1, 2**31 + 1),
 # where a word is a valid responder index but no valid initiator about half
-# the time, and others (4, 1000, 2**64), where a word can be a valid
-# initiator but no valid index; 2 and 2**64 accept nearly every word.
-BLOCK_SIZES = (2, 3, 4, 5, 9, 17, 1000, 1025, 2**32 + 1, 2**63 + 1, 2**64)
+# the time, and others (4, 1000, 2**32 - 1), where a word can be a valid
+# initiator but no valid index; 2 and 2**32 - 1 accept nearly every word.
+# 2**30 + 1 is the largest of these whose draws keep 31 bits, 2**31 + 1 the
+# smallest that keeps 32.
+BLOCK_SIZES = (2, 3, 4, 5, 9, 17, 1000, 1025, 2**30 + 1, 2**31 + 1, 2**32 - 1)
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_pair_blocks_match_sample_interaction(n):
     blocks = list(islice(pair_blocks(99, n), 9))
-    # the leading blocks take the per-word rule, the later ones the array passes
+    # the leading blocks take the per-word rule, the later ones the array
+    # passes; every block, the first of FIRST_BLOCK words on, is two uint32
+    # schedule columns
     sizes = [min(FIRST_BLOCK << i, MAX_BLOCK) for i in range(len(blocks))]
-    assert [type(block) is list for block in blocks] == [size < ARRAY_BLOCK for size in sizes]
-    assert all(type(u) is type(v) is int for block in blocks if type(block) is list for u, v in block)
-    arrays = [block for block in blocks if type(block) is not list]
-    assert arrays and all(U.dtype == V.dtype == np.uint64 and len(U) == len(V) for U, V in arrays)
-    got = [
-        (int(u), int(v))
-        for block in blocks
-        for u, v in (block if type(block) is list else zip(*block))
-    ]
+    assert sizes[0] == FIRST_BLOCK and sizes[-1] == MAX_BLOCK
+    for U, V in blocks:
+        assert type(U) is type(V) is array and U.typecode == V.typecode == "I"
+        assert len(U) == len(V)
+    got = [pair for U, V in blocks for pair in zip(U, V)]
 
     rng = WordCountingSplitmix64(99)
     assert got == [tuple(sample_interaction(rng, n)) for _ in got]
     # A block ends with an initiator still waiting when some pair's
     # initiator word lies before the block's end and its responder word at
-    # or after it.  At n=2 every pair takes two words, at 2**64 all but a
-    # 2**-64 share do, so every even-sized block ends on a pair there.
+    # or after it.  At n=2 every pair takes two words, at 2**32 - 1 all but
+    # about a 2**-31 share do, so every even-sized block ends on a pair there.
     initiators, responders = rng.accepted_at[0::2], rng.accepted_at[1::2]
     ends = set(accumulate(sizes))
     waiting_ends = {end for i, r in zip(initiators, responders) for end in ends if i < end <= r}
-    assert bool(waiting_ends) == (n not in (2, 2**64))
+    assert bool(waiting_ends) == (n not in (2, 2**32 - 1))
