@@ -13,16 +13,13 @@ ever changes output under any schedule" holds iff every reachable
 configuration carries the identical per-agent output vector.
 
 Expected hitting times solve the first-step linear system over the reachable
-space in exact rational arithmetic, one strongly connected component of the
-non-target subgraph at a time, in topological order with sinks first.  A
-component's unknowns depend only on its own and on already-solved
-components, so an acyclic chain (every catalog protocol, apart from
-self-loops) costs O(edges) integer operations and one Fraction per
-configuration, and only components with cycles fall back to an elimination
-on their own block.  A component with no exit is a closed class that never
-reaches the target.  The solve uses no floating point and the module no
-numpy; the test suite checks it against a dense floating-point solve of the
-same system and that solve's residual.
+space exactly, one strongly connected component of the non-target subgraph
+at a time, sinks first, each by one fraction-free integer elimination that
+makes one Fraction per configuration.  A component with no exit is a closed
+class that never reaches the target.  The work is charged against the
+budget: the enumeration |Q|^n * n(n-1) potential edges, the solve m^3 per
+component of m configurations.  No floating point, no numpy; the test
+suite checks the solve against a dense floating-point one and its residual.
 """
 
 from __future__ import annotations
@@ -49,10 +46,11 @@ class ConfigurationSpace:
     ``configs[0]`` is the all-initial start; ``index`` maps a configuration
     to its position in ``configs``.  ``successors[i]`` maps successor index
     -> number of ordered interactions leading there (the multiset of
-    successors over all n(n-1) interactions).
+    successors over all n(n-1) interactions).  ``budget`` is the budget it
+    was enumerated under, which the hitting-time solve is held to as well.
     """
 
-    __slots__ = ("protocol", "n", "configs", "index", "successors")
+    __slots__ = ("protocol", "n", "configs", "index", "successors", "budget")
 
     def __init__(
         self,
@@ -61,12 +59,14 @@ class ConfigurationSpace:
         configs: list[Config],
         index: dict[Config, int],
         successors: list[dict[int, int]],
+        budget: int,
     ):
         self.protocol = protocol
         self.n = n
         self.configs = configs
         self.index = index
         self.successors = successors
+        self.budget = budget
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -77,17 +77,19 @@ def enumerate_reachable(
 ) -> ConfigurationSpace:
     """Breadth-first closure from the all-initial configuration.
 
-    Raises :class:`BudgetExceededError` when the potential space ``|Q|**n``
-    exceeds the budget (default 10**7 vector configurations).
+    Raises :class:`BudgetExceededError` when the potential edges
+    ``|Q|**n * n(n-1)``, one per configuration and ordered interaction,
+    exceed the budget (default 10**7).
     """
     if n < 2:
         raise ValueError("population size must be >= 2")
     if budget is None:
         budget = DEFAULT_BUDGET
-    potential = protocol.num_states**n
+    potential = protocol.num_states**n * n * (n - 1)
     if potential > budget:
         raise BudgetExceededError(
-            f"|Q|^n = {protocol.num_states}^{n} = {potential} exceeds budget {budget}"
+            f"|Q|^n * n(n-1) = {protocol.num_states}^{n} * {n * (n - 1)} = {potential} "
+            f"exceeds budget {budget}"
         )
 
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
@@ -122,9 +124,7 @@ def enumerate_reachable(
             succ[j] = succ.get(j, 0) + 1
         successors[i] = succ
 
-    return ConfigurationSpace(
-        protocol=protocol, n=n, configs=configs, index=index, successors=successors
-    )
+    return ConfigurationSpace(protocol, n, configs, index, successors, budget)
 
 
 class SafetyVerdict(NamedTuple):
@@ -216,24 +216,6 @@ def safety_verdicts(space: ConfigurationSpace) -> list[SafetyVerdict]:
     return verdicts
 
 
-def _solve_fractions(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination with nonzero pivoting, exact arithmetic."""
-    m = len(rows)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NonAbsorbingError("hitting-time system is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][m] for r in range(m)]
-
-
 def _components_sinks_first(
     space: ConfigurationSpace, root: int, targets: frozenset[int]
 ) -> Iterator[list[int]]:
@@ -293,13 +275,11 @@ def expected_hitting_steps(
     elsewhere, in rational arithmetic.  Raises :class:`NonAbsorbingError` if
     the target set is empty or the hitting time is infinite.
 
-    Components of the non-target subgraph are solved sinks first, each as
-    one block whose right-hand side is N = n(n-1) plus its exits into solved
-    components.  With c_ij the number of ordered interactions taking C_i to
-    C_j, a configuration alone in its component is the 1x1 block
-    h(i) = (N + sum_{j != i} c_ij h(j)) / (N - c_ii), solved in integers by
-    :func:`_solve_one`.  A component with no exit never reaches the target;
-    the error names its lowest-index member.
+    Components of the non-target subgraph are solved sinks first, and each
+    adds m**3 for its m configurations to a charge that may not pass the
+    budget the space was enumerated under (:class:`BudgetExceededError`).
+    A component with no exit never reaches the target; the error names its
+    lowest-index member.
     """
     targets = frozenset(i for i, c in enumerate(space.configs) if target(c))
     if not targets:
@@ -309,70 +289,89 @@ def expected_hitting_steps(
 
     total = space.n * (space.n - 1)
     solved: dict[int, Fraction] = dict.fromkeys(targets, Fraction(0))
+    charge = 0
     for component in _components_sinks_first(space, 0, targets):
-        if len(component) == 1:
-            values = _solve_one(space, component[0], total, solved)
-        else:
-            values = _solve_block(space, component, total, solved)
-        if values is None:
+        m = len(component)
+        charge += m**3
+        if charge > space.budget:
+            raise BudgetExceededError(
+                f"the hitting-time solve reached a component of {m} configurations: "
+                f"sum of m^3 = {charge} exceeds budget {space.budget}"
+            )
+        if not _solve_component(space, component, total, solved):
             raise NonAbsorbingError(
                 f"target unreachable from configuration {space.configs[min(component)]}"
             )
-        solved.update(zip(component, values))
     return solved[0]
 
 
-def _solve_one(
-    space: ConfigurationSpace, i: int, total: int, solved: dict[int, Fraction]
-) -> Optional[list[Fraction]]:
-    """The 1x1 block h(i) = (N + sum_{j != i} c_ij h(j)) / (N - c_ii) in
-    integers: the sum is kept as num/den over the least common multiple of
-    the solved successors' denominators, so only the result is a Fraction.
-    None when every interaction loops back to ``i``."""
-    num, den, loops = total, 1, 0
-    for j, count in space.successors[i].items():
-        if j == i:
-            loops = count
-            continue
-        h = solved[j]
-        q = h.denominator
-        if den % q:
-            scale = q // gcd(den, q)
-            num *= scale
-            den *= scale
-        num += count * h.numerator * (den // q)
-    if loops == total:
-        return None
-    return [Fraction(num, den * (total - loops))]
-
-
-def _solve_block(
+def _solve_component(
     space: ConfigurationSpace, component: list[int], total: int, solved: dict[int, Fraction]
-) -> Optional[list[Fraction]]:
-    """A component with cycles, eliminated as one block in Fractions; None
-    when no interaction leaves it."""
-    pos = {i: r for r, i in enumerate(component)}
+) -> bool:
+    """Solve one component's first-step equations into ``solved``; False
+    when no interaction leaves the component.
+
+    Row i is N + sum_j c_ij h(j) - N h(i) = 0, with c_ij the number of
+    ordered interactions taking C_i to C_j, as a sparse integer dict over
+    members and exits.  Members are eliminated in component order with no
+    pivot search: negated, the member block is an irreducible Z-matrix (the
+    component is strongly connected) with diagonally dominant rows, strict
+    in each row with an exit.  With an exit it is a nonsingular M-matrix,
+    so every pivot is negative here; with none its rows sum to zero and only
+    the last pivot is zero.  Updated rows are divided by the gcd of their
+    entries (fraction-free, after Bareiss, Math. Comp. 22, 1968).
+    Back-substitution makes one Fraction per configuration; for m = 1 it is
+    just h(i) = (N + sum_{j != i} c_ij h(j)) / (N - c_ii).
+    """
     m = len(component)
-    rows = [[Fraction(0) for _ in range(m)] for _ in range(m)]
-    rhs = [Fraction(total) for _ in range(m)]
-    closed = True
-    for r, i in enumerate(component):
-        rows[r][r] += Fraction(total)
-        for j, count in space.successors[i].items():
-            if j in pos:
-                rows[r][pos[j]] -= Fraction(count)
-            else:
-                rhs[r] += count * solved[j]
-                closed = False
-    return None if closed else _solve_fractions(rows, rhs)
+    rows = []
+    for i in component:
+        row = dict(space.successors[i])
+        row[i] = row.get(i, 0) - total
+        rows.append(row)
+    consts = [total] * m
 
+    for k in range(m - 1):
+        i = component[k]
+        pivot = rows[k]
+        p = -pivot[i]
+        for r in range(k + 1, m):
+            row = rows[r]
+            a = row.pop(i, 0)
+            if not a:
+                continue
+            g = gcd(p, a)
+            s, t = p // g, a // g
+            for j in row:
+                row[j] *= s
+            for j, x in pivot.items():
+                if j != i:
+                    row[j] = row.get(j, 0) + t * x
+            const = s * consts[r] + t * consts[k]
+            g = gcd(const, *row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+                const //= g
+            consts[r] = const
+    if not rows[-1][component[-1]]:
+        return False
 
-def closed_form_pairwise(n: int) -> float:
-    """Analytic expected stabilization steps of pairwise elimination:
-    n(n-1) * sum_{k=2..n} 1/(k(k-1)), which telescopes to (n-1)**2."""
-    if n < 2:
-        raise ValueError("population size must be >= 2")
-    return float((n - 1) ** 2)
+    for k in range(m - 1, -1, -1):
+        i = component[k]
+        row = rows[k]
+        num, den = consts[k], 1
+        for j, x in row.items():
+            if j != i:
+                h = solved[j]
+                q = h.denominator
+                if den % q:
+                    scale = q // gcd(den, q)
+                    num *= scale
+                    den *= scale
+                num += x * h.numerator * (den // q)
+        solved[i] = Fraction(num, -den * row[i])
+    return True
 
 
 def replay_path(protocol: Protocol, config: Config, path: Sequence[Interaction]) -> Config:

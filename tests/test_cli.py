@@ -15,7 +15,6 @@ import pytest
 import popsim
 from popsim.cli import _one_leader_stop, main, threshold_count
 from popsim.core import LEADER, Trial, run_trial
-from popsim.exact import closed_form_pairwise
 from popsim.influence import INFLUENCER_EVENT, InfluencerTable, ScheduleRecorder, write_log
 from popsim.protocols import CATALOG, leave_init, make_protocol, protocol_from_dict
 from popsim.rng import derive_seed
@@ -90,7 +89,7 @@ def test_run_pairwise_mean_near_exact(tmp_path):
     assert "popsim.run.v1" in schema
     assert len(rows) == 4000
     mean = sum(int(r["steps"]) for r in rows) / len(rows)
-    assert mean == pytest.approx(closed_form_pairwise(3), rel=0.1)
+    assert mean == pytest.approx((3 - 1) ** 2, rel=0.1)
     assert all(r["stabilized_step"] == r["steps"] for r in rows)
     assert all(r["truncated"] == "0" for r in rows)
 
@@ -607,6 +606,32 @@ def test_exact_pairwise_twelve_finishes(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["reachable_configurations"] == 4095
     assert doc["expected_stabilization_steps"]["rational"] == "121"
+
+
+def test_exact_counts_edges_against_the_budget(capsys):
+    # 2^16 configurations times 240 ordered pairs pass the default 10^7
+    assert main(["exact", "--protocol", "pairwise-elimination", "--n", "16"]) == 3
+    assert "2^16 * 240 = 15728640 exceeds budget 10000000" in capsys.readouterr().err
+
+
+def test_exact_cyclic_token_solves_at_four_and_exits_3_at_six(tmp_path, capsys):
+    # one strongly connected component holds 60 of 65 configurations at n=4
+    # and 658 of 665 at n=6, whose solve is charged 658^3 > 10^7
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps({
+        "name": "cyclic-token",
+        "states": ["a", "b", "c"],
+        "initial": "a",
+        "outputs": {"a": "L", "b": "F", "c": "L"},
+        "rules": [["a", "a", "a", "c"], ["a", "c", "a", "b"], ["b", "c", "a", "c"]],
+    }))
+    out = tmp_path / "exact.json"
+    assert main(["exact", "--protocol-file", str(path), "--n", "4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["expected_stabilization_steps"]["rational"] == "1336/25"
+    out.unlink()
+    assert main(["exact", "--protocol-file", str(path), "--n", "6", "--out", str(out)]) == 3
+    assert "284890312 exceeds budget 10000000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exact_budget_env_exit_3(tmp_path, monkeypatch, capsys):

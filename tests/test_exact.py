@@ -15,7 +15,6 @@ from popsim import (
 from popsim.exact import (
     BudgetExceededError,
     NonAbsorbingError,
-    closed_form_pairwise,
     enumerate_reachable,
     expected_hitting_steps,
     replay_path,
@@ -69,6 +68,21 @@ def tired_leader_protocol():
     return Protocol(3, 0, tuple(map(tuple, table)), (LEADER, "F", LEADER), name="tired-leader")
 
 
+def cyclic_token_protocol():
+    """A leader token that keeps circulating before it settles.
+
+    Nearly every configuration falls in one strongly connected non-target
+    component (60 of 65 at n=4, 205 of 211 at n=5, 658 of 665 at n=6), so
+    the hitting-time solve eliminates one large block.
+    """
+    # states: 0 = a (L, initial), 1 = b (F), 2 = c (L)
+    table = [[(a, b) for b in range(3)] for a in range(3)]
+    table[0][0] = (0, 2)
+    table[0][2] = (0, 1)
+    table[1][2] = (0, 2)
+    return Protocol(3, 0, tuple(map(tuple, table)), (LEADER, "F", LEADER), name="cyclic-token")
+
+
 # ----------------------------------------------------------------- enumeration
 
 
@@ -101,7 +115,7 @@ def test_budget_error_names_the_size():
 
 
 def test_budget_can_be_raised():
-    space = enumerate_reachable(identity_protocol(3), 16, budget=3**16)
+    space = enumerate_reachable(identity_protocol(3), 16, budget=3**16 * 16 * 15)
     assert len(space) == 1
 
 
@@ -239,7 +253,6 @@ def test_pairwise_matches_square_closed_form(n):
     safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
     steps = expected_hitting_steps(space, lambda c: space.index[c] in safe)
     assert steps == Fraction((n - 1) ** 2)
-    assert closed_form_pairwise(n) == float(steps)
 
 
 def test_leave_init_drain_time_matches_count_chain():
@@ -275,6 +288,17 @@ def test_unreachable_target_raises():
         expected_hitting_steps(space, lambda c: c == (0, 1, 1))
     named = str(err.value).removeprefix("target unreachable from configuration ")
     assert named in {"(1, 0, 1)", "(1, 1, 0)"}
+    # Leader-swap's fresh agents stay fresh until they mint, so a first
+    # step other than agents 0 and 1 minting misses (1, 2, 0, 0) for good.
+    # Once no fresh agent is left, the two tokens move among the four agents
+    # forever: a closed class of C(4, 2) = 6 configurations, whose
+    # elimination ends on a zero pivot, and the error names its
+    # lowest-index member.
+    space = enumerate_reachable(leader_swap_protocol(), 4)
+    closed = [c for c in space.configs if c.count(1) == 2 and c.count(2) == 2]
+    with pytest.raises(NonAbsorbingError) as err:
+        expected_hitting_steps(space, lambda c: c == (1, 2, 0, 0))
+    assert str(err.value).endswith(str(min(closed, key=space.index.get)))
 
 
 def test_stuck_configurations_behind_the_target_do_not_raise():
@@ -325,32 +349,53 @@ def test_float_solver_agrees_with_exact():
         assert residual < 1e-9
 
 
+def record_component_sizes(monkeypatch):
+    """Sizes of the components the hitting-time solve is handed, in order."""
+    sizes = []
+    solve = exact._solve_component
+
+    def recorded(space, component, total, solved):
+        sizes.append(len(component))
+        return solve(space, component, total, solved)
+
+    monkeypatch.setattr(exact, "_solve_component", recorded)
+    return sizes
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_float_solver_agrees_on_a_cyclic_chain(n, monkeypatch):
     # Token swaps make multi-configuration strongly connected components, so
-    # this exercises the block solve, not just one-configuration steps.
-    blocks = []
-    block_solve = exact._solve_fractions
-
-    def counted(rows, rhs):
-        blocks.append(len(rows))
-        return block_solve(rows, rhs)
-
-    monkeypatch.setattr(exact, "_solve_fractions", counted)
+    # this exercises elimination, not just one-configuration steps.
+    sizes = record_component_sizes(monkeypatch)
     space = enumerate_reachable(leader_swap_protocol(), n)
     target = lambda c: c.count(0) <= 1  # at most one fresh agent
     exact_value = expected_hitting_steps(space, target)
     # at n = 3 the first step hits the target; from n = 4 on there are cycles
-    assert (n > 3) == bool(blocks) and all(m > 1 for m in blocks)
+    assert (n > 3) == any(m > 1 for m in sizes)
     value, residual = dense_hitting_steps(space, target)
     assert exact_value > 0
     assert value == pytest.approx(float(exact_value), rel=1e-12)
     assert residual < 1e-9
 
 
-def test_closed_form_examples():
-    assert closed_form_pairwise(2) == 1.0
-    assert closed_form_pairwise(3) == 4.0
-    assert closed_form_pairwise(10) == 81.0
-    with pytest.raises(ValueError):
-        closed_form_pairwise(1)
+@pytest.mark.parametrize("n, expected", [(3, Fraction(16)), (4, Fraction(1336, 25)),
+                                         (5, Fraction(103711, 711))])
+def test_cyclic_token_solves_its_large_component(n, expected, monkeypatch):
+    sizes = record_component_sizes(monkeypatch)
+    space = enumerate_reachable(cyclic_token_protocol(), n)
+    safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
+    target = lambda c: space.index[c] in safe
+    assert expected_hitting_steps(space, target) == expected
+    assert n == 3 or max(sizes) > len(space) // 2
+    value, residual = dense_hitting_steps(space, target)
+    assert value == pytest.approx(float(expected), rel=1e-12)
+    assert residual < 1e-9
+
+
+def test_cyclic_token_solve_is_held_to_the_budget():
+    # 658^3 = 284890312 for the large component at n=6, far past 10^7,
+    # though the enumeration's 3^6 * 30 edges are well inside it
+    space = enumerate_reachable(cyclic_token_protocol(), 6)
+    safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
+    with pytest.raises(BudgetExceededError, match="284890312 exceeds budget 10000000"):
+        expected_hitting_steps(space, lambda c: space.index[c] in safe)
