@@ -200,18 +200,23 @@ def summarize(samples: Sequence[float]) -> EstimateRecord:
     mean = float(arr.mean())
     variance = float(arr.var(ddof=1)) if count > 1 else 0.0
     std_error = math.sqrt(variance / count)
-    # np.percentile's linear method, with its ufuncs in its order, on a sorted
-    # copy, so finite samples get its bits: np.percentile itself loads
-    # numpy.ma (through np.unique), about 15 ms, to pick the order
-    # statistics that np.sort gives here
-    ordered = np.sort(arr)
+    # np.percentile's linear method, with its ufuncs in its order, so finite
+    # samples get its bits: np.percentile itself loads numpy.ma (through
+    # np.unique), about 15 ms, only to dedupe the partition indices. The copy
+    # is partitioned at the same indices as there, not sorted, since the two
+    # can leave equal values such as 0.0 and -0.0 in different orders.
     virtual = (count - 1) * np.true_divide(PERCENTILE_LEVELS, 100)
     below = np.floor(virtual)
     above = below + 1
     top = virtual >= count - 1  # numpy takes the maximum on both sides
     below[top] = above[top] = -1
     gamma = virtual - below
-    left, right = ordered[below.astype(np.intp)], ordered[above.astype(np.intp)]
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    kth = np.sort(np.concatenate(([0, -1], below, above)))
+    kth = kth[np.concatenate(([True], kth[1:] != kth[:-1]))]
+    ordered = arr.copy()
+    ordered.partition(kth)
+    left, right = ordered[below], ordered[above]
     diff = right - left
     levels = np.add(left, diff * gamma)
     np.subtract(right, diff * (1 - gamma), out=levels, where=gamma >= 0.5)

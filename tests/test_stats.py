@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import popsim
@@ -349,6 +349,7 @@ def test_summarize_rejects_empty():
     st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
     st.lists(st.integers(0, 7), min_size=1, max_size=60),
 )
+@example(pool=[-1.0, 0.0, -0.0], picks=[1, 2, 2, 0])  # tied 0.0 and -0.0 keep numpy's order
 def test_summarize_percentiles_are_numpys_bits(pool, picks):
     # a few distinct values drawn with repetition, so ties are common
     samples = [pool[i % len(pool)] for i in picks]
