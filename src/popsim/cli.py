@@ -112,9 +112,6 @@ def _resolve_protocol(args, n: int) -> Optional[Protocol]:
 def _one_leader_stop(protocol: Protocol):
     """Stop predicate: exactly one agent outputs the leader symbol."""
     leaders = protocol.output_states(LEADER)
-    if len(leaders) == 1:
-        (s,) = leaders
-        return lambda trial: trial.counts[s] == 1
     return lambda trial: sum(trial.counts[s] for s in leaders) == 1
 
 

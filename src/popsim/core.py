@@ -197,38 +197,16 @@ class Trial:
         self.step = 0
 
 
-class TrialRecord:
-    """Summary of one finished execution; equal to another record when every
-    field is."""
+class TrialRecord(NamedTuple):
+    """Summary of one finished execution.  Every record popsim returns
+    carries an ``event_steps`` dict, empty when no event fired."""
 
-    __slots__ = ("seed", "n", "steps_taken", "event_steps", "final_states", "truncated")
-
-    def __init__(
-        self,
-        seed: int,
-        n: int,
-        steps_taken: int,
-        event_steps: Optional[dict[str, int]] = None,
-        final_states: Optional[Configuration] = None,
-        truncated: bool = False,
-    ):
-        self.seed = seed
-        self.n = n
-        self.steps_taken = steps_taken
-        self.event_steps = {} if event_steps is None else event_steps
-        self.final_states = final_states
-        self.truncated = truncated
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in TrialRecord.__slots__)
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if type(other) is TrialRecord else NotImplemented
-
-    def __repr__(self):
-        return "TrialRecord({})".format(
-            ", ".join(f"{name}={getattr(self, name)!r}" for name in TrialRecord.__slots__)
-        )
+    seed: int
+    n: int
+    steps_taken: int
+    event_steps: Optional[dict[str, int]] = None
+    final_states: Optional[Configuration] = None
+    truncated: bool = False
 
     @property
     def parallel_time(self) -> float:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import LEADER, BudgetExceededError, Interaction, Protocol, apply_interaction, output_vector
 
@@ -372,11 +372,3 @@ def _solve_component(
                 num += x * h.numerator * (den // q)
         solved[i] = Fraction(num, -den * row[i])
     return True
-
-
-def replay_path(protocol: Protocol, config: Config, path: Sequence[Interaction]) -> Config:
-    """Apply a witness path and return the resulting configuration."""
-    states = config
-    for e in path:
-        states = apply_interaction(protocol, states, e)
-    return tuple(states)

@@ -52,7 +52,9 @@ grows dearer than a scanned pair), the kernel replays the prefix with
 ``bit_count()`` where the bound passes the threshold.  Without a switch
 memory is the prefix's 8 bytes a step and two lists of n entries, so n is
 limited by time rather than by the mask cap; a switch at n above the cap
-raises :class:`~popsim.core.BudgetExceededError` rather than approximate.
+raises :class:`~popsim.core.BudgetExceededError` rather than approximate,
+and there the multiple is ``SWITCH_MULTIPLE`` again, so the scans before
+the error cost at most three times the trial's step.
 The kernel is the only implementation of the crossing rule.
 
 The schedule of a trial is the first ``steps_taken`` pairs of its pair
@@ -212,9 +214,6 @@ class InfluencerTable:
         mask = self.masks[v] or 1 << v
         return frozenset(u for u in range(self.n) if (mask >> u) & 1)
 
-    def max_size(self) -> int:
-        return max(self.size(v) for v in range(self.n))
-
 
 def _check_agent(n: int, v: int) -> None:
     if not 0 <= v < n:
@@ -356,12 +355,12 @@ def first_exceed_time(
     budget = step_budget(n, max_steps)
     step = _crossing_step(seed, n, threshold, agent, budget) if threshold < n else None
     if step is None:
-        rec = TrialRecord(seed, n, budget, truncated=True)
+        rec = TrialRecord(seed, n, budget, {}, truncated=True)
     else:
         rec = TrialRecord(seed, n, step, {INFLUENCER_EVENT: step})
     if extra_observers:
         replay = run_trial(protocol, n, seed, max_steps=rec.steps_taken, observers=extra_observers)
-        rec.final_states = replay.final_states
+        rec = rec._replace(final_states=replay.final_states)
     return rec
 
 
@@ -378,12 +377,14 @@ def first_exceed_time(
 # at n=4096 and n=1000; at 4, up to 1.4 times.  n^(2/3) at n=16384 needs at
 # most 7 scans' worth in 3000 trials, below its multiple of 12; at a flat 3
 # it switched in 76 of them, which took a run's peak memory from about 38 to
-# 66 MB on the seeds that did.
+# 66 MB on the seeds that did.  Above MAX_TRACKED_AGENTS there is no switch,
+# only BudgetExceededError, so the multiple stays SWITCH_MULTIPLE: a doubled
+# one of 192 at n = 2^18 spent 36.9 s of scans on a 2-vCPU guest, not 1.7 s.
 SWITCH_MULTIPLE = 3
 
 
 def _switch_multiple(n: int) -> float:
-    return SWITCH_MULTIPLE * max(1, n >> 12)
+    return SWITCH_MULTIPLE * (1 if n > MAX_TRACKED_AGENTS else max(1, n >> 12))
 
 
 @cache

@@ -48,8 +48,8 @@ def p_epidemic(k: int, n: int) -> float:
 
 
 class GeometricSumSpec:
-    """An ordered list of success probabilities, one geometric variable each;
-    two specs are equal when their lists are."""
+    """An ordered list of success probabilities, one geometric variable each,
+    checked to lie in (0, 1]; compare and count specs by ``probabilities``."""
 
     __slots__ = ("probabilities",)
 
@@ -58,20 +58,6 @@ class GeometricSumSpec:
             if not 0 < p <= 1:
                 raise ValueError(f"success probability {p} outside (0, 1]")
         self.probabilities = probabilities
-
-    def __eq__(self, other):
-        if type(other) is not GeometricSumSpec:
-            return NotImplemented
-        return self.probabilities == other.probabilities
-
-    def __hash__(self):
-        return hash(self.probabilities)
-
-    def __repr__(self):
-        return f"GeometricSumSpec(probabilities={self.probabilities!r})"
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
 
 
 def f_star(f: Union[int, float]) -> int:

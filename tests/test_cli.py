@@ -479,7 +479,8 @@ class _CrossingStop:
 
     def notify(self, trial, e, old, new):
         self.table.update(e)
-        size = self.table.max_size() if self.agent is None else self.table.size(self.agent)
+        table = self.table
+        size = max(table.size(v) for v in range(table.n)) if self.agent is None else table.size(self.agent)
         self.crossed = self.crossed or size > self.threshold
 
 
@@ -510,7 +511,7 @@ def test_series_out_matches_recorded_trial_zero(tmp_path, case):
     lines = ["step,max_size,participant_size"]
     for e in recorder.log:
         table.update(e)
-        lines.append(f"{table.step},{table.max_size()},{table.size(e.initiator)}")
+        lines.append(f"{table.step},{max(table.size(v) for v in range(n))},{table.size(e.initiator)}")
     assert series.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
 

@@ -505,6 +505,18 @@ def test_output_vector_constant_map():
         assert output_vector(proto, config) == ["F", "F", "F"]
 
 
+def test_trial_record_compares_and_prints_by_fields():
+    fields = dict(seed=3, n=4, steps_taken=7, event_steps={"e": 7}, final_states=[1, 0, 0, 0], truncated=False)
+    rec = TrialRecord(**fields)
+    assert rec == TrialRecord(**fields)
+    changed = dict(seed=4, n=5, steps_taken=8, event_steps={}, final_states=[0, 0, 0, 0], truncated=True)
+    for name, value in changed.items():
+        assert rec != TrialRecord(**{**fields, name: value})
+    assert repr(rec) == (
+        "TrialRecord(seed=3, n=4, steps_taken=7, event_steps={'e': 7}, final_states=[1, 0, 0, 0], truncated=False)"
+    )
+
+
 def test_parallel_time():
     assert TrialRecord(seed=0, n=5, steps_taken=0).parallel_time == 0.0
     assert TrialRecord(seed=0, n=3, steps_taken=4).parallel_time == pytest.approx(4 / 3)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from popsim import (
     LEADER,
     Protocol,
+    apply_interaction,
     exact,
     leave_init,
     output_vector,
@@ -17,9 +19,14 @@ from popsim.exact import (
     NonAbsorbingError,
     enumerate_reachable,
     expected_hitting_steps,
-    replay_path,
     safety_verdicts,
 )
+
+
+def _replay(protocol, config, path):
+    """The configuration a witness path leads to: apply_interaction folded
+    over its hops."""
+    return tuple(reduce(lambda states, e: apply_interaction(protocol, states, e), path, config))
 
 
 def identity_protocol(num_states=3):
@@ -154,7 +161,7 @@ def test_leader_swap_is_never_safe_despite_stable_multiset():
     assert one_leader  # the minted-token configurations
     for verdict in one_leader:
         assert verdict.witness_agent is not None
-        landed = replay_path(proto, verdict.config, verdict.witness_path)
+        landed = _replay(proto, verdict.config, verdict.witness_path)
         assert landed == verdict.witness_config
         before = output_vector(proto, verdict.config)
         after = output_vector(proto, landed)
@@ -170,7 +177,7 @@ def test_witness_paths_replay_to_an_output_change():
     unsafe_with_path = [v for v in safety_verdicts(space) if v.witness_path is not None]
     assert unsafe_with_path
     for verdict in unsafe_with_path:
-        landed = replay_path(proto, verdict.config, verdict.witness_path)
+        landed = _replay(proto, verdict.config, verdict.witness_path)
         assert (
             output_vector(proto, landed)[verdict.witness_agent]
             != output_vector(proto, verdict.config)[verdict.witness_agent]
@@ -203,7 +210,7 @@ def test_witness_paths_are_pinned(make):
     witnesses = {}
     for verdict in safety_verdicts(space):
         if verdict.witness_path is not None:
-            assert replay_path(proto, verdict.config, verdict.witness_path) == verdict.witness_config
+            assert _replay(proto, verdict.config, verdict.witness_path) == verdict.witness_config
             witnesses[verdict.config] = (
                 tuple(tuple(e) for e in verdict.witness_path), verdict.witness_agent
             )

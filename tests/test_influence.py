@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections import Counter
 from itertools import islice
@@ -135,9 +136,10 @@ def test_table_allocates_no_set_before_its_agent_interacts():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert table.size(0) == table.size(1) == table.max_size() == 2
+    assert table.size(0) == table.size(1) == max(table.size(v) for v in range(16384)) == 2
     assert table.members(5) == frozenset({5})
-    assert InfluencerTable(3).max_size() == 1
+    fresh = InfluencerTable(3)
+    assert max(fresh.size(v) for v in range(3)) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,7 +319,7 @@ def test_first_exceed_matches_offline_replay():
     crossing = None
     for j, e in enumerate(recorder.log):
         table.update(e)
-        if crossing is None and table.max_size() > threshold:
+        if crossing is None and max(table.size(v) for v in range(n)) > threshold:
             crossing = j + 1
     assert crossing == reported == rec.steps_taken
 
@@ -551,6 +553,19 @@ def test_switch_above_the_mask_cap_exceeds_the_budget(monkeypatch):
     assert _fields(first_exceed_time(leave_init(n), n, seed, 21)) == _fields(low)
 
 
+def test_scans_past_the_mask_cap_stop_at_the_flat_multiple(monkeypatch):
+    # Past the cap no switch can follow the scans, so the kernel raises once
+    # they pass SWITCH_MULTIPLE times the step, not the multiple that grows
+    # with n below the cap (12 at n=16384, where it scans 11.7 times).
+    monkeypatch.setattr(influence, "MAX_TRACKED_AGENTS", 8192)
+    seen = _kernel_counters(monkeypatch)
+    with pytest.raises(BudgetExceededError) as raised:
+        first_exceed_time(None, 16384, 0, 16000)
+    step = int(re.search(r"masks at step (\d+)", str(raised.value)).group(1))
+    assert seen["switches"] == 0
+    assert 0 < seen["scanned"] <= influence.SWITCH_MULTIPLE * step
+
+
 def test_series_tracking(tmp_path):
     recorder = ScheduleRecorder(4)
     run_trial(leave_init(4), 4, seed=3, max_steps=6, observers=[recorder])
@@ -570,7 +585,7 @@ def test_series_tracking(tmp_path):
     expected = []
     for e in recorder.log:
         table.update(e)
-        expected.append((table.step, table.max_size(), table.size(e.responder)))
+        expected.append((table.step, max(table.size(v) for v in range(4)), table.size(e.responder)))
     assert series == expected
 
 

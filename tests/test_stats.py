@@ -118,7 +118,7 @@ def test_spec_validates_probabilities():
         GeometricSumSpec((0.5, 0.0))
     with pytest.raises(ValueError):
         GeometricSumSpec((1.5,))
-    assert len(GeometricSumSpec((1.0, 0.25))) == 2
+    assert len(GeometricSumSpec((1.0, 0.25)).probabilities) == 2
 
 
 def test_coupon_spec_indices():
@@ -130,21 +130,21 @@ def test_coupon_spec_indices():
 def test_coupon_spec_top_index_parity():
     # even n: top index is n; odd n: top index is n-1; both have probability 1
     assert coupon_spec(10, 4).probabilities[-1] == 1.0
-    assert len(coupon_spec(10, 4)) == 4  # 4, 6, 8, 10
+    assert len(coupon_spec(10, 4).probabilities) == 4  # 4, 6, 8, 10
     assert coupon_spec(9, 4).probabilities[-1] == p_leave(8, 9)
-    assert len(coupon_spec(9, 4)) == 3  # 4, 6, 8
+    assert len(coupon_spec(9, 4).probabilities) == 3  # 4, 6, 8
 
 
 def test_coupon_spec_boundary_threshold():
-    assert len(coupon_spec(8, 8)) == 1          # single certain term
+    assert len(coupon_spec(8, 8).probabilities) == 1  # single certain term
     assert coupon_spec(8, 8).probabilities == (1.0,)
-    assert len(coupon_spec(9, 9)) == 0          # f* = 10 > n: empty
+    assert len(coupon_spec(9, 9).probabilities) == 0  # f* = 10 > n: empty
     assert expected_coupon_sum(coupon_spec(9, 9)) <= 1
 
 
 def test_coupon_spec_accepts_fractional_threshold():
     # ceil(101.59/2)*2 = 102, so it matches the integer-threshold spec
-    assert coupon_spec(1024, 1024 ** (2 / 3)) == coupon_spec(1024, 102)
+    assert coupon_spec(1024, 1024 ** (2 / 3)).probabilities == coupon_spec(1024, 102).probabilities
 
 
 def test_expected_and_variance_closed_forms():
@@ -201,7 +201,7 @@ def test_simulate_deterministic_per_seed():
 @given(st.integers(0, 2**64 - 1), st.lists(st.floats(0.01, 1.0), max_size=10))
 def test_simulated_sum_at_least_spec_length(seed, probs):
     spec = GeometricSumSpec(tuple(probs))
-    assert simulate_geometric_sum(Splitmix64(seed), spec) >= len(spec)
+    assert simulate_geometric_sum(Splitmix64(seed), spec) >= len(spec.probabilities)
 
 
 def test_simulated_mean_matches_expectation():
