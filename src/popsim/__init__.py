@@ -1,75 +1,56 @@
-"""popsim: population-protocol simulation, influence tracking, exact analysis."""
+"""popsim: population-protocol simulation, influence tracking, exact analysis.
+
+The public names are looked up in their modules at first use (PEP 562), so
+``import popsim`` loads none of those modules, and each command loads only
+the ones it runs.
+"""
 
 __version__ = "0.1.0"
 
-from .core import (
-    FOLLOWER,
-    LEADER,
-    Interaction,
-    Protocol,
-    TrialRecord,
-    apply_interaction,
-    configuration_digest,
-    output_vector,
-    run_trial,
-    sample_interaction,
-)
-from .influence import (
-    DEMO_SCHEDULE_N5,
-    InfluencerTable,
-    InteractionLog,
-    ScheduleRecorder,
-    backward_sets,
-    backward_step,
-    demo_log,
-    first_exceed_time,
-    forward_sets,
-    layered_edges,
-    sources_reaching,
-)
-from .protocols import (
-    CATALOG,
-    ProtocolLoadError,
-    leave_init,
-    load_protocol,
-    make_protocol,
-    one_way_epidemic,
-    pairwise_elimination,
-    protocol_from_dict,
-)
-from .rng import Splitmix64, derive_seed, mix64
+# public name -> the popsim module that defines it
+_EXPORTS = {
+    "CATALOG": "protocols",
+    "DEMO_SCHEDULE_N5": "influence",
+    "FOLLOWER": "core",
+    "Interaction": "core",
+    "InfluencerTable": "influence",
+    "InteractionLog": "influence",
+    "LEADER": "core",
+    "Protocol": "core",
+    "ProtocolLoadError": "protocols",
+    "ScheduleRecorder": "influence",
+    "Splitmix64": "rng",
+    "TrialRecord": "core",
+    "apply_interaction": "core",
+    "backward_sets": "influence",
+    "backward_step": "influence",
+    "configuration_digest": "core",
+    "demo_log": "influence",
+    "derive_seed": "rng",
+    "first_exceed_time": "influence",
+    "forward_sets": "influence",
+    "layered_edges": "influence",
+    "leave_init": "protocols",
+    "load_protocol": "protocols",
+    "make_protocol": "protocols",
+    "mix64": "rng",
+    "one_way_epidemic": "protocols",
+    "output_vector": "core",
+    "pairwise_elimination": "protocols",
+    "protocol_from_dict": "protocols",
+    "run_trial": "core",
+    "sample_interaction": "core",
+    "sources_reaching": "influence",
+}
 
-__all__ = [
-    "CATALOG",
-    "DEMO_SCHEDULE_N5",
-    "FOLLOWER",
-    "Interaction",
-    "InfluencerTable",
-    "InteractionLog",
-    "LEADER",
-    "Protocol",
-    "ProtocolLoadError",
-    "ScheduleRecorder",
-    "Splitmix64",
-    "TrialRecord",
-    "apply_interaction",
-    "backward_sets",
-    "backward_step",
-    "configuration_digest",
-    "demo_log",
-    "derive_seed",
-    "first_exceed_time",
-    "forward_sets",
-    "layered_edges",
-    "leave_init",
-    "load_protocol",
-    "make_protocol",
-    "mix64",
-    "one_way_epidemic",
-    "output_vector",
-    "pairwise_elimination",
-    "protocol_from_dict",
-    "run_trial",
-    "sample_interaction",
-    "sources_reaching",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not importlib.import_module, whose imports -X importtime omits
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+    globals()[name] = value
+    return value

@@ -13,41 +13,52 @@ exceeded, 4 internal assertion failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
-import re
 import sys
-from contextlib import nullcontext
-from fractions import Fraction
 from itertools import islice
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .core import LEADER, BudgetExceededError, Protocol, run_trial, step_budget
-from .exact import (
+from .core import (
     DEFAULT_BUDGET,
+    LEADER,
+    BudgetExceededError,
     NonAbsorbingError,
-    enumerate_reachable,
-    expected_hitting_steps,
-    safety_verdicts,
+    Protocol,
+    run_trial,
+    step_budget,
 )
-from .influence import (
-    INFLUENCER_EVENT,
-    InteractionLog,
-    backward_sets,
-    check_mask_cap,
-    demo_log,
-    first_exceed_time,
-    layered_edges,
-    write_log,
-    write_size_series,
-)
-from .protocols import CATALOG, load_protocol, make_protocol
-from .rng import derive_seed, pair_stream
-from .stats import ceil_rational_power, coupon_spec, expected_coupon_sum, f_star, summarize, variance_coupon_sum
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+def _lazy(module: str, name: str):
+    """``name`` of the popsim module ``module``, imported at the first call,
+    so that each command loads only the modules it runs."""
+    target = None
+
+    def forward(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            # not importlib.import_module, whose imports -X importtime omits
+            target = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+        return target(*args, **kwargs)
+
+    return forward
+
+
+# perfbench/spans.py traces these as ``popsim.cli`` globals, so they stay
+# module-level names here; they become plain local imports once the spans
+# wrap the defining modules (ROADMAP item 4, "Spans").
+derive_seed = _lazy("rng", "derive_seed")
+make_protocol = _lazy("protocols", "make_protocol")
+first_exceed_time = _lazy("influence", "first_exceed_time")
+enumerate_reachable = _lazy("exact", "enumerate_reachable")
+safety_verdicts = _lazy("exact", "safety_verdicts")
+expected_hitting_steps = _lazy("exact", "expected_hitting_steps")
+summarize = _lazy("stats", "summarize")
 
 BUDGET_ENV = "POPSIM_BUDGET"
 
@@ -61,6 +72,9 @@ def _number(text: str) -> Fraction:
     """``Fraction(text)``, with a decimal exponent (``1e-3``) of at most 4300,
     Python's digit limit for integer strings: Fraction expands the exponent
     digit by digit, which takes seconds past about 10^6."""
+    import re
+    from fractions import Fraction
+
     scale = re.search(r"[eE]([-+]?[\d_]+)", text)
     if scale and abs(int(scale[1])) > 4300:
         raise ValueError(f"decimal exponent of {text!r} passes 4300")
@@ -83,6 +97,8 @@ def threshold_count(expr: str, n: int) -> int:
     elif expr == "n":
         value = n
     elif expr.startswith("n^"):
+        from .stats import ceil_rational_power
+
         try:
             a = _number(expr[2:])
         except (ValueError, ZeroDivisionError):
@@ -104,6 +120,8 @@ def _resolve_protocol(args, n: int) -> Optional[Protocol]:
     """The protocol of ``--protocol-file`` or ``--protocol`` at this n, or
     None for a command that takes neither (``influencer``)."""
     if getattr(args, "protocol_file", None):
+        from .protocols import load_protocol
+
         return load_protocol(args.protocol_file)
     name = getattr(args, "protocol", None)
     return None if name is None else make_protocol(name, n)
@@ -125,6 +143,8 @@ def _run_plan(protocol: Protocol, n: int, threshold: Optional[int]):
     run to the step budget.  A threshold is an error unless the entry's stop
     reads it.
     """
+    from .protocols import CATALOG
+
     entry = CATALOG.get(protocol.name)
     if entry is not None and entry.build(n) != protocol:
         entry = None
@@ -161,6 +181,8 @@ def _run_job(job) -> dict:
 
 
 def _influencer_job(job) -> dict:
+    from .influence import INFLUENCER_EVENT
+
     _, n, threshold, trial_idx, seed, max_steps, agent = job
     rec = first_exceed_time(None, n, seed, threshold, max_steps=max_steps, agent=agent)
     t_min = rec.event_steps.get(INFLUENCER_EVENT)
@@ -213,6 +235,9 @@ def _format_cell(value) -> str:
 def _render_rows(rows: list[dict], columns: list[str], fmt: str, schema: str) -> str:
     header = f"# schema={schema} tool=popsim/{__version__}"
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         buf.write(header + "\n")
         writer = csv.writer(buf, lineterminator="\n")
@@ -226,6 +251,8 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str, schema: str) ->
             lines.append(" ".join(_format_cell(row.get(col, "")) or "nan" for col in columns))
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json
+
         cleaned = [{col: row.get(col, None) for col in columns} for row in rows]
         doc = {"schema": schema, "tool": f"popsim/{__version__}", "rows": cleaned}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -235,6 +262,8 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str, schema: str) ->
 def _open_out(path: Optional[str]):
     """A context manager writing to ``path``, or to stdout for None or ``-``."""
     if path is None or path == "-":
+        from contextlib import nullcontext
+
         return nullcontext(sys.stdout)
     return open(path, "w", newline="")
 
@@ -260,6 +289,8 @@ def _summary_row(n: int, threshold: int, ratios: list[float]) -> dict:
 def _trial_schedule(seed: int, n: int, steps: int):
     """The interactions of a trial that took ``steps`` steps: the first
     ``steps`` pairs of its seed's pair stream, whatever the protocol."""
+    from .rng import pair_stream
+
     return islice(pair_stream(seed, n), steps)
 
 
@@ -277,12 +308,16 @@ def cmd_run(args) -> int:
     columns = ["trial", "seed", "n", "steps", "parallel_time", "truncated", *event_columns]
     _emit(_render_rows(rows, columns, args.format, "popsim.run.v1"), args.out)
     if args.save_log:
+        from .influence import write_log
+
         n, seed, steps = log_trial
         write_log(n, _trial_schedule(seed, n, steps), args.save_log)
     return EXIT_OK
 
 
 def cmd_influencer(args) -> int:
+    from .influence import check_mask_cap, write_size_series
+
     # The kernel keeps n-entry lists and 8 bytes a step, about n ln n steps,
     # so n itself is the work counted against the budget.
     budget = _budget()
@@ -326,6 +361,8 @@ def _summary_path(args) -> Optional[str]:
 
 
 def cmd_coupon(args) -> int:
+    from .stats import coupon_spec, expected_coupon_sum, f_star, variance_coupon_sum
+
     trial_rows = []
     summary_rows = []
     for n, threshold, results in _sweep(args, _run_job):
@@ -379,6 +416,8 @@ def _budget() -> int:
 
 
 def cmd_exact(args) -> int:
+    import json
+
     if len(args.n) != 1:
         raise ValueError("exact analysis takes a single --n")
     n = args.n[0]
@@ -421,6 +460,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_export_graph(args) -> int:
+    from .influence import InteractionLog, backward_sets, demo_log, layered_edges
+
     log = demo_log() if args.fixture else InteractionLog.load(args.log)
     v, t = args.agent, args.step
     # both check --agent and --step here, before any output is opened

@@ -20,8 +20,6 @@ import math
 from array import array
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .rng import Splitmix64, pair_blocks
-
 LEADER = "L"
 FOLLOWER = "F"
 
@@ -33,11 +31,21 @@ TransitionTable = tuple[tuple[tuple[int, int], ...], ...]
 if TYPE_CHECKING:
     import numpy as np
 
+    from .rng import Splitmix64
+
+# The work budget of an exact enumeration, and of the commands that charge
+# one, when none is given.
+DEFAULT_BUDGET = 10**7
+
 
 class BudgetExceededError(RuntimeError):
     """The work asked for exceeds the budget: the potential configuration
     space of an enumeration, the edges of an exported graph, the population
     of an influencer sweep, or the masks of a crossing kernel past the cap."""
+
+
+class NonAbsorbingError(RuntimeError):
+    """The target set is not reached with probability 1 from the start."""
 
 
 class Interaction(NamedTuple):
@@ -264,6 +272,8 @@ def run_trial(
     Determinism: two runs with identical arguments produce identical
     interaction sequences, event steps, and final states.
     """
+    from .rng import pair_blocks
+
     max_steps = step_budget(n, max_steps)
 
     counts = None  # counted by Trial unless the start is all-initial

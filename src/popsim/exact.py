@@ -29,15 +29,18 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .core import LEADER, BudgetExceededError, Interaction, Protocol, apply_interaction, output_vector
-
-DEFAULT_BUDGET = 10**7
+from .core import (
+    DEFAULT_BUDGET,
+    LEADER,
+    BudgetExceededError,
+    Interaction,
+    NonAbsorbingError,
+    Protocol,
+    apply_interaction,
+    output_vector,
+)
 
 Config = tuple[int, ...]
-
-
-class NonAbsorbingError(RuntimeError):
-    """The target set is not reached with probability 1 from the start."""
 
 
 class ConfigurationSpace:

@@ -598,6 +598,23 @@ def test_exact_leave_init_has_no_safe_configurations(tmp_path):
     assert doc["expected_stabilization_steps"] is None
 
 
+def test_exact_safe_set_missed_with_positive_probability_exits_2(tmp_path, capsys):
+    # From (l, f, a) the last initial agent either becomes a follower, a safe
+    # configuration, or a second leader, a closed class that never leaves.
+    path = tmp_path / "branch.json"
+    path.write_text(json.dumps({
+        "name": "branch",
+        "states": ["a", "l", "f"],
+        "initial": "a",
+        "outputs": {"a": "L", "l": "L", "f": "F"},
+        "rules": [["a", "a", "l", "f"], ["a", "f", "f", "f"], ["a", "l", "l", "l"]],
+    }))
+    out = tmp_path / "exact.json"
+    assert main(["exact", "--protocol-file", str(path), "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "popsim: target unreachable from configuration (1, 2, 1)\n"
+    assert not out.exists()
+
+
 def test_exact_pairwise_twelve_finishes(tmp_path):
     # 4095 configurations lie well inside the default budget, so the command
     # must return (n-1)^2 rather than hang in the solve.
@@ -800,39 +817,61 @@ def test_export_graph_streams_its_output(tmp_path):
 # ------------------------------------------------------------------- cold start
 
 COLD_START = textwrap.dedent("""
+    import json
     import sys
 
-    def loaded():
-        return [m for m in ("numpy", "_hashlib", "dataclasses", "inspect") if m in sys.modules]
+    def loaded(names):
+        return [m for m in names if m in sys.modules]
 
+    everything = json.loads(sys.argv[1])
     import popsim
 
-    assert loaded() == [], ("import popsim", loaded())
+    assert loaded(everything) == [], ("import popsim", loaded(everything))
     from popsim.cli import main
 
-    assert loaded() == [], ("import popsim.cli", loaded())
-    out = sys.argv[1]
-    assert main(["exact", "--protocol", "pairwise-elimination", "--n", "5", "--out", out]) == 0
-    assert loaded() == [], ("exact", loaded())
-    assert main(["export-graph", "--fixture", "--agent", "0", "--step", "6", "--out", out]) == 0
-    assert loaded() == [], ("export-graph", loaded())
-    try:
-        main(["exact", "--n", "5"])  # no protocol: argparse exits 2
-    except SystemExit as exc:
-        assert exc.code == 2
-    else:
-        raise AssertionError("the usage error did not exit")
-    assert loaded() == [], ("usage error", loaded())
-    assert main(["run", "--protocol", "pairwise-elimination", "--n", "5", "--out", out]) == 0
-    assert "numpy" in sys.modules, "run drew its pairs without numpy"
+    assert loaded(everything) == [], ("import popsim.cli", loaded(everything))
+    for argv, code, absent, present in json.loads(sys.argv[2]):
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            got = exc.code
+        assert got == code, (argv, got)
+        assert loaded(absent) == [], (argv, "loaded", loaded(absent))
+        assert loaded(present) == present, (argv, "did not load", present)
 """)
+
+# numpy and hashlib are heavy, and popsim's records need neither
+# dataclasses nor the inspect it pulls in
+HEAVY = ["numpy", "_hashlib", "dataclasses", "inspect"]
+EXACT, INFLUENCE, STATS, PROTOCOLS, RNG = (
+    f"popsim.{m}" for m in ("exact", "influence", "stats", "protocols", "rng")
+)
 
 
 def test_commands_without_pair_streams_load_neither_numpy_nor_hashlib(tmp_path):
-    # nor dataclasses and inspect, which popsim's records do without; a
-    # fresh interpreter: this one has imported numpy long since
+    # and each command loads only the popsim modules it runs; each sequence
+    # runs in a fresh interpreter, as this one has imported everything
+    out = str(tmp_path / "out")
+    sequences = [
+        [
+            (["exact", "--protocol", "pairwise-elimination", "--n", "5", "--out", out], 0,
+             [*HEAVY, INFLUENCE, STATS, RNG, "csv"], [EXACT, PROTOCOLS]),
+            (["exact", "--n", "5"], 2, [*HEAVY, INFLUENCE, STATS, RNG, "csv"], []),
+        ],
+        [(["export-graph", "--fixture", "--agent", "0", "--step", "6", "--out", out], 0,
+          [*HEAVY, EXACT, STATS, PROTOCOLS], [INFLUENCE])],
+        [(["run", "--protocol", "pairwise-elimination", "--n", "5", "--out", out], 0,
+          [EXACT, INFLUENCE], ["numpy", PROTOCOLS, RNG])],
+        [(["coupon", "--n", "16", "--trials", "2", "--out", out], 0,
+          [EXACT, INFLUENCE], ["numpy", PROTOCOLS, RNG, STATS])],
+        [(["influencer", "--n", "16", "--trials", "2", "--out", out], 0,
+          [EXACT, PROTOCOLS], [INFLUENCE, RNG, STATS])],
+    ]
     src = Path(popsim.__file__).resolve().parent.parent
-    result = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path / "out")],
-                            env={**os.environ, "PYTHONPATH": str(src)},
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
+    everything = [*HEAVY, EXACT, INFLUENCE, STATS, PROTOCOLS, RNG]
+    for steps in sequences:
+        result = subprocess.run(
+            [sys.executable, "-c", COLD_START, json.dumps(everything), json.dumps(steps)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr

@@ -1,6 +1,7 @@
 """The benchmark workloads in ``perfbench/`` keep their seed-0 output bytes,
-the ``popsim.cli`` names its traced runs wrap still exist, and every
-``popsim`` name ``perfbench/`` imports still resolves."""
+the ``popsim.cli`` names its traced runs wrap still exist and are called
+through ``popsim.cli``, and every ``popsim`` name ``perfbench/`` imports
+still resolves."""
 
 import ast
 import hashlib
@@ -41,6 +42,31 @@ def test_workload_bytes_match_reference_digests(tmp_path, name):
 def test_traced_names_are_cli_globals():
     wrapped = load_perfbench("spans").WRAPPED
     assert [name for name in wrapped if not hasattr(popsim.cli, name)] == []
+
+
+def test_traced_names_are_called_through_cli(tmp_path, monkeypatch):
+    # a command that imported one of these names locally would bypass the
+    # ``popsim.cli`` global and silently drop its span
+    calls = dict.fromkeys(load_perfbench("spans").WRAPPED, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(popsim.cli, name, counting(name, getattr(popsim.cli, name)))
+    out = str(tmp_path / "out.csv")
+    for argv in (
+        ["run", "--protocol", "leave-init", "--n", "16", "--threshold", "n^2/3", "--trials", "2"],
+        ["coupon", "--n", "16", "--trials", "2"],
+        ["influencer", "--n", "16", "--trials", "2"],
+        ["exact", "--protocol", "pairwise-elimination", "--n", "3"],
+    ):
+        assert popsim.cli.main([*argv, "--out", out]) == 0
+    assert [name for name, count in calls.items() if count == 0] == []
 
 
 def test_perfbench_popsim_imports_resolve():
