@@ -336,6 +336,9 @@ def cmd_influencer(args) -> int:
         if args.series_out and not series_done:
             first = results[0]
             steps = step_budget(n, args.max_steps) if first["truncated"] else first["t_min"]
+            # one mask union and one row per replayed step; no output is open yet
+            if steps > budget:
+                raise BudgetExceededError(f"the size series of n={n} replays {steps} steps, past budget {budget}")
             write_size_series(n, _trial_schedule(first["seed"], n, steps), args.series_out)
             series_done = True
 

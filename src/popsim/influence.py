@@ -34,27 +34,30 @@ responders, 8 bytes a step, so a population is below 2**32
 (``rng.check_population``).
 
 First crossings of a size threshold (:func:`first_exceed_time`) run on a
-stream kernel that reads the pairs of ``rng.pair_blocks`` and applies no
-protocol, since influence does not depend on states.  Per step it keeps only
-an upper bound on each set's size: a merged set's bound is the sum of the two
-participants' bounds (when one agent is tracked, other bounds are capped at
-n), which never falls below the true size, so no crossing is skipped.  It
-also records the prefix of the stream as an :class:`InteractionLog`.  Only a
-bound above the threshold needs an exact size, and one backward scan of the
-recorded prefix gives it: the :func:`backward_step` recurrence from the two
-participants, counted on a flag per agent rather than stored, whose result
-then replaces both bounds.  A scan reads the whole prefix, so once the scans
-of a trial pass a multiple of its current step in all (as with thresholds
-near n, whose bounds overflow at almost every step; the multiple is
-``SWITCH_MULTIPLE`` below n=8192 and grows with n, as a union of n-bit masks
-grows dearer than a scanned pair), the kernel replays the prefix with
-:func:`forward_sets` and goes on with a union per step and a
-``bit_count()`` where the bound passes the threshold.  Without a switch
-memory is the prefix's 8 bytes a step and two lists of n entries, so n is
-limited by time rather than by the mask cap; a switch at n above the cap
-raises :class:`~popsim.core.BudgetExceededError` rather than approximate,
-and there the multiple is ``SWITCH_MULTIPLE`` again, so the scans before
-the error cost at most three times the trial's step.
+stream kernel, one loop over the blocks of ``rng.pair_blocks`` that applies
+no protocol, since influence does not depend on states.  Each block is
+appended to the trial's prefix, an :class:`InteractionLog` kept for the
+whole trial.  Per step the kernel keeps only an upper bound on each set's
+size: a merged set's bound is the sum of the two participants' bounds (when
+one agent is tracked, other bounds are capped at n), which never falls below
+the true size, so no crossing is skipped.  Only a bound above the threshold
+needs an exact size.  At first one backward scan of the prefix gives it: the
+:func:`backward_step` recurrence from the two participants, counted on a
+flag per agent rather than stored, whose result then replaces both bounds.
+A scan reads the whole prefix, so once the scans of a trial pass a multiple
+of its current step in all (as with thresholds near n, whose bounds overflow
+at almost every step; the multiple is ``SWITCH_MULTIPLE`` below n=8192 and
+grows with n, as a union of n-bit masks grows dearer than a scanned pair),
+the kernel switches: :func:`forward_sets` replays the prefix through the
+current pair into masks, each later step ORs its two participants' masks,
+and an exact size is a ``bit_count()``.  The switch changes how an exact
+size is read, not which loop runs.  Without a switch memory is the prefix's
+8 bytes a step and two lists of n entries, so n is limited by time rather
+than by the mask cap; after one it is the masks, up to n*n/8 bytes, plus the
+prefix.  A switch at n above the cap raises
+:class:`~popsim.core.BudgetExceededError` rather than approximate, and there
+the multiple is ``SWITCH_MULTIPLE`` again, so the scans before the error
+cost at most three times the trial's step.
 The kernel is the only implementation of the crossing rule.
 
 The schedule of a trial is the first ``steps_taken`` pairs of its pair
@@ -69,7 +72,7 @@ import csv
 from array import array
 from functools import cache
 from pathlib import Path
-from itertools import accumulate, chain, islice, starmap
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Optional, Union
 
 from .core import BudgetExceededError, Interaction, Protocol, TrialRecord, run_trial, step_budget
@@ -336,8 +339,9 @@ def first_exceed_time(
     entries, so n may pass ``MAX_TRACKED_AGENTS``; it must be below 2**32.
     Only a switch to masks (see the module docstring) at such an n raises
     :class:`~popsim.core.BudgetExceededError`, as it would need masks past
-    the cap.  At n = 2**20 the n^(2/3) crossing comes near 3.5 million
-    steps, a prefix of about 28 MB.
+    the cap; below the cap a switch adds the masks, up to n*n/8 bytes, and
+    the prefix still grows.  At n = 2**20 the n^(2/3) crossing comes near
+    3.5 million steps, a prefix of about 28 MB.
 
     The stream kernel finds the crossing without applying ``protocol``, so
     the record's ``final_states`` is None.  With ``extra_observers``, the
@@ -400,59 +404,45 @@ def _crossing_step(seed: int, n: int, threshold: float, agent: Optional[int], bu
     participant's set (the tracked agent's, when there is one) has more than
     ``threshold`` members, or None."""
     bound = [1] * n  # bound[v] >= the size of v's set
-    prefix: Optional[InteractionLog] = InteractionLog(n)  # the pairs read, until the switch
-    first = read = 0  # the step of the current block's first pair; pairs read
-
-    def record(U: array, V: array) -> Iterator[tuple[int, int, int]]:
-        """The pairs of block ``(U, V)`` with their positions in it.  A
-        pair's step is ``first`` plus its position, worked out only where the
-        loop needs it: the positions are shared ints, where a count of every
-        step would make a new int per step."""
-        nonlocal first, read
-        if prefix is not None:
-            prefix.initiators += U
-            prefix.responders += V
-        first, read = read + 1, read + len(U)
-        return zip(U, V, _positions())
-
-    stream = islice(chain.from_iterable(starmap(record, pair_blocks(seed, n))), budget)
+    prefix = InteractionLog(n)  # every pair read
+    masks: Optional[list[int]] = None  # every set's mask, from the switch on
     scanned = 0  # pairs read by the backward scans
     multiple = _switch_multiple(n)
-    for u, v, j in stream:
-        size = bound[u] + bound[v]
-        if size > threshold:
-            if agent is None or agent == u or agent == v:
-                step = first + j
-                if scanned + step - 1 > multiple * step:
-                    break
-                scanned += step - 1
-                size = _backward_size(prefix, step - 1, u, v, threshold)
-                if size > threshold:
-                    return step
-            elif size > n:  # no set has more than n members
-                size = n
-        bound[u] = bound[v] = size
-    else:
-        return None
-    # The switch: the masks of every set before this step, then this step and
-    # the rest with an exact popcount wherever the bound passes the threshold.
-    if n > MAX_TRACKED_AGENTS:
-        raise BudgetExceededError(
-            f"the crossing kernel needs masks at step {step}, and masks are capped at n <= {MAX_TRACKED_AGENTS}"
-        )
-    masks = forward_sets(prefix, step - 1).masks
-    prefix = None
-    for u, v, j in chain([(u, v, j)], stream):
-        masks[u] = masks[v] = merged = (masks[u] or 1 << u) | (masks[v] or 1 << v)
-        size = bound[u] + bound[v]
-        if size > threshold:
-            if agent is None or agent == u or agent == v:
-                size = merged.bit_count()
-                if size > threshold:
-                    return first + j
-            elif size > n:
-                size = n
-        bound[u] = bound[v] = size
+    blocks = pair_blocks(seed, n)
+    first = 1  # the step of the current block's first pair
+    while first <= budget:
+        U, V = next(blocks)
+        U, V = U[: budget + 1 - first], V[: budget + 1 - first]  # the last block ends at the budget
+        prefix.initiators += U
+        prefix.responders += V
+        # A pair's step is ``first`` plus its position, worked out only where
+        # the loop needs it: the positions are shared ints, where a count of
+        # every step would make a new int per step.
+        for u, v, j in zip(U, V, _positions()):
+            if masks is not None:
+                masks[u] = masks[v] = (masks[u] or 1 << u) | (masks[v] or 1 << v)
+            size = bound[u] + bound[v]
+            if size > threshold:
+                if agent is None or agent == u or agent == v:
+                    step = first + j
+                    if masks is None and scanned + step - 1 <= multiple * step:
+                        scanned += step - 1
+                        size = _backward_size(prefix, step - 1, u, v, threshold)
+                    else:
+                        if masks is None:  # the switch: every set's mask through this step
+                            if n > MAX_TRACKED_AGENTS:
+                                raise BudgetExceededError(
+                                    f"the crossing kernel needs masks at step {step}, "
+                                    f"and masks are capped at n <= {MAX_TRACKED_AGENTS}"
+                                )
+                            masks = forward_sets(prefix, step).masks
+                        size = masks[u].bit_count()
+                    if size > threshold:
+                        return step
+                elif size > n:  # no set has more than n members
+                    size = n
+            bound[u] = bound[v] = size
+        first += len(U)
     return None
 
 

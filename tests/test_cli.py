@@ -681,6 +681,22 @@ def test_influencer_counts_n_against_the_budget(tmp_path, monkeypatch, capsys):
     assert len(read_csv(out)[1]) == 2
 
 
+def test_influencer_series_counts_its_steps_against_the_budget(tmp_path, monkeypatch, capsys):
+    # A truncated trial 0 replays the whole step budget into the series, one
+    # mask union and one row a step: 64 n ceil(ln n) = 3072 steps at n=16.
+    out, series = tmp_path / "inf.csv", tmp_path / "series.csv"
+    argv = ["influencer", "--n", "16", "--trials", "2", "--out", str(out), "--series-out", str(series)]
+    monkeypatch.setenv("POPSIM_BUDGET", "3071")
+    assert main([*argv, "--threshold", "n"]) == 3
+    assert capsys.readouterr().err == "popsim: the size series of n=16 replays 3072 steps, past budget 3071\n"
+    assert list(tmp_path.iterdir()) == []
+    assert main([*argv, "--threshold", "n^2/3"]) == 0
+    assert len(series.read_text().splitlines()) == int(read_csv(out)[1][0]["t_min"]) + 1
+    monkeypatch.setenv("POPSIM_BUDGET", "3072")
+    assert main([*argv, "--threshold", "n"]) == 0
+    assert len(series.read_text().splitlines()) == 3073
+
+
 # ----------------------------------------------------------------- export-graph
 
 

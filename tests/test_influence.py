@@ -2,7 +2,7 @@ import math
 import re
 import tracemalloc
 from collections import Counter
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +36,8 @@ from popsim.influence import (
     write_log,
     write_size_series,
 )
-from popsim.rng import pair_stream
+from popsim.protocols import CATALOG
+from popsim.rng import pair_blocks, pair_stream
 
 A, B, C, D, E = range(5)
 
@@ -474,10 +475,12 @@ def test_kernel_paths_match_forward_replay(monkeypatch, n, threshold, agent, swi
 
 
 @pytest.mark.parametrize("multiple", [0, math.inf])
-@pytest.mark.parametrize("n", [3, 5, 64, 200])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 64, 200])
 def test_either_kernel_path_alone_matches_forward_replay(monkeypatch, n, multiple):
     # A multiple of 0 switches to masks at the first overflow after step 1,
-    # and an infinite one never switches, so every overflow is scanned.
+    # and an infinite one never switches, so every overflow is scanned.  At
+    # n = 4 and 8 the pair after a switch often meets one of its two agents,
+    # so masks replayed one pair too far give an early crossing there.
     monkeypatch.setattr(influence, "SWITCH_MULTIPLE", multiple)
     thresholds = sorted({1, 1.5, math.ceil(n ** (2 / 3)), n / 2 + 0.25, n - 0.5})
     for agent in (None, 0):
@@ -487,6 +490,105 @@ def test_either_kernel_path_alone_matches_forward_replay(monkeypatch, n, multipl
             recorder = ScheduleRecorder(n)
             run_trial(leave_init(n), n, seed, max_steps=rec.steps_taken, observers=[recorder])
             assert rec.event_steps.get(INFLUENCER_EVENT) == _replay_crossing(recorder.log, threshold, agent)
+
+
+def _block_ends(seed, n, count=6):
+    """The steps at which the first ``count`` blocks of the pair stream end.
+    A block's size counts words, and a pair takes one word or more, so the
+    ends come from the blocks themselves."""
+    return list(islice(accumulate(len(U) for U, _ in pair_blocks(seed, n)), count))
+
+
+# (n, threshold, agent, whether the kernel switches to masks on these seeds):
+# crossings at step 1, at the end of the first block (n=5, first seed), inside
+# the later blocks and past the sixth (n=1000)
+BLOCK_CASES = [
+    (2, 1, None, False),
+    (5, 3, 0, False),
+    (64, 16, None, False),
+    (64, 63, None, True),
+    (64, 63, 0, True),
+    (1000, 100, None, False),
+]
+
+
+@pytest.mark.parametrize("n, threshold, agent, switches", BLOCK_CASES)
+def test_kernel_budgets_at_block_ends_match_forward_replay(monkeypatch, n, threshold, agent, switches):
+    seen = _kernel_counters(monkeypatch)
+    for i in range(3):
+        seed = derive_seed(n, i)
+        ends = _block_ends(seed, n)
+        log = InteractionLog(n, islice(pair_stream(seed, n), ends[-1] + 1))
+        for budget in sorted({0, *ends, *(e - 1 for e in ends), *(e + 1 for e in ends)}):
+            rec = first_exceed_time(None, n, seed, threshold, agent=agent, max_steps=budget)
+            crossing = _replay_crossing(InteractionLog(n, islice(log, budget)), threshold, agent)
+            if crossing is None:
+                assert _fields(rec) == ({}, budget, True)
+            else:
+                assert _fields(rec) == ({INFLUENCER_EVENT: crossing}, crossing, False)
+    assert (seen["switches"] > 0) == switches
+
+
+def _fewer_missing_step(seed, n, f):
+    """The first step t at which fewer than ``f`` agents are missing from the
+    first t pairs of the stream."""
+    fresh, missing = [True] * n, n
+    for t, (u, v) in enumerate(pair_stream(seed, n), 1):
+        missing -= fresh[u] + fresh[v]
+        fresh[u] = fresh[v] = False
+        if missing < f:
+            return t
+
+
+def _flag_pass_step(seed, n):
+    """The first step at which a flag passed on by every pair, starting from
+    agent 0, covers all agents."""
+    flagged, count = [True] + [False] * (n - 1), 1
+    for t, (u, v) in enumerate(pair_stream(seed, n), 1):
+        if flagged[u] is not flagged[v]:
+            flagged[u] = flagged[v] = True
+            count += 1
+            if count == n:
+                return t
+
+
+@pytest.mark.parametrize("n", [5, 60, 1000, 20000])
+def test_stream_walkers_match_pathwise_identities(n):
+    # Identities read straight off the pair stream check both of its walkers,
+    # the null-skipping run_trial and the crossing kernel, on long runs and
+    # with no oracle engine.
+    f = math.ceil(n ** (2 / 3))
+    drain, epidemic = CATALOG["leave-init"], CATALOG["one-way-epidemic"]
+    for i in range(3):
+        seed = derive_seed(n, i)
+        # leave-init's init count at step t is the number of agents missing
+        # from the first t pairs
+        rec = run_trial(drain.build(n), n, seed, stop_event=(drain.event, drain.stop(n, f)))
+        assert rec.event_steps[drain.event] == _fewer_missing_step(seed, n, f)
+        rec = run_trial(epidemic.build(n), n, seed, stop_event=(epidemic.event, epidemic.stop(n, None)),
+                        initial=epidemic.start(n))
+        assert rec.event_steps[epidemic.event] == _flag_pass_step(seed, n)
+        # an agent's set passes one member at its first step
+        for a in (0, n - 1):
+            first = next(t for t, pair in enumerate(pair_stream(seed, n), 1) if a in pair)
+            assert first_exceed_time(None, n, seed, 1, agent=a).event_steps[INFLUENCER_EVENT] == first
+
+
+def test_switching_kernel_memory_is_the_masks_and_the_prefix(monkeypatch):
+    # After the switch the masks of 4096 agents take at most 2 MB, beside the
+    # prefix's 8 bytes a step.
+    n = 4096
+    seen = _kernel_counters(monkeypatch)
+    import numpy  # noqa: F401  popsim imports it on first use; its import is not the kernel's memory
+
+    tracemalloc.start()
+    try:
+        rec = first_exceed_time(None, n, derive_seed(n, 0), 4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen["switches"] == 1 and not rec.truncated
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize("n, threshold, agent", [case[:3] for case in KERNEL_PATHS if case[3]])
