@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from itertools import islice
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
@@ -286,14 +285,6 @@ def _summary_row(n: int, threshold: int, ratios: list[float]) -> dict:
     return row
 
 
-def _trial_schedule(seed: int, n: int, steps: int):
-    """The interactions of a trial that took ``steps`` steps: the first
-    ``steps`` pairs of its seed's pair stream, whatever the protocol."""
-    from .rng import pair_stream
-
-    return islice(pair_stream(seed, n), steps)
-
-
 def cmd_run(args) -> int:
     log_trial = None  # (n, seed, steps) of trial 0 of the first size
     rows = []
@@ -309,14 +300,18 @@ def cmd_run(args) -> int:
     _emit(_render_rows(rows, columns, args.format, "popsim.run.v1"), args.out)
     if args.save_log:
         from .influence import write_log
+        from .rng import pair_stream
 
+        # a trial's schedule is its first ``steps`` pairs, whatever the protocol
         n, seed, steps = log_trial
-        write_log(n, _trial_schedule(seed, n, steps), args.save_log)
+        write_log(n, pair_stream(seed, n, steps), args.save_log)
     return EXIT_OK
 
 
 def cmd_influencer(args) -> int:
     from .influence import check_mask_cap, write_size_series
+    from .rng import pair_stream
+    from .stats import PERCENTILE_LEVELS
 
     # The kernel keeps n-entry lists and 8 bytes a step, about n ln n steps,
     # so n itself is the work counted against the budget.
@@ -339,14 +334,13 @@ def cmd_influencer(args) -> int:
             # one mask union and one row per replayed step; no output is open yet
             if steps > budget:
                 raise BudgetExceededError(f"the size series of n={n} replays {steps} steps, past budget {budget}")
-            write_size_series(n, _trial_schedule(first["seed"], n, steps), args.series_out)
+            write_size_series(n, pair_stream(first["seed"], n, steps), args.series_out)
             series_done = True
 
     trial_cols = ["n", "trial", "seed", "threshold", "t_min", "ratio", "truncated"]
     _emit(_render_rows(trial_rows, trial_cols, args.format, "popsim.influencer-trials.v1"), args.out)
-    summary_cols = ["n", "threshold", "count", "mean_ratio", "variance", "std_error"] + [
-        f"p{lvl}" for lvl in (1, 5, 25, 50, 75, 95, 99)
-    ]
+    summary_cols = ["n", "threshold", "count", "mean_ratio", "variance", "std_error"]
+    summary_cols += [f"p{lvl}" for lvl in PERCENTILE_LEVELS]
     summary_text = _render_rows(summary_rows, summary_cols, args.format, "popsim.influencer-summary.v1")
     _emit(summary_text, _summary_path(args))
     return EXIT_OK
@@ -354,11 +348,14 @@ def cmd_influencer(args) -> int:
 
 def _summary_path(args) -> Optional[str]:
     """Summary rows go to --summary-out, or a ``-summary`` sibling of --out,
-    or stdout after the trial rows."""
+    or stdout after the trial rows.  An --out that exists but is not a
+    regular file (``/dev/null``, a FIFO) has no sibling: its summary goes to
+    stdout."""
     if args.summary_out:
         return args.summary_out
-    if args.out and args.out != "-":
-        root, ext = os.path.splitext(args.out)
+    out = args.out
+    if out and out != "-" and (os.path.isfile(out) or not os.path.exists(out)):
+        root, ext = os.path.splitext(out)
         return f"{root}-summary{ext or '.csv'}"
     return None
 

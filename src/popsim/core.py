@@ -245,15 +245,16 @@ def run_trial(
 ) -> TrialRecord:
     """Run one seeded execution from the all-initial configuration.
 
-    Each step takes the next pair of ``pair_blocks(seed, n)`` (the pairs
-    ``sample_interaction`` draws from ``Splitmix64(seed)``), applies it, then
-    notifies every observer with ``notify(trial, interaction, old_pair,
-    new_pair)``.  ``stop_event`` is a ``(name, predicate)`` pair: the run
-    halts at the first step where the predicate holds (checked before the
-    first interaction as well) and records that step in ``event_steps``
-    under ``name``, or it halts after ``max_steps`` interactions, whichever
-    comes first.  Hitting the step budget without the predicate firing marks
-    the record as truncated rather than raising.
+    Each step takes the next pair of ``pair_blocks(seed, n, max_steps)``
+    (the pairs ``sample_interaction`` draws from ``Splitmix64(seed)``),
+    applies it, then notifies every observer with ``notify(trial,
+    interaction, old_pair, new_pair)``.  ``stop_event`` is a ``(name,
+    predicate)`` pair: the run halts at the first step where the predicate
+    holds (checked before the first interaction as well) and records that
+    step in ``event_steps`` under ``name``, or it halts where the stream
+    ends, after ``max_steps`` interactions, whichever comes first.  Hitting
+    the step budget without the predicate firing marks the record as
+    truncated rather than raising.
 
     The predicate must depend on ``trial.counts`` and ``trial.states`` only.
     Without observers it is evaluated at step 0 and after each step that
@@ -305,11 +306,11 @@ def run_trial(
     # block finds, the null steps before it counted at once.  Runs with
     # observers are never scanned.  ``mirror`` (made at the first scan, which
     # also imports numpy) is a numpy view of ``buf``, a copy of ``states``
-    # kept in step with it.  No block is drawn for a run that ends at step 0.
+    # kept in step with it.  A run that stops at step 0 asks for a stream of
+    # no steps, which computes no block.
     skipping, nulls, mirror = False, 0, None
     skip_after = max_steps + 1 if notify_fns else DENSE_GAP
-    done = stopped or max_steps == 0
-    for U, V in pair_blocks(seed, n) if not done else ():
+    for U, V in pair_blocks(seed, n, 0 if stopped else max_steps):
         i, end, Ui = 0, len(U), None
         pairs = () if skipping else zip(U, V)  # a block in a null run is scanned at once
         while True:
@@ -348,12 +349,9 @@ def run_trial(
                     trial.step = step
                     if event_pred(trial):
                         events[event_name] = step
-                        stopped = done = True
+                        stopped = True
                         break
-                if step >= max_steps:
-                    done = True
-                    break
-            if done:
+            if stopped:
                 break
             i += step - first
             if i == end:
@@ -371,19 +369,14 @@ def run_trial(
                 Ui, Vi = (np.frombuffer(X, np.uint32).astype(np.intp) for X in (U, V))
             rest = changes[mirror[Ui[i:]] * width + mirror[Vi[i:]]]
             gap = int(rest.argmax())
-            if not rest[gap]:
-                gap = end - i
-            if gap >= max_steps - step:  # the budget ends inside the null run
-                step = max_steps
-                done = True
+            if not rest[gap]:  # the rest of the block is null
+                step += end - i
                 break
             step += gap
             i += gap
-            if i == end:
-                break
             skipping = gap >= DENSE_GAP
             pairs = ((U[i], V[i]),)
-        if done:
+        if stopped:
             break
     trial.step = step
 

@@ -34,16 +34,17 @@ responders, 8 bytes a step, so a population is below 2**32
 (``rng.check_population``).
 
 First crossings of a size threshold (:func:`first_exceed_time`) run on a
-stream kernel, one loop over the blocks of ``rng.pair_blocks`` that applies
-no protocol, since influence does not depend on states.  Each block is
-appended to the trial's prefix, an :class:`InteractionLog` kept for the
-whole trial.  Per step the kernel keeps only an upper bound on each set's
-size: a merged set's bound is the sum of the two participants' bounds (when
-one agent is tracked, other bounds are capped at n), which never falls below
-the true size, so no crossing is skipped.  Only a bound above the threshold
-needs an exact size.  At first one backward scan of the prefix gives it: the
-:func:`backward_step` recurrence from the two participants, counted on a
-flag per agent rather than stored, whose result then replaces both bounds.
+stream kernel, one loop over the blocks of ``rng.pair_blocks``, the last
+block ending at the step budget, that applies no protocol, since influence
+does not depend on states.  Each block is appended to the trial's prefix,
+an :class:`InteractionLog` kept for the whole trial.  Per step the kernel
+keeps only an upper bound on each set's size: a merged set's bound is the
+sum of the two participants' bounds (when one agent is tracked, other bounds
+are capped at n), which never falls below the true size, so no crossing is
+skipped.  Only a bound above the threshold needs an exact size.  At first
+one backward scan of the prefix gives it: the :func:`backward_step`
+recurrence from the two participants, counted on a flag per agent rather
+than stored, whose result then replaces both bounds.
 A scan reads the whole prefix, so once the scans of a trial pass a multiple
 of its current step in all (as with thresholds near n, whose bounds overflow
 at almost every step; the multiple is ``SWITCH_MULTIPLE`` below n=8192 and
@@ -408,11 +409,8 @@ def _crossing_step(seed: int, n: int, threshold: float, agent: Optional[int], bu
     masks: Optional[list[int]] = None  # every set's mask, from the switch on
     scanned = 0  # pairs read by the backward scans
     multiple = _switch_multiple(n)
-    blocks = pair_blocks(seed, n)
     first = 1  # the step of the current block's first pair
-    while first <= budget:
-        U, V = next(blocks)
-        U, V = U[: budget + 1 - first], V[: budget + 1 - first]  # the last block ends at the budget
+    for U, V in pair_blocks(seed, n, budget):
         prefix.initiators += U
         prefix.responders += V
         # A pair's step is ``first`` plus its position, worked out only where

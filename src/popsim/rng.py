@@ -32,9 +32,13 @@ and responders, 8 bytes a pair, so a stream's population is below 2**32
 stream is unchanged; the scalar generator stays the reference the block
 stream is tested against.
 
+A stream has a length: ``pair_blocks(seed, n, steps)`` yields the first
+``steps`` pairs, its last block cut there, so this module alone knows where
+a trial's schedule ends.  A stream of 0 steps computes no block.
+
 numpy is imported by the block passes themselves, not by this module: the
 word offsets, the shift table and the mix constants are made once per
-process, on the first :func:`pair_blocks` call (``_word_tables``), and each
+process, on the first block a stream computes (``_word_tables``), and each
 stream after that looks them up in a cache.  Importing this module loads
 only the standard library, so a command that draws no pairs (``exact``,
 ``export-graph``) never loads numpy.
@@ -128,25 +132,27 @@ def check_population(n: int, fewest: int) -> None:
         )
 
 
-def pair_blocks(seed: int, n: int) -> Iterator[tuple[array, array]]:
-    """Endless blocks ``(U, V)`` of ordered pairs ``(U[i], V[i])`` of
-    distinct agents in ``[0, n)``, for ``2 <= n < 2**32``: two
+def pair_blocks(seed: int, n: int, steps: int) -> Iterator[tuple[array, array]]:
+    """The first ``steps`` ordered pairs ``(U[i], V[i])`` of distinct agents
+    in ``[0, n)``, for ``2 <= n < 2**32``, in blocks ``(U, V)``: two
     ``array('I')`` columns of equal length, the initiators and the
-    responders.
+    responders, the last block cut at the ``steps``-th pair.
 
-    The pairs of the blocks in turn are exactly the sequence of
+    The pairs of the blocks in turn are exactly the first ``steps``
     ``sample_interaction(rng, n)`` results for ``rng = Splitmix64(seed)``:
     the initiator u is drawn at bound n, then k at bound n-1, and the
     responder is k skipping over u.  An initiator accepted in one block can
     get its responder from the next.
     """
     check_population(n, 2)
-    return _pair_blocks(seed & MASK64, n)
+    if steps < 0:
+        raise ValueError("a pair stream's steps must be >= 0")
+    return _pair_blocks(seed & MASK64, n, steps)
 
 
-def pair_stream(seed: int, n: int) -> Iterator[tuple[int, int]]:
+def pair_stream(seed: int, n: int, steps: int) -> Iterator[tuple[int, int]]:
     """The pairs of :func:`pair_blocks` one at a time, as Python ints."""
-    return chain.from_iterable(starmap(zip, pair_blocks(seed, n)))
+    return chain.from_iterable(starmap(zip, pair_blocks(seed, n, steps)))
 
 
 @cache
@@ -163,7 +169,9 @@ def _word_tables():
     return np, offsets, shifts, np.uint64(_MIX_A), np.uint64(_MIX_B)
 
 
-def _pair_blocks(state: int, n: int) -> Iterator[tuple[array, array]]:
+def _pair_blocks(state: int, n: int, steps: int) -> Iterator[tuple[array, array]]:
+    if not steps:  # no block, so no numpy
+        return
     np, offsets, shifts, mix_a, mix_b = _word_tables()
     u30, u27, u31 = shifts[30], shifts[27], shifts[31]
     bits = (n - 1).bit_length()  # randbelow(n) keeps the top ``bits`` bits
@@ -172,7 +180,7 @@ def _pair_blocks(state: int, n: int) -> Iterator[tuple[array, array]]:
     n1 = n - 1
     size = FIRST_BLOCK
     u = -1  # an accepted initiator still waiting for its k draw
-    while True:
+    while steps:
         # mix64 of the next ``size`` states, as Splitmix64.next64 computes them
         x = offsets[:size] + np.uint64(state)
         state = (state + size * GOLDEN_GAMMA) & MASK64
@@ -185,7 +193,7 @@ def _pair_blocks(state: int, n: int) -> Iterator[tuple[array, array]]:
         x >>= shift
         if size >= _ARRAY_BLOCK:
             U, V, u = _pairs_by_arrays(x.astype(np.uint32), n, drop, u)
-            yield array("I", U.tobytes()), array("I", V.tobytes())
+            U, V = array("I", U.tobytes()), array("I", V.tobytes())
         else:  # one draw (the top bits of a word) at a time
             U, V = array("I"), array("I")
             add_u, add_v = U.append, V.append
@@ -199,7 +207,9 @@ def _pair_blocks(state: int, n: int) -> Iterator[tuple[array, array]]:
                         add_u(u)
                         add_v(k if k < u else k + 1)
                         u = -1
-            yield U, V
+        del U[steps:], V[steps:]  # the last block ends at the last step
+        steps -= len(U)
+        yield U, V
         size = min(2 * size, MAX_BLOCK)
 
 

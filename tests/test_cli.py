@@ -9,11 +9,12 @@ import textwrap
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import popsim
-from popsim.cli import _one_leader_stop, main, threshold_count
+from popsim.cli import _one_leader_stop, _summary_path, main, threshold_count
 from popsim.core import LEADER, Trial, run_trial
 from popsim.influence import INFLUENCER_EVENT, InfluencerTable, ScheduleRecorder, write_log
 from popsim.protocols import CATALOG, leave_init, make_protocol, protocol_from_dict
@@ -447,6 +448,21 @@ def _influencer_outputs(tmp_path, name, argv):
     return out.read_bytes(), (tmp_path / f"{name}-summary.csv").read_bytes()
 
 
+def test_summary_of_an_out_that_is_no_regular_file_goes_to_stdout(tmp_path):
+    # a device or a FIFO has no "-summary" sibling, which at /dev/null would
+    # be a new file in /dev
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    for out in (os.devnull, str(fifo), "-", None):
+        assert _summary_path(SimpleNamespace(out=out, summary_out=None)) is None
+    assert _summary_path(SimpleNamespace(out=os.devnull, summary_out="s.csv")) == "s.csv"
+    # a regular file keeps its sibling, before it is written and after
+    regular = SimpleNamespace(out=str(tmp_path / "inf.csv"), summary_out=None)
+    assert _summary_path(regular) == str(tmp_path / "inf-summary.csv")
+    (tmp_path / "inf.csv").write_text("")
+    assert _summary_path(regular) == str(tmp_path / "inf-summary.csv")
+
+
 @pytest.mark.parametrize("agent", [[], ["--agent", "3"]])
 def test_influencer_jobs_do_not_change_output(tmp_path, agent):
     base = ["--n", "16", "--n", "40", "--trials", "9", "--seed", "12", *agent]
@@ -878,6 +894,10 @@ def test_commands_without_pair_streams_load_neither_numpy_nor_hashlib(tmp_path):
           [*HEAVY, EXACT, STATS, PROTOCOLS], [INFLUENCE])],
         [(["run", "--protocol", "pairwise-elimination", "--n", "5", "--out", out], 0,
           [EXACT, INFLUENCE], ["numpy", PROTOCOLS, RNG])],
+        # a stream of 0 steps computes no block, so the saved log loads no numpy
+        [(["run", "--protocol", "leave-init", "--n", "6", "--max-steps", "0", "--out", out,
+           "--save-log", str(tmp_path / "z.log")], 0,
+          [*HEAVY, EXACT, STATS], [PROTOCOLS, RNG, INFLUENCE])],
         [(["coupon", "--n", "16", "--trials", "2", "--out", out], 0,
           [EXACT, INFLUENCE], ["numpy", PROTOCOLS, RNG, STATS])],
         [(["influencer", "--n", "16", "--trials", "2", "--out", out], 0,

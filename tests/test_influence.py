@@ -37,7 +37,7 @@ from popsim.influence import (
     write_size_series,
 )
 from popsim.protocols import CATALOG
-from popsim.rng import pair_blocks, pair_stream
+from popsim.rng import FIRST_BLOCK, MAX_BLOCK, pair_blocks, pair_stream
 
 A, B, C, D, E = range(5)
 
@@ -299,7 +299,7 @@ def test_unreachable_threshold_skips_the_kernel(monkeypatch):
                             extra_observers=[recorder])
     assert (rec.seed, rec.n, rec.steps_taken, rec.event_steps, rec.truncated) == (4, 5, 400, {}, True)
     assert rec.final_states == run_trial(leave_init(5), 5, 4, max_steps=400).final_states
-    assert recorder.log.entries == [Interaction(u, v) for u, v in islice(pair_stream(4, 5), 400)]
+    assert recorder.log.entries == [Interaction(u, v) for u, v in pair_stream(4, 5, 400)]
 
 
 def test_threshold_below_one_rejected():
@@ -495,8 +495,10 @@ def test_either_kernel_path_alone_matches_forward_replay(monkeypatch, n, multipl
 def _block_ends(seed, n, count=6):
     """The steps at which the first ``count`` blocks of the pair stream end.
     A block's size counts words, and a pair takes one word or more, so the
-    ends come from the blocks themselves."""
-    return list(islice(accumulate(len(U) for U, _ in pair_blocks(seed, n)), count))
+    ends come from the blocks themselves, drawn whole from a stream of as
+    many steps as they have words."""
+    words = sum(min(FIRST_BLOCK << i, MAX_BLOCK) for i in range(count))
+    return list(islice(accumulate(len(U) for U, _ in pair_blocks(seed, n, words)), count))
 
 
 # (n, threshold, agent, whether the kernel switches to masks on these seeds):
@@ -518,7 +520,7 @@ def test_kernel_budgets_at_block_ends_match_forward_replay(monkeypatch, n, thres
     for i in range(3):
         seed = derive_seed(n, i)
         ends = _block_ends(seed, n)
-        log = InteractionLog(n, islice(pair_stream(seed, n), ends[-1] + 1))
+        log = InteractionLog(n, pair_stream(seed, n, ends[-1] + 1))
         for budget in sorted({0, *ends, *(e - 1 for e in ends), *(e + 1 for e in ends)}):
             rec = first_exceed_time(None, n, seed, threshold, agent=agent, max_steps=budget)
             crossing = _replay_crossing(InteractionLog(n, islice(log, budget)), threshold, agent)
@@ -533,7 +535,7 @@ def _fewer_missing_step(seed, n, f):
     """The first step t at which fewer than ``f`` agents are missing from the
     first t pairs of the stream."""
     fresh, missing = [True] * n, n
-    for t, (u, v) in enumerate(pair_stream(seed, n), 1):
+    for t, (u, v) in enumerate(pair_stream(seed, n, step_budget(n, None)), 1):
         missing -= fresh[u] + fresh[v]
         fresh[u] = fresh[v] = False
         if missing < f:
@@ -544,7 +546,7 @@ def _flag_pass_step(seed, n):
     """The first step at which a flag passed on by every pair, starting from
     agent 0, covers all agents."""
     flagged, count = [True] + [False] * (n - 1), 1
-    for t, (u, v) in enumerate(pair_stream(seed, n), 1):
+    for t, (u, v) in enumerate(pair_stream(seed, n, step_budget(n, None)), 1):
         if flagged[u] is not flagged[v]:
             flagged[u] = flagged[v] = True
             count += 1
@@ -570,7 +572,8 @@ def test_stream_walkers_match_pathwise_identities(n):
         assert rec.event_steps[epidemic.event] == _flag_pass_step(seed, n)
         # an agent's set passes one member at its first step
         for a in (0, n - 1):
-            first = next(t for t, pair in enumerate(pair_stream(seed, n), 1) if a in pair)
+            stream = pair_stream(seed, n, step_budget(n, None))
+            first = next(t for t, pair in enumerate(stream, 1) if a in pair)
             assert first_exceed_time(None, n, seed, 1, agent=a).event_steps[INFLUENCER_EVENT] == first
 
 
@@ -671,7 +674,7 @@ def test_scans_past_the_mask_cap_stop_at_the_flat_multiple(monkeypatch):
 def test_series_tracking(tmp_path):
     recorder = ScheduleRecorder(4)
     run_trial(leave_init(4), 4, seed=3, max_steps=6, observers=[recorder])
-    assert recorder.log.entries == [Interaction(*e) for e in islice(pair_stream(3, 4), 6)]
+    assert recorder.log.entries == [Interaction(*e) for e in pair_stream(3, 4, 6)]
     out = tmp_path / "series.csv"
     write_size_series(4, recorder.log, out)
     lines = out.read_text().splitlines()
@@ -712,7 +715,7 @@ def test_long_log_loads_at_8_bytes_a_step(tmp_path):
     # per entry would take about 16 MB.
     n, steps = 300, 200_000
     path = tmp_path / "long.log"
-    write_log(n, islice(pair_stream(12, n), steps), path)
+    write_log(n, pair_stream(12, n, steps), path)
     tracemalloc.start()
     try:
         log = InteractionLog.load(path)
@@ -720,7 +723,7 @@ def test_long_log_loads_at_8_bytes_a_step(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    written = [Interaction(*e) for e in islice(pair_stream(12, n), steps)]
+    written = [Interaction(*e) for e in pair_stream(12, n, steps)]
     assert len(log) == steps
     assert [log[j] for j in (0, 1, steps - 1, -1)] == [written[j] for j in (0, 1, steps - 1, -1)]
     assert list(log) == log.entries == written

@@ -1,5 +1,6 @@
 from array import array
-from itertools import accumulate, islice
+from bisect import bisect_left
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -113,13 +114,13 @@ def test_pair_stream_matches_sample_interaction(n):
     # Each pair takes at least two words, so these pairs run through blocks
     # of FIRST_BLOCK * 2**i words for i = 0..4 and on: four doublings or more.
     assert 2 * count > FIRST_BLOCK * (2**5 - 1)
-    assert list(islice(pair_stream(12345, n), count)) == scalar_pairs(12345, n, count)
+    assert list(pair_stream(12345, n, count)) == scalar_pairs(12345, n, count)
 
 
 @pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1, 2**64 + 5])
 def test_pair_stream_wraps_seeds_like_splitmix64(seed):
-    assert list(islice(pair_stream(seed, 1000), 3000)) == scalar_pairs(seed, 1000, 3000)
-    assert list(islice(pair_stream(seed, 7), 50)) == list(islice(pair_stream(seed & MASK64, 7), 50))
+    assert list(pair_stream(seed, 1000, 3000)) == scalar_pairs(seed, 1000, 3000)
+    assert list(pair_stream(seed, 7, 50)) == list(pair_stream(seed & MASK64, 7, 50))
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,17 +130,21 @@ def test_pair_stream_wraps_seeds_like_splitmix64(seed):
     count=st.integers(min_value=0, max_value=400),
 )
 def test_pair_stream_property(n, seed, count):
-    assert list(islice(pair_stream(seed, n), count)) == scalar_pairs(seed, n, count)
+    pairs = list(pair_stream(seed, n, count))
+    assert len(pairs) == count
+    assert pairs == scalar_pairs(seed, n, count)
 
 
 def test_pair_stream_rejects_sizes_the_scalar_draws_reject():
     for n in (0, 1, 2**64 + 1):
         with pytest.raises(ValueError):
-            pair_stream(0, n)
+            pair_stream(0, n, 1)
         with pytest.raises(ValueError):
-            pair_blocks(0, n)
+            pair_blocks(0, n, 1)
         with pytest.raises(ValueError):
             sample_interaction(Splitmix64(0), n)
+    with pytest.raises(ValueError):
+        pair_blocks(0, 5, -1)  # a stream has no negative length
 
 
 def test_pair_streams_stop_below_2_32():
@@ -147,7 +152,7 @@ def test_pair_streams_stop_below_2_32():
     # go on
     for make in (pair_stream, pair_blocks):
         with pytest.raises(ValueError, match="below 2\\^32"):
-            make(0, 2**32)
+            make(0, 2**32, 1)
     assert 0 <= sample_interaction(Splitmix64(0), 2**32).initiator < 2**32
 
 
@@ -183,24 +188,38 @@ BLOCK_SIZES = (2, 3, 4, 5, 9, 17, 1000, 1025, 2**30 + 1, 2**31 + 1, 2**32 - 1)
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_pair_blocks_match_sample_interaction(n):
-    blocks = list(islice(pair_blocks(99, n), 9))
     # the leading blocks take the per-word rule, the later ones the array
     # passes; every block, the first of FIRST_BLOCK words on, is two uint32
     # schedule columns
-    sizes = [min(FIRST_BLOCK << i, MAX_BLOCK) for i in range(len(blocks))]
+    sizes = [min(FIRST_BLOCK << i, MAX_BLOCK) for i in range(9)]
     assert sizes[0] == FIRST_BLOCK and sizes[-1] == MAX_BLOCK
+    ends = list(accumulate(sizes))
+    rng = WordCountingSplitmix64(99)
+    scalar = []
+    while rng.words < ends[-1]:
+        scalar.append(tuple(sample_interaction(rng, n)))
+    initiators, responders = rng.accepted_at[0::2], rng.accepted_at[1::2]
+    # a block holds the pairs whose responder word lies in it
+    pair_ends = [bisect_left(responders, end) for end in ends]
+    starts = [0, *pair_ends]
+    whole = [b - a for a, b in zip(starts, pair_ends)]
+    blocks = list(pair_blocks(99, n, pair_ends[-1]))
     for U, V in blocks:
         assert type(U) is type(V) is array and U.typecode == V.typecode == "I"
         assert len(U) == len(V)
+    assert [len(U) for U, _ in blocks] == whole
     got = [pair for U, V in blocks for pair in zip(U, V)]
-
-    rng = WordCountingSplitmix64(99)
-    assert got == [tuple(sample_interaction(rng, n)) for _ in got]
+    assert got == scalar[: len(got)]
     # A block ends with an initiator still waiting when some pair's
     # initiator word lies before the block's end and its responder word at
     # or after it.  At n=2 every pair takes two words, at 2**32 - 1 all but
     # about a 2**-31 share do, so every even-sized block ends on a pair there.
-    initiators, responders = rng.accepted_at[0::2], rng.accepted_at[1::2]
-    ends = set(accumulate(sizes))
     waiting_ends = {end for i, r in zip(initiators, responders) for end in ends if i < end <= r}
     assert bool(waiting_ends) == (n not in (2, 2**32 - 1))
+    # a stream of ``steps`` pairs is their prefix: whole blocks, then the
+    # block that reaches ``steps`` cut there, and no block at all for 0
+    for steps in sorted({0, *(end + d for end in pair_ends[:5] for d in (-1, 0, 1))}):
+        cut = list(pair_blocks(99, n, steps))
+        last = bisect_left(pair_ends, steps)  # the block that reaches steps
+        assert [len(U) for U, _ in cut] == (whole[:last] + [steps - starts[last]] if steps else [])
+        assert [pair for U, V in cut for pair in zip(U, V)] == scalar[:steps]
