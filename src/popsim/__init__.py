@@ -30,13 +30,10 @@ _EXPORTS = {
     "first_exceed_time": "influence",
     "forward_sets": "influence",
     "layered_edges": "influence",
-    "leave_init": "protocols",
     "load_protocol": "protocols",
     "make_protocol": "protocols",
     "mix64": "rng",
-    "one_way_epidemic": "protocols",
     "output_vector": "core",
-    "pairwise_elimination": "protocols",
     "protocol_from_dict": "protocols",
     "run_trial": "core",
     "sample_interaction": "core",

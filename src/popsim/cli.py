@@ -135,17 +135,18 @@ def _one_leader_stop(protocol: Protocol):
 def _run_plan(protocol: Protocol, n: int, threshold: Optional[int]):
     """The ``(stop_event, initial)`` arguments of a plain run of ``protocol``.
 
-    A protocol equal in every field to its catalog entry at this n gets the
-    entry's stop event and start; a protocol file may take any name, so one
-    that only borrows a catalog name is planned like any other file.  Other
-    leader-outputting protocols stop at the event ``one_leader``; the rest
-    run to the step budget.  A threshold is an error unless the entry's stop
-    reads it.
+    A protocol equal in every field to ``make_protocol(protocol.name, n)``
+    gets its catalog entry's stop event and start, whether it came from
+    ``--protocol`` or from a file equal to the entry's document; a protocol
+    file may take any name, so one that only borrows a catalog name is
+    planned like any other file.  Other leader-outputting protocols stop at
+    the event ``one_leader``; the rest run to the step budget.  A threshold
+    is an error unless the entry's stop reads it.
     """
     from .protocols import CATALOG
 
     entry = CATALOG.get(protocol.name)
-    if entry is not None and entry.build(n) != protocol:
+    if entry is not None and make_protocol(protocol.name, n) != protocol:
         entry = None
     if threshold is not None and (entry is None or not entry.reads_threshold):
         readers = ", ".join(name for name, e in CATALOG.items() if e.reads_threshold)
@@ -216,6 +217,10 @@ def _sweep(args, job, *extra):
     max_steps, *extra)``; threshold is None when no ``--threshold`` is set,
     and protocol when the command takes none."""
     for n in args.n:
+        if n >= 1 << 32:  # refused before a plan's start or a trial's states is built
+            from .rng import check_population
+
+            check_population(n, 2)
         protocol = _resolve_protocol(args, n)
         threshold = threshold_count(args.threshold, n) if args.threshold is not None else None
         jobs = [

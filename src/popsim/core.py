@@ -273,9 +273,10 @@ def run_trial(
     Determinism: two runs with identical arguments produce identical
     interaction sequences, event steps, and final states.
     """
-    from .rng import pair_blocks
+    from .rng import check_population, pair_blocks
 
     max_steps = step_budget(n, max_steps)
+    check_population(n, 2)  # before the n-entry state list
 
     counts = None  # counted by Trial unless the start is all-initial
     if initial is None:

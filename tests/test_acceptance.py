@@ -16,9 +16,7 @@ from popsim import (
     derive_seed,
     first_exceed_time,
     forward_sets,
-    leave_init,
-    one_way_epidemic,
-    pairwise_elimination,
+    make_protocol,
     run_trial,
     sample_interaction,
 )
@@ -86,14 +84,14 @@ def test_criterion_1_step_formulas_match_enumeration():
 def test_criterion_2_exact_solver_vs_closed_form_and_monte_carlo():
     def body():
         for n in (2, 3, 4, 5):
-            proto = pairwise_elimination(n)
+            proto = make_protocol("pairwise-elimination", n)
             space = enumerate_reachable(proto, n)
             safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
             steps = expected_hitting_steps(space, lambda c: space.index[c] in safe)
             assert steps == Fraction((n - 1) ** 2), f"n={n}: {steps}"
         mc = {}
         for n in (3, 4, 5):
-            proto = pairwise_elimination(n)
+            proto = make_protocol("pairwise-elimination", n)
             total = 0
             trials = 100_000
             for t in range(trials):
@@ -183,7 +181,7 @@ def test_criterion_5_epidemic_equals_geometric_sum():
     def body():
         n, target = 64, 16
         samples = 10_000
-        proto = one_way_epidemic(n)
+        proto = make_protocol("one-way-epidemic", n)
         epidemic_times = []
         for t in range(samples):
             rec = run_trial(
@@ -214,7 +212,7 @@ def test_criterion_6_initial_state_drain_bound():
     def body():
         n = 4096
         f = ceil_rational_power(n, 2, 3)  # 256, exactly n^(2/3) for this n
-        proto = leave_init(n)
+        proto = make_protocol("leave-init", n)
         trials = 1000
         steps = []
         for t in range(trials):
@@ -252,7 +250,7 @@ def test_criterion_7_threshold_crossing_scales_with_n_log_n():
         p1_ratio = {}
         for n in sizes:
             threshold = ceil_rational_power(n, 2, 3)
-            proto = leave_init(n)
+            proto = make_protocol("leave-init", n)
             scale = n * math.log(n)
             ratios = []
             for t in range(trials):
@@ -289,7 +287,7 @@ def test_criterion_7_threshold_crossing_scales_with_n_log_n():
 def test_criterion_8_epidemic_completion_time():
     def body():
         n = 4096
-        proto = one_way_epidemic(n)
+        proto = make_protocol("one-way-epidemic", n)
         trials = 100
         ratios = []
         for t in range(trials):
@@ -316,7 +314,7 @@ def test_criterion_8_epidemic_completion_time():
 
 def test_criterion_9_safety_classification_three_agents():
     def body():
-        proto = pairwise_elimination(3)
+        proto = make_protocol("pairwise-elimination", 3)
         space = enumerate_reachable(proto, 3)
         safe = {v.config for v in safety_verdicts(space) if v.safe}
         assert safe == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}

@@ -17,7 +17,7 @@ import popsim
 from popsim.cli import _one_leader_stop, _summary_path, main, threshold_count
 from popsim.core import LEADER, Trial, run_trial
 from popsim.influence import INFLUENCER_EVENT, InfluencerTable, ScheduleRecorder, write_log
-from popsim.protocols import CATALOG, leave_init, make_protocol, protocol_from_dict
+from popsim.protocols import CATALOG, make_protocol, protocol_from_dict
 from popsim.rng import derive_seed
 
 PAIRWISE_DOC = {
@@ -168,13 +168,7 @@ def test_one_leader_stop_agrees_with_leader_sum(doc):
         )
 
 
-EPIDEMIC_DOC = {
-    "name": "one-way-epidemic",
-    "states": ["S", "I"],
-    "initial": "S",
-    "outputs": {"S": "F", "I": "F"},
-    "rules": [["S", "I", "I", "I"], ["I", "S", "I", "I"]],
-}
+EPIDEMIC_DOC = CATALOG["one-way-epidemic"].document
 
 
 def test_run_file_named_like_catalog_gets_no_catalog_behaviour(tmp_path):
@@ -194,16 +188,72 @@ def test_run_file_named_like_catalog_gets_no_catalog_behaviour(tmp_path):
     assert len(log.read_text().splitlines()) == 301
 
 
-def test_run_file_equal_to_catalog_epidemic_keeps_its_behaviour(tmp_path):
+# case -> (catalog name, extra flags, the stop event the run must record, or None)
+FILE_EQUAL_CASES = {
+    "pairwise-elimination": ("pairwise-elimination", [], "stabilized"),
+    "pairwise-elimination-jobs-2": ("pairwise-elimination", ["--n", "9", "--jobs", "2"], "stabilized"),
+    "leave-init": ("leave-init", [], None),
+    "leave-init-threshold": ("leave-init", ["--threshold", "n^2/3"], "init_below_threshold"),
+    "one-way-epidemic": ("one-way-epidemic", [], "all_infected"),
+    "one-way-epidemic-jobs-2": ("one-way-epidemic", ["--jobs", "2"], "all_infected"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_EQUAL_CASES))
+def test_run_file_equal_to_catalog_entry_keeps_its_behaviour(tmp_path, case):
+    name, extra, event = FILE_EQUAL_CASES[case]
     path = tmp_path / "proto.json"
-    path.write_text(json.dumps(EPIDEMIC_DOC))
+    path.write_text(json.dumps(CATALOG[name].document))
     from_file, from_catalog = tmp_path / "file.csv", tmp_path / "catalog.csv"
-    common = ["--n", "16", "--trials", "5", "--seed", "3"]
+    common = ["--n", "16", "--trials", "5", "--seed", "3", *extra]
     assert main(["run", "--protocol-file", str(path), *common, "--out", str(from_file)]) == 0
-    assert main(["run", "--protocol", "one-way-epidemic", *common, "--out", str(from_catalog)]) == 0
+    assert main(["run", "--protocol", name, *common, "--out", str(from_catalog)]) == 0
     assert from_file.read_bytes() == from_catalog.read_bytes()
     _, rows = read_csv(from_file)
-    assert all(r["all_infected_step"] == r["steps"] and r["truncated"] == "0" for r in rows)
+    if event is None:
+        assert not any(col.endswith("_step") for col in rows[0])
+    else:
+        assert all(r[f"{event}_step"] == r["steps"] and r["truncated"] == "0" for r in rows)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_exact_file_equal_to_catalog_entry_gives_the_same_report(tmp_path, name):
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(CATALOG[name].document))
+    from_file, from_catalog = tmp_path / "file.json", tmp_path / "catalog.json"
+    assert main(["exact", "--protocol-file", str(path), "--n", "5", "--out", str(from_file)]) == 0
+    assert main(["exact", "--protocol", name, "--n", "5", "--out", str(from_catalog)]) == 0
+    assert from_file.read_bytes() == from_catalog.read_bytes()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs an enforced RLIMIT_AS")
+def test_population_of_2_to_the_32_exits_2_before_any_n_entry_list():
+    # Each case would build a list of 2^32 entries, 32 GiB, if the range were
+    # checked after it: in a child limited to 1 GiB of address space that is
+    # a MemoryError, not exit 2.
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from popsim.cli import main
+        from popsim.core import run_trial
+        from popsim.protocols import make_protocol
+        n = str(1 << 32)
+        for argv in (["run", "--protocol", "pairwise-elimination", "--n", n],
+                     ["run", "--protocol", "one-way-epidemic", "--n", n],
+                     ["coupon", "--n", n]):
+            print(main(argv))
+        try:
+            run_trial(make_protocol("leave-init", 1 << 32), 1 << 32, 0)
+        except ValueError as exc:
+            print(exc)
+    """)
+    src = Path(popsim.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:3] == ["2", "2", "2"]
+    assert "below 2^32" in proc.stdout.splitlines()[3]
+    assert proc.stderr.count("below 2^32") == 3 and "Traceback" not in proc.stderr
 
 
 def test_run_save_log_round_trip(tmp_path):
@@ -283,12 +333,7 @@ def test_run_threshold_exits_2_unless_the_stop_reads_it(tmp_path, capsys):
     pairwise.write_text(json.dumps(PAIRWISE_DOC))
     # a file equal to the catalog's leave-init gets its threshold stop
     leave_init_file = tmp_path / "leave-init.json"
-    leave_init_file.write_text(json.dumps({
-        "name": "leave-init", "states": ["init", "done"], "initial": "init",
-        "outputs": {"init": "F", "done": "F"},
-        "rules": [["init", "init", "done", "done"], ["init", "done", "done", "done"],
-                  ["done", "init", "done", "done"]],
-    }))
+    leave_init_file.write_text(json.dumps(CATALOG["leave-init"].document))
     common = ["--n", "5", "--trials", "2", "--threshold", "3"]
     out = tmp_path / "out.csv"
     for source in (["--protocol", "pairwise-elimination"], ["--protocol", "one-way-epidemic"],
@@ -519,7 +564,7 @@ def test_series_out_matches_recorded_trial_zero(tmp_path, case):
     # its recorded schedule replayed into a fresh table
     recorder = ScheduleRecorder(n)
     stop = _CrossingStop(n, threshold_count(expr, n), agent)
-    rec = run_trial(leave_init(n), n, derive_seed(8, 0), max_steps=max_steps,
+    rec = run_trial(make_protocol("leave-init", n), n, derive_seed(8, 0), max_steps=max_steps,
                     stop_event=(INFLUENCER_EVENT, lambda trial: stop.crossed),
                     observers=[recorder, stop])
     assert rec.truncated == (case == "truncated")

@@ -10,10 +10,8 @@ from popsim import (
     TrialRecord,
     apply_interaction,
     configuration_digest,
-    leave_init,
-    one_way_epidemic,
+    make_protocol,
     output_vector,
-    pairwise_elimination,
     run_trial,
     sample_interaction,
 )
@@ -62,7 +60,7 @@ def test_protocol_rejects_partial_outputs():
 
 
 def test_apply_pairwise_elimination_demotes_responder():
-    proto = pairwise_elimination(3)
+    proto = make_protocol("pairwise-elimination", 3)
     assert apply_interaction(proto, [0, 0, 1], Interaction(0, 1)) == [0, 1, 1]
 
 
@@ -73,19 +71,19 @@ def test_apply_identity_changes_nothing():
 
 
 def test_apply_epidemic_infects_responder():
-    proto = one_way_epidemic(4)
+    proto = make_protocol("one-way-epidemic", 4)
     assert apply_interaction(proto, [1, 0, 0, 0], Interaction(0, 3)) == [1, 0, 0, 1]
 
 
 def test_apply_is_pure():
-    proto = pairwise_elimination(3)
+    proto = make_protocol("pairwise-elimination", 3)
     config = [0, 0, 1]
     apply_interaction(proto, config, Interaction(0, 1))
     assert config == [0, 0, 1]
 
 
 def test_apply_changes_at_most_two_entries():
-    proto = one_way_epidemic(6)
+    proto = make_protocol("one-way-epidemic", 6)
     rng = Splitmix64(3)
     config = [rng.randbelow(2) for _ in range(6)]
     for _ in range(200):
@@ -97,7 +95,7 @@ def test_apply_changes_at_most_two_entries():
 
 
 def test_apply_rejects_bad_indices():
-    proto = pairwise_elimination(3)
+    proto = make_protocol("pairwise-elimination", 3)
     with pytest.raises(ValueError):
         apply_interaction(proto, [0, 0, 0], Interaction(0, 3))
     with pytest.raises(ValueError):
@@ -149,7 +147,7 @@ def test_sample_uniform_over_ordered_pairs():
 
 
 def test_two_leaders_resolve_in_one_step():
-    proto = pairwise_elimination(2)
+    proto = make_protocol("pairwise-elimination", 2)
     rec = run_trial(proto, 2, seed=1, stop_event=("stabilized", lambda t: t.counts[0] == 1))
     assert rec.steps_taken == 1
     assert rec.event_steps == {"stabilized": 1}
@@ -157,7 +155,7 @@ def test_two_leaders_resolve_in_one_step():
 
 
 def test_zero_step_budget_keeps_initial_configuration():
-    proto = pairwise_elimination(5)
+    proto = make_protocol("pairwise-elimination", 5)
     rec = run_trial(proto, 5, seed=9, max_steps=0)
     assert rec.steps_taken == 0
     assert rec.final_states == [0] * 5
@@ -172,14 +170,14 @@ def test_budget_exhaustion_marks_truncated():
 
 
 def test_predicate_checked_before_first_step():
-    proto = pairwise_elimination(4)
+    proto = make_protocol("pairwise-elimination", 4)
     rec = run_trial(proto, 4, seed=9, stop_event=("done", lambda t: t.counts[0] == 4))
     assert rec.steps_taken == 0
     assert rec.event_steps == {"done": 0}
 
 
 def test_runs_are_deterministic():
-    proto = leave_init(6)
+    proto = make_protocol("leave-init", 6)
     rec_a = run_trial(proto, 6, seed=77, max_steps=50)
     rec_b = run_trial(proto, 6, seed=77, max_steps=50)
     assert rec_a == rec_b
@@ -196,7 +194,7 @@ def test_engine_draws_match_sample_interaction():
     # across block boundaries too (at n=513 about half the initiator draws
     # are rejected).
     for n, steps in ((5, 40), (513, 5000)):
-        proto = leave_init(n)
+        proto = make_protocol("leave-init", n)
         recorder = ScheduleRecorder(n)
         run_trial(proto, n, seed=31, max_steps=steps, observers=[recorder])
         rng = Splitmix64(31)
@@ -287,13 +285,13 @@ def engine_cases():
             stop = entry.stop(n, threshold if entry.reads_threshold else None)
             plan = {"stop_event": (entry.event, stop), "initial": entry.start(n)}
             for budget in (0, 1, 37, 3000):
-                cases.append((f"{name}-n{n}-b{budget}", entry.build(n), n, dict(plan, max_steps=budget)))
+                cases.append((f"{name}-n{n}-b{budget}", make_protocol(name, n), n, dict(plan, max_steps=budget)))
     # to the stop at n=1000, where the last changes come thousands of steps
     # apart and the engine scans for them; the epidemic's changes move the
     # initiator half the time
     for name, threshold in (("leave-init", 10), ("one-way-epidemic", None)):
         entry = CATALOG[name]
-        cases.append((f"{name}-n1000", entry.build(1000), 1000, {
+        cases.append((f"{name}-n1000", make_protocol(name, 1000), 1000, {
             "max_steps": 10**5, "stop_event": (entry.event, entry.stop(1000, threshold)),
             "initial": entry.start(1000)}))
     for n in (2, 7):
@@ -325,7 +323,7 @@ def test_run_trial_matches_reference_run(label):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_elimination_to_one_leader_matches_reference_run(seed):
-    proto = pairwise_elimination(100)
+    proto = make_protocol("pairwise-elimination", 100)
     stop = ("stabilized", lambda t: t.counts[0] == 1)
     rec = run_trial(proto, 100, seed, max_steps=10**6, stop_event=stop)
     assert rec == reference_run(proto, 100, seed, max_steps=10**6, stop_event=stop)
@@ -336,7 +334,7 @@ def test_elimination_to_one_leader_matches_reference_run(seed):
 def test_budget_inside_a_skipped_null_run_matches_reference_run(budget):
     # At n=1000 a handful of leaders is left after 60000 steps, so a state
     # change comes about once in 10^4 steps and the engine scans for it.
-    proto = pairwise_elimination(1000)
+    proto = make_protocol("pairwise-elimination", 1000)
     stop = ("stabilized", lambda t: t.counts[0] == 1)
     changes = []
     expected = reference_run(proto, 1000, 5, max_steps=budget, stop_event=stop, changes=changes)
@@ -362,9 +360,9 @@ class StepCounter:
 def test_observers_see_every_step_and_leave_the_record_unchanged(name, n):
     entry = CATALOG[name]
     stop = (entry.event, entry.stop(n, n // 4 if entry.reads_threshold else None))
-    bare = run_trial(entry.build(n), n, 17, max_steps=10**6, stop_event=stop)
+    bare = run_trial(make_protocol(name, n), n, 17, max_steps=10**6, stop_event=stop)
     counter = StepCounter()
-    observed = run_trial(entry.build(n), n, 17, max_steps=10**6, stop_event=stop, observers=[counter])
+    observed = run_trial(make_protocol(name, n), n, 17, max_steps=10**6, stop_event=stop, observers=[counter])
     assert observed == bare
     assert counter.steps == list(range(1, bare.steps_taken + 1))
 
@@ -376,7 +374,7 @@ def test_null_skip_in_the_leading_blocks_matches_observed_and_reference_runs(see
     # budget of 150 ends inside the same null run.  Both fall in the leading
     # 32 + 64 + 128 + 256 = 480 words, whose blocks form their pairs one
     # word at a time.
-    proto = leave_init(4)
+    proto = protocol_from_dict(CATALOG["leave-init"].document)  # a fresh instance, mask unbuilt
     changes = []
     expected = reference_run(proto, 4, seed, max_steps=150, changes=changes)
     assert changes[-1] + DENSE_GAP < 150
@@ -398,7 +396,7 @@ def test_with_observers_the_predicate_is_checked_every_step():
 
 
 def test_observer_sees_old_and_new_states():
-    proto = pairwise_elimination(2)
+    proto = make_protocol("pairwise-elimination", 2)
     seen = []
 
     class Probe:
@@ -416,7 +414,7 @@ def test_observer_sees_old_and_new_states():
 def test_generator_observers_keep_their_events():
     # A one-shot iterable of observers must still receive every notify; the
     # list form is the reference.
-    proto = leave_init(6)
+    proto = make_protocol("leave-init", 6)
     stop = ("init_left", lambda trial: trial.counts[0] == 0)
     listed = ScheduleRecorder(6)
     rec_list = run_trial(proto, 6, seed=5, max_steps=200, stop_event=stop, observers=[listed])
@@ -430,7 +428,7 @@ def test_generator_observers_keep_their_events():
 
 
 def test_counts_track_configuration():
-    proto = leave_init(8)
+    proto = make_protocol("leave-init", 8)
     final_counts = {}
 
     class Probe:
@@ -459,7 +457,7 @@ def test_start_counts_match_the_start(initial):
 
 
 def test_initial_override():
-    proto = one_way_epidemic(4)
+    proto = make_protocol("one-way-epidemic", 4)
     rec = run_trial(proto, 4, seed=2, max_steps=0, initial=[1, 0, 0, 0])
     assert rec.final_states == [1, 0, 0, 0]
     with pytest.raises(ValueError):
@@ -470,12 +468,12 @@ def test_initial_override():
 
 def test_run_trial_rejects_tiny_population():
     with pytest.raises(ValueError):
-        run_trial(pairwise_elimination(1), 1, seed=0)
+        run_trial(make_protocol("pairwise-elimination", 1), 1, seed=0)
 
 
 def test_mean_stabilization_steps_near_exact_value():
     # exact expected value for three agents is 4 (solved in test_exact)
-    proto = pairwise_elimination(3)
+    proto = make_protocol("pairwise-elimination", 3)
     total = 0
     trials = 20_000
     for t in range(trials):
@@ -488,18 +486,18 @@ def test_mean_stabilization_steps_near_exact_value():
 
 
 def test_output_vector_maps_elementwise():
-    proto = pairwise_elimination(2)
+    proto = make_protocol("pairwise-elimination", 2)
     assert output_vector(proto, [0, 1]) == ["L", "F"]
     assert output_vector(proto, [1, 1, 1]) == ["F", "F", "F"]
 
 
 def test_all_initial_configuration_outputs_follower_for_leave_init():
-    proto = leave_init(4)
+    proto = make_protocol("leave-init", 4)
     assert output_vector(proto, [proto.initial_state] * 4) == ["F"] * 4
 
 
 def test_output_vector_constant_map():
-    proto = leave_init(3)
+    proto = make_protocol("leave-init", 3)
     for config in ([0, 0, 0], [1, 0, 1], [1, 1, 1]):
         assert output_vector(proto, config) == ["F", "F", "F"]
 

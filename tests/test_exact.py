@@ -9,9 +9,8 @@ from popsim import (
     Protocol,
     apply_interaction,
     exact,
-    leave_init,
+    make_protocol,
     output_vector,
-    pairwise_elimination,
     run_trial,
 )
 from popsim.exact import (
@@ -94,13 +93,13 @@ def cyclic_token_protocol():
 
 
 def test_pairwise_two_agents_reachable_set():
-    space = enumerate_reachable(pairwise_elimination(2), 2)
+    space = enumerate_reachable(make_protocol("pairwise-elimination", 2), 2)
     assert sorted(space.configs) == [(0, 0), (0, 1), (1, 0)]
     assert space.configs[0] == (0, 0)  # the all-initial start comes first
 
 
 def test_leave_init_two_agents_reachable_set():
-    space = enumerate_reachable(leave_init(2), 2)
+    space = enumerate_reachable(make_protocol("leave-init", 2), 2)
     assert sorted(space.configs) == [(0, 0), (1, 1)]
 
 
@@ -111,7 +110,7 @@ def test_identity_protocol_single_configuration():
 
 
 def test_successor_multiset_counts_sum_to_pair_count():
-    space = enumerate_reachable(pairwise_elimination(4), 4)
+    space = enumerate_reachable(make_protocol("pairwise-elimination", 4), 4)
     for succ in space.successors:
         assert sum(succ.values()) == 12
 
@@ -130,7 +129,7 @@ def test_budget_can_be_raised():
 
 
 def test_pairwise_three_agents_safety_classification():
-    proto = pairwise_elimination(3)
+    proto = make_protocol("pairwise-elimination", 3)
     space = enumerate_reachable(proto, 3)
     assert len(space) == 7
     verdicts = {v.config: v for v in safety_verdicts(space)}
@@ -145,7 +144,7 @@ def test_pairwise_three_agents_safety_classification():
 
 
 def test_all_initial_is_unsafe_when_initial_outputs_follower():
-    proto = leave_init(3)
+    proto = make_protocol("leave-init", 3)
     space = enumerate_reachable(proto, 3)
     verdict = safety_verdicts(space)[space.index[(0, 0, 0)]]
     assert not verdict.safe
@@ -224,7 +223,7 @@ def changed_outputs_stop(proto, config):
 
 
 def test_safe_configurations_survive_random_walks():
-    proto = pairwise_elimination(4)
+    proto = make_protocol("pairwise-elimination", 4)
     space = enumerate_reachable(proto, 4)
     safe = [i for i, v in enumerate(safety_verdicts(space)) if v.safe]
     for i in safe:
@@ -236,7 +235,7 @@ def test_safe_configurations_survive_random_walks():
 
 def test_random_walk_reports_an_output_change():
     # from all leaders, the first interaction demotes someone
-    proto = pairwise_elimination(4)
+    proto = make_protocol("pairwise-elimination", 4)
     start = enumerate_reachable(proto, 4).configs[0]
     stop = changed_outputs_stop(proto, start)
     rec = run_trial(proto, 4, 3, max_steps=1000, initial=start, stop_event=stop)
@@ -248,7 +247,7 @@ def test_random_walk_reports_an_output_change():
 
 
 def test_pairwise_two_agents_one_step():
-    space = enumerate_reachable(pairwise_elimination(2), 2)
+    space = enumerate_reachable(make_protocol("pairwise-elimination", 2), 2)
     safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
     steps = expected_hitting_steps(space, lambda c: space.index[c] in safe)
     assert steps == Fraction(1)
@@ -256,7 +255,7 @@ def test_pairwise_two_agents_one_step():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
 def test_pairwise_matches_square_closed_form(n):
-    space = enumerate_reachable(pairwise_elimination(n), n)
+    space = enumerate_reachable(make_protocol("pairwise-elimination", n), n)
     safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
     steps = expected_hitting_steps(space, lambda c: space.index[c] in safe)
     assert steps == Fraction((n - 1) ** 2)
@@ -266,7 +265,7 @@ def test_leave_init_drain_time_matches_count_chain():
     # independent oracle: the init-count process is itself a Markov chain;
     # solve it by hand with first-step analysis over counts
     n = 3
-    space = enumerate_reachable(leave_init(n), n)
+    space = enumerate_reachable(make_protocol("leave-init", n), n)
     solver = expected_hitting_steps(space, lambda c: c.count(0) == 0)
 
     def count_chain(n):
@@ -285,7 +284,7 @@ def test_leave_init_drain_time_matches_count_chain():
 
 
 def test_unreachable_target_raises():
-    space = enumerate_reachable(pairwise_elimination(3), 3)
+    space = enumerate_reachable(make_protocol("pairwise-elimination", 3), 3)
     with pytest.raises(NonAbsorbingError):
         expected_hitting_steps(space, lambda c: output_vector(space.protocol, c).count(LEADER) == 0)
     # From (0, 0, 0) the walk reaches (1, 0, 1) and (1, 1, 0), whose one
@@ -311,19 +310,19 @@ def test_unreachable_target_raises():
 def test_stuck_configurations_behind_the_target_do_not_raise():
     # every first step leaves two leaders; the one-leader configurations
     # after them never return to two, but the target is hit before them
-    space = enumerate_reachable(pairwise_elimination(3), 3)
+    space = enumerate_reachable(make_protocol("pairwise-elimination", 3), 3)
     two_leaders = lambda c: output_vector(space.protocol, c).count(LEADER) == 2
     assert expected_hitting_steps(space, two_leaders) == 1
 
 
 def test_empty_target_raises():
-    space = enumerate_reachable(leave_init(2), 2)
+    space = enumerate_reachable(make_protocol("leave-init", 2), 2)
     with pytest.raises(NonAbsorbingError, match="empty"):
         expected_hitting_steps(space, lambda c: False)
 
 
 def test_target_at_start_is_zero():
-    space = enumerate_reachable(leave_init(2), 2)
+    space = enumerate_reachable(make_protocol("leave-init", 2), 2)
     assert expected_hitting_steps(space, lambda c: True) == 0
 
 
@@ -348,7 +347,7 @@ def dense_hitting_steps(space, target):
 
 def test_float_solver_agrees_with_exact():
     for n in (3, 4, 5):
-        space = enumerate_reachable(pairwise_elimination(n), n)
+        space = enumerate_reachable(make_protocol("pairwise-elimination", n), n)
         safe = {i for i, v in enumerate(safety_verdicts(space)) if v.safe}
         exact_value = expected_hitting_steps(space, lambda c: space.index[c] in safe)
         value, residual = dense_hitting_steps(space, lambda c: space.index[c] in safe)

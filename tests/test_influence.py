@@ -18,7 +18,7 @@ from popsim import (
     first_exceed_time,
     forward_sets,
     layered_edges,
-    leave_init,
+    make_protocol,
     run_trial,
     sample_interaction,
     sources_reaching,
@@ -271,13 +271,13 @@ def test_layered_edges_are_generated_on_demand():
 
 
 def test_two_agents_cross_threshold_one_immediately():
-    rec = first_exceed_time(leave_init(2), 2, seed=4, threshold=1)
+    rec = first_exceed_time(make_protocol("leave-init", 2), 2, seed=4, threshold=1)
     assert rec.event_steps[INFLUENCER_EVENT] == 1
     assert not rec.truncated
 
 
 def test_threshold_at_population_size_never_reached():
-    rec = first_exceed_time(leave_init(5), 5, seed=4, threshold=5, max_steps=400)
+    rec = first_exceed_time(make_protocol("leave-init", 5), 5, seed=4, threshold=5, max_steps=400)
     assert INFLUENCER_EVENT not in rec.event_steps
     assert rec.truncated
     assert rec.steps_taken == 400
@@ -289,27 +289,27 @@ def test_unreachable_threshold_skips_the_kernel(monkeypatch):
 
     monkeypatch.setattr(influence, "_crossing_step", kernel)
     for n, threshold, max_steps in [(5, 5, 400), (5, 7.5, 400), (4096, 4096, None)]:
-        rec = first_exceed_time(leave_init(n), n, seed=4, threshold=threshold, max_steps=max_steps)
+        rec = first_exceed_time(make_protocol("leave-init", n), n, seed=4, threshold=threshold, max_steps=max_steps)
         budget = step_budget(n, max_steps)
         assert (rec.seed, rec.n, rec.steps_taken, rec.event_steps, rec.final_states, rec.truncated) == (
             4, n, budget, {}, None, True)
     # extra observers still see the budget's steps, replayed on the agent engine
     recorder = ScheduleRecorder(5)
-    rec = first_exceed_time(leave_init(5), 5, seed=4, threshold=5, max_steps=400,
+    rec = first_exceed_time(make_protocol("leave-init", 5), 5, seed=4, threshold=5, max_steps=400,
                             extra_observers=[recorder])
     assert (rec.seed, rec.n, rec.steps_taken, rec.event_steps, rec.truncated) == (4, 5, 400, {}, True)
-    assert rec.final_states == run_trial(leave_init(5), 5, 4, max_steps=400).final_states
+    assert rec.final_states == run_trial(make_protocol("leave-init", 5), 5, 4, max_steps=400).final_states
     assert recorder.log.entries == [Interaction(u, v) for u, v in pair_stream(4, 5, 400)]
 
 
 def test_threshold_below_one_rejected():
     with pytest.raises(ValueError):
-        first_exceed_time(leave_init(4), 4, seed=0, threshold=0.5)
+        first_exceed_time(make_protocol("leave-init", 4), 4, seed=0, threshold=0.5)
 
 
 def test_first_exceed_matches_offline_replay():
     n, threshold = 12, 4
-    proto = leave_init(n)
+    proto = make_protocol("leave-init", n)
     recorder = ScheduleRecorder(n)
     rec = first_exceed_time(
         proto, n, seed=90, threshold=threshold, extra_observers=[recorder]
@@ -342,10 +342,10 @@ def _both_routes(n, seed, threshold, **kwargs):
     """first_exceed_time on the stream kernel alone, and with a recorder as
     an extra observer, which replays the kernel's steps on the agent engine;
     also returns the recorded schedule."""
-    kernel = first_exceed_time(leave_init(n), n, seed, threshold, **kwargs)
+    kernel = first_exceed_time(make_protocol("leave-init", n), n, seed, threshold, **kwargs)
     recorder = ScheduleRecorder(n)
     observed = first_exceed_time(
-        leave_init(n), n, seed, threshold, extra_observers=[recorder], **kwargs
+        make_protocol("leave-init", n), n, seed, threshold, extra_observers=[recorder], **kwargs
     )
     return kernel, observed, recorder.log
 
@@ -366,7 +366,7 @@ def test_stream_kernel_matches_observer_route(n):
             kernel, observed, log = _both_routes(n, seed, threshold, agent=agent, max_steps=first_budget)
             assert _fields(kernel) == _fields(observed)
             assert kernel.final_states is None
-            replay = run_trial(leave_init(n), n, seed, max_steps=kernel.steps_taken)
+            replay = run_trial(make_protocol("leave-init", n), n, seed, max_steps=kernel.steps_taken)
             assert observed.final_states == replay.final_states
             assert len(log) == kernel.steps_taken
             t_min = kernel.event_steps.get(INFLUENCER_EVENT)
@@ -400,9 +400,9 @@ def test_stream_kernel_matches_observer_route(n):
 )
 def test_both_routes_reject_bad_arguments(n, threshold, kwargs):
     with pytest.raises(ValueError):
-        first_exceed_time(leave_init(2), n, 0, threshold, **kwargs)
+        first_exceed_time(make_protocol("leave-init", 2), n, 0, threshold, **kwargs)
     with pytest.raises(ValueError):
-        first_exceed_time(leave_init(2), n, 0, threshold,
+        first_exceed_time(make_protocol("leave-init", 2), n, 0, threshold,
                           extra_observers=[ScheduleRecorder(n)], **kwargs)
 
 
@@ -416,9 +416,9 @@ def test_single_agent_mode_waits_for_that_agent():
     # never before anyone's, and on some seeds strictly after.
     waited = 0
     for seed in range(40):
-        anyone = first_exceed_time(leave_init(n), n, seed, 2)
+        anyone = first_exceed_time(make_protocol("leave-init", n), n, seed, 2)
         recorder = ScheduleRecorder(n)
-        zero = first_exceed_time(leave_init(n), n, seed, 2, agent=0, extra_observers=[recorder])
+        zero = first_exceed_time(make_protocol("leave-init", n), n, seed, 2, agent=0, extra_observers=[recorder])
         t_any = anyone.event_steps[INFLUENCER_EVENT]
         t_zero = zero.event_steps[INFLUENCER_EVENT]
         assert t_zero == _replay_crossing(recorder.log, 2, agent=0)
@@ -465,11 +465,11 @@ def test_kernel_paths_match_forward_replay(monkeypatch, n, threshold, agent, swi
     for i in range(2):
         seed = derive_seed(n, i)
         seen.update(scanned=0, switches=0)
-        rec = first_exceed_time(leave_init(n), n, seed, threshold, agent=agent)
+        rec = first_exceed_time(make_protocol("leave-init", n), n, seed, threshold, agent=agent)
         assert seen["scanned"] > 0
         assert seen["switches"] == switches
         recorder = ScheduleRecorder(n)
-        run_trial(leave_init(n), n, seed, max_steps=rec.steps_taken, observers=[recorder])
+        run_trial(make_protocol("leave-init", n), n, seed, max_steps=rec.steps_taken, observers=[recorder])
         assert rec.event_steps[INFLUENCER_EVENT] == rec.steps_taken
         assert _replay_crossing(recorder.log, threshold, agent) == rec.steps_taken
 
@@ -486,9 +486,9 @@ def test_either_kernel_path_alone_matches_forward_replay(monkeypatch, n, multipl
     for agent in (None, 0):
         for i, threshold in enumerate(thresholds):
             seed = derive_seed(n + 7, i)
-            rec = first_exceed_time(leave_init(n), n, seed, threshold, agent=agent)
+            rec = first_exceed_time(make_protocol("leave-init", n), n, seed, threshold, agent=agent)
             recorder = ScheduleRecorder(n)
-            run_trial(leave_init(n), n, seed, max_steps=rec.steps_taken, observers=[recorder])
+            run_trial(make_protocol("leave-init", n), n, seed, max_steps=rec.steps_taken, observers=[recorder])
             assert rec.event_steps.get(INFLUENCER_EVENT) == _replay_crossing(recorder.log, threshold, agent)
 
 
@@ -565,9 +565,9 @@ def test_stream_walkers_match_pathwise_identities(n):
         seed = derive_seed(n, i)
         # leave-init's init count at step t is the number of agents missing
         # from the first t pairs
-        rec = run_trial(drain.build(n), n, seed, stop_event=(drain.event, drain.stop(n, f)))
+        rec = run_trial(make_protocol("leave-init", n), n, seed, stop_event=(drain.event, drain.stop(n, f)))
         assert rec.event_steps[drain.event] == _fewer_missing_step(seed, n, f)
-        rec = run_trial(epidemic.build(n), n, seed, stop_event=(epidemic.event, epidemic.stop(n, None)),
+        rec = run_trial(make_protocol("one-way-epidemic", n), n, seed, stop_event=(epidemic.event, epidemic.stop(n, None)),
                         initial=epidemic.start(n))
         assert rec.event_steps[epidemic.event] == _flag_pass_step(seed, n)
         # an agent's set passes one member at its first step
@@ -599,7 +599,7 @@ def test_kernel_scans_stay_within_the_switch_multiple(monkeypatch, n, threshold,
     seen = _kernel_counters(monkeypatch)
     for i in range(3):
         seen.update(scanned=0, switches=0)
-        rec = first_exceed_time(leave_init(n), n, derive_seed(n, i), threshold, agent=agent)
+        rec = first_exceed_time(make_protocol("leave-init", n), n, derive_seed(n, i), threshold, agent=agent)
         assert seen["switches"] == 1
         assert seen["scanned"] <= influence._switch_multiple(n) * rec.steps_taken
 
@@ -607,7 +607,7 @@ def test_kernel_scans_stay_within_the_switch_multiple(monkeypatch, n, threshold,
 def test_kernel_memory_grows_with_the_prefix_not_the_masks():
     # Masks for every set would take about 25 MB here; the prefix about 3 MB.
     n = 16384
-    protocol = leave_init(n)
+    protocol = make_protocol("leave-init", n)
     import numpy  # noqa: F401  popsim imports it on first use; its import is not the kernel's memory
 
     tracemalloc.start()
@@ -624,7 +624,7 @@ def test_kernel_keeps_its_prefix_at_8_bytes_a_step():
     # The prefix of 32665 steps takes about 260 kB as two uint32 arrays, and
     # the bounds and a scan's flags about 130 kB each.
     n = 16384
-    protocol = leave_init(n)
+    protocol = make_protocol("leave-init", n)
     import numpy  # noqa: F401  popsim imports it on first use; its import is not the kernel's memory
 
     tracemalloc.start()
@@ -644,18 +644,18 @@ def test_switch_above_the_mask_cap_exceeds_the_budget(monkeypatch):
     # their share and the kernel reaches its switch.
     n, seed = 100, derive_seed(100, 0)
     seen = _kernel_counters(monkeypatch)
-    first_exceed_time(leave_init(n), n, seed, n - 1)
+    first_exceed_time(make_protocol("leave-init", n), n, seed, n - 1)
     assert seen["switches"] == 1
-    low = first_exceed_time(leave_init(n), n, seed, 21)
+    low = first_exceed_time(make_protocol("leave-init", n), n, seed, 21)
     assert seen["switches"] == 1
     monkeypatch.setattr(influence, "MAX_TRACKED_AGENTS", 64)
     seen.update(scanned=0)
     with pytest.raises(BudgetExceededError, match="masks are capped at n <= 64"):
-        first_exceed_time(leave_init(n), n, seed, n - 1)
+        first_exceed_time(make_protocol("leave-init", n), n, seed, n - 1)
     assert seen["scanned"] > 0 and seen["switches"] == 1
     assert main(["influencer", "--n", str(n), "--threshold", str(n - 1), "--trials", "1"]) == 3
     # a run that needs no masks is the same past the cap
-    assert _fields(first_exceed_time(leave_init(n), n, seed, 21)) == _fields(low)
+    assert _fields(first_exceed_time(make_protocol("leave-init", n), n, seed, 21)) == _fields(low)
 
 
 def test_scans_past_the_mask_cap_stop_at_the_flat_multiple(monkeypatch):
@@ -673,7 +673,7 @@ def test_scans_past_the_mask_cap_stop_at_the_flat_multiple(monkeypatch):
 
 def test_series_tracking(tmp_path):
     recorder = ScheduleRecorder(4)
-    run_trial(leave_init(4), 4, seed=3, max_steps=6, observers=[recorder])
+    run_trial(make_protocol("leave-init", 4), 4, seed=3, max_steps=6, observers=[recorder])
     assert recorder.log.entries == [Interaction(*e) for e in pair_stream(3, 4, 6)]
     out = tmp_path / "series.csv"
     write_size_series(4, recorder.log, out)
@@ -802,7 +802,7 @@ def test_first_exceed_scales_like_n_log_n_at_small_sizes():
         threshold = round(n ** (2 / 3))
         ratios = []
         for t in range(10):
-            rec = first_exceed_time(leave_init(n), n, derive_seed(500, t), threshold)
+            rec = first_exceed_time(make_protocol("leave-init", n), n, derive_seed(500, t), threshold)
             ratios.append(rec.event_steps[INFLUENCER_EVENT] / (n * math.log(n)))
         assert 0.05 < min(ratios) and max(ratios) < 2.0
 
@@ -822,7 +822,7 @@ def test_single_agent_crossing_time_distributed_as_geometric_sum():
 
     n = 64
     threshold = ceil_rational_power(n, 2, 3)  # 16
-    proto = leave_init(n)
+    proto = make_protocol("leave-init", n)
     samples = 10_000
     crossings = []
     for t in range(samples):

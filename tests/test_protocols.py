@@ -1,20 +1,21 @@
 import json
+import pickle
+from pathlib import Path
 
 import pytest
 
 from popsim import (
     Interaction,
+    Protocol,
     Splitmix64,
     apply_interaction,
-    leave_init,
     make_protocol,
-    one_way_epidemic,
-    pairwise_elimination,
     protocol_from_dict,
     load_protocol,
     run_trial,
     sample_interaction,
 )
+from popsim.cli import main
 from popsim.core import Trial
 from popsim.influence import ScheduleRecorder
 from popsim.protocols import CATALOG, ProtocolLoadError
@@ -31,7 +32,7 @@ PAIRWISE_DOC = {
 def test_catalog_protocols_well_formed_across_sizes():
     for name, entry in CATALOG.items():
         for n in (1, 2, 17, 1 << 20):
-            proto = entry.build(n)
+            proto = make_protocol(name, n)
             assert proto.name == name
             assert proto.num_states == 2
             assert 0 <= proto.initial_state < proto.num_states
@@ -42,7 +43,7 @@ def test_catalog_entries_carry_stop_and_start():
 
     def stops(name, states, threshold=None):
         entry = CATALOG[name]
-        return entry.stop(n, threshold)(Trial(entry.build(n), n, states))
+        return entry.stop(n, threshold)(Trial(make_protocol(name, n), n, states))
 
     assert stops("pairwise-elimination", [1, 0, 1, 1])
     assert not stops("pairwise-elimination", [0, 0, 1, 1])
@@ -59,10 +60,32 @@ def test_catalog_entries_carry_stop_and_start():
 def test_make_protocol_unknown_name():
     with pytest.raises(ValueError, match="unknown protocol"):
         make_protocol("does-not-exist", 4)
+    with pytest.raises(ValueError, match="unknown protocol"):
+        make_protocol("does-not-exist", 0)
+
+
+def test_make_protocol_shares_one_instance_across_sizes():
+    for name in CATALOG:
+        shared = make_protocol(name, 1)
+        assert all(make_protocol(name, n) is shared for n in (2, 17, 1 << 20, 1 << 40))
+        with pytest.raises(ValueError, match=">= 1"):
+            make_protocol(name, 0)
+
+
+def test_shared_protocol_with_its_mask_built_survives_pickling():
+    # leave-init at n=50 turns null after about a hundred steps, so the run
+    # scans for changes and builds the mask
+    proto = make_protocol("leave-init", 50)
+    record = run_trial(proto, 50, 3, max_steps=5000)
+    assert proto._mask is not None
+    copy = pickle.loads(pickle.dumps(proto))
+    assert copy == proto and copy is not proto
+    assert copy._mask.tolist() == proto._mask.tolist()
+    assert run_trial(copy, 50, 3, max_steps=5000) == record
 
 
 def test_pairwise_leader_count_never_increases_or_hits_zero():
-    proto = pairwise_elimination(6)
+    proto = make_protocol("pairwise-elimination", 6)
     rng = Splitmix64(8)
     config = [0] * 6
     leaders = 6
@@ -75,7 +98,7 @@ def test_pairwise_leader_count_never_increases_or_hits_zero():
 
 
 def test_pairwise_two_agents_settle_after_one_interaction():
-    proto = pairwise_elimination(2)
+    proto = make_protocol("pairwise-elimination", 2)
     config = apply_interaction(proto, [0, 0], Interaction(0, 1))
     assert config == [0, 1]
     # any further interaction leaves the configuration alone
@@ -84,7 +107,7 @@ def test_pairwise_two_agents_settle_after_one_interaction():
 
 
 def test_leave_init_count_drops_by_participants_in_init():
-    proto = leave_init(5)
+    proto = make_protocol("leave-init", 5)
     rng = Splitmix64(4)
     config = [0] * 5
     for _ in range(100):
@@ -98,7 +121,7 @@ def test_leave_init_count_drops_by_participants_in_init():
 
 def test_leave_init_step_reduces_count_with_enumerated_probability():
     # two agents still in init among five: 14 of the 20 ordered pairs touch one
-    proto = leave_init(5)
+    proto = make_protocol("leave-init", 5)
     config = [0, 0, 1, 1, 1]
     reducing = 0
     total = 0
@@ -123,7 +146,7 @@ def test_leave_init_step_reduces_count_with_enumerated_probability():
 
 
 def test_epidemic_infected_count_monotone_and_grows_on_crossing_pairs():
-    proto = one_way_epidemic(6)
+    proto = make_protocol("one-way-epidemic", 6)
     rng = Splitmix64(10)
     config = [1, 0, 0, 0, 0, 0]
     for _ in range(300):
@@ -137,7 +160,7 @@ def test_epidemic_infected_count_monotone_and_grows_on_crossing_pairs():
 
 
 def test_epidemic_absorbs_at_all_infected():
-    proto = one_way_epidemic(8)
+    proto = make_protocol("one-way-epidemic", 8)
     rec = run_trial(
         proto,
         8,
@@ -152,18 +175,38 @@ def test_epidemic_absorbs_at_all_infected():
 # ----------------------------------------------------------------------- loader
 
 
-def test_loader_round_trips_pairwise_elimination():
-    loaded = protocol_from_dict(PAIRWISE_DOC)
-    builtin = pairwise_elimination(4)
-    assert loaded.transitions == builtin.transitions
-    assert loaded.outputs == builtin.outputs
-    assert loaded.initial_state == builtin.initial_state
+# The catalog protocols field by field, written out independently of their
+# documents.
+PINNED = {
+    "pairwise-elimination": Protocol(
+        2, 0, (((0, 1), (0, 1)), ((1, 0), (1, 1))), ("L", "F"), name="pairwise-elimination"
+    ),
+    "leave-init": Protocol(2, 0, (((1, 1), (1, 1)), ((1, 1), (1, 1))), ("F", "F"), name="leave-init"),
+    "one-way-epidemic": Protocol(
+        2, 0, (((0, 0), (1, 1)), ((1, 1), (1, 1))), ("F", "F"), name="one-way-epidemic"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_documents_load_to_the_pinned_protocols(name):
+    assert sorted(PINNED) == sorted(CATALOG)
+    pinned = PINNED[name]
+    for proto in (make_protocol(name, 4), protocol_from_dict(CATALOG[name].document)):
+        assert proto._fields() == pinned._fields()
     # identical traces under the same seed
     rec_a, rec_b = ScheduleRecorder(4), ScheduleRecorder(4)
-    ra = run_trial(loaded, 4, seed=55, max_steps=30, observers=[rec_a])
-    rb = run_trial(builtin, 4, seed=55, max_steps=30, observers=[rec_b])
+    ra = run_trial(make_protocol(name, 4), 4, seed=55, max_steps=30, observers=[rec_a])
+    rb = run_trial(pinned, 4, seed=55, max_steps=30, observers=[rec_b])
     assert rec_a.log.entries == rec_b.log.entries
     assert ra.final_states == rb.final_states
+
+
+def test_readme_protocol_file_example_is_the_catalog_document():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Protocol definition files", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == CATALOG["pairwise-elimination"].document
 
 
 def test_loader_from_file(tmp_path):
@@ -210,3 +253,31 @@ def test_loader_defaults_unlisted_pairs_to_identity():
     for a in range(2):
         for b in range(2):
             assert proto.transitions[a][b] == (a, b)
+
+
+# (document, the field its error must name)
+MALFORMED = {
+    "rule-not-a-list": (dict(PAIRWISE_DOC, rules=[5]), "'rules'"),
+    "rule-a-string": (dict(PAIRWISE_DOC, rules=["LLLF"]), "'rules'"),
+    "rule-of-three": (dict(PAIRWISE_DOC, rules=[["L", "L", "F"]]), "'rules'"),
+    "list-in-a-rule": (dict(PAIRWISE_DOC, rules=[["L", ["L"], "L", "F"]]), "'rules'"),
+    "rules-a-string": (dict(PAIRWISE_DOC, rules="LLLF"), "'rules'"),
+    "list-as-state-name": (dict(PAIRWISE_DOC, states=[["L"], "F"]), "'states'"),
+    "states-a-string": (dict(PAIRWISE_DOC, states="LF", rules=["LLLF"]), "'states'"),
+    "duplicate-states": (dict(PAIRWISE_DOC, states=["L", "F", "L"]), "'states'"),
+    "initial-a-list": (dict(PAIRWISE_DOC, initial=["L"]), "'initial'"),
+    "outputs-a-list": (dict(PAIRWISE_DOC, outputs=[["L", "L"], ["F", "F"]]), "'outputs'"),
+    "states-missing": ({k: v for k, v in PAIRWISE_DOC.items() if k != "states"}, "'states'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_2_naming_the_field(tmp_path, capsys, case):
+    doc, field = MALFORMED[case]
+    with pytest.raises(ProtocolLoadError, match=field):
+        protocol_from_dict(doc)
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--protocol-file", str(path), "--n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
