@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .core import (
@@ -28,9 +28,6 @@ from .core import (
     run_trial,
     step_budget,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def _lazy(module: str, name: str):
@@ -67,17 +64,30 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _number(text: str) -> Fraction:
-    """``Fraction(text)``, with a decimal exponent (``1e-3``) of at most 4300,
-    Python's digit limit for integer strings: Fraction expands the exponent
-    digit by digit, which takes seconds past about 10^6."""
-    import re
-    from fractions import Fraction
+# Python 3.11's fractions._RATIONAL_FORMAT (its d* typo read as \d*), to be
+# matched in full, ignoring case
+_RATIONAL = (r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)(?:(?:/(?P<denom>\d+(_\d+)*))?"
+             r"|(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*")
 
-    scale = re.search(r"[eE]([-+]?[\d_]+)", text)
-    if scale and abs(int(scale[1])) > 4300:
+
+def _number(text: str) -> tuple[int, int]:
+    """The rational number ``text`` as ``(numerator, denominator)`` in
+    lowest terms, what ``Fraction(text)`` reads on Python 3.11, with
+    integers alone.  A decimal exponent (``1e-3``) may not pass 4300,
+    Python's digit limit for integer strings: its power of ten takes
+    seconds to build past about 10^6."""
+    import re
+
+    m = re.fullmatch(_RATIONAL, text, re.IGNORECASE)
+    if m is None or m["denom"] and not int(m["denom"]):
+        raise ValueError(f"{text!r} is not a rational number with a nonzero denominator")
+    decimal, exp = (m["decimal"] or "").replace("_", ""), int(m["exp"] or "0")
+    if abs(exp) > 4300:
         raise ValueError(f"decimal exponent of {text!r} passes 4300")
-    return Fraction(text)
+    num = (int(m["num"] or "0") * 10 ** len(decimal) + int(decimal or "0")) * 10 ** max(exp, 0)
+    den = int(m["denom"] or "1") * 10 ** (len(decimal) - min(exp, 0))
+    g = math.gcd(num, den)
+    return (-num if m["sign"] == "-" else num) // g, den // g
 
 
 def threshold_count(expr: str, n: int) -> int:
@@ -99,17 +109,18 @@ def threshold_count(expr: str, n: int) -> int:
         from .stats import ceil_rational_power
 
         try:
-            a = _number(expr[2:])
-        except (ValueError, ZeroDivisionError):
+            num, den = _number(expr[2:])
+        except ValueError:
             raise ValueError(f"bad exponent in threshold expression {expr!r}") from None
-        if a < 0:
+        if num < 0:
             raise ValueError("threshold exponent must be >= 0")
-        value = ceil_rational_power(n, a.numerator, a.denominator)
+        value = ceil_rational_power(n, num, den)
     else:
         try:
-            value = math.ceil(_number(expr))
-        except (ValueError, ZeroDivisionError):
+            num, den = _number(expr)
+        except ValueError:
             raise ValueError(f"unsupported threshold expression {expr!r}") from None
+        value = -(-num // den)
     if value < 1:
         raise ValueError(f"threshold expression {expr!r} evaluates below 1 at n={n}")
     return value

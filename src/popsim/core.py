@@ -21,7 +21,6 @@ from array import array
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 LEADER = "L"
-FOLLOWER = "F"
 
 # A configuration is a plain list of state ids, one per agent.
 Configuration = list[int]

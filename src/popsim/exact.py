@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -88,16 +89,16 @@ def enumerate_reachable(
         raise ValueError("population size must be >= 2")
     if budget is None:
         budget = DEFAULT_BUDGET
-    potential = protocol.num_states**n * n * (n - 1)
-    if potential > budget:
-        raise BudgetExceededError(
-            f"|Q|^n * n(n-1) = {protocol.num_states}^{n} * {n * (n - 1)} = {potential} "
-            f"exceeds budget {budget}"
-        )
+    states, pairs = protocol.num_states, n * (n - 1)
+    # |Q|^n >= 2^n passes a budget of fewer than n bits, and past n = 14284 it has
+    # too many digits for Python to print; it is not built (at n = 2^32, 512 MB)
+    huge = states > 1 and n > max(budget.bit_length(), 14284)
+    potential = None if huge else states**n * pairs
+    if huge or potential > budget:
+        shown = "" if huge or potential >= 10**4300 else f" = {potential}"
+        raise BudgetExceededError(f"|Q|^n * n(n-1) = {states}^{n} * {pairs}{shown} exceeds budget {budget}")
 
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     table = protocol.transitions
-
     start: Config = (protocol.initial_state,) * n
     configs: list[Config] = [start]
     index: dict[Config, int] = {start: 0}
@@ -108,23 +109,27 @@ def enumerate_reachable(
         i = queue.popleft()
         base = configs[i]
         succ: dict[int, int] = {}
-        for u, v in pairs:
-            a2, b2 = table[base[u]][base[v]]
-            if a2 == base[u] and b2 == base[v]:
-                nxt = base
-            else:
+        # ordered pairs (u, v), u != v, in order; a null one is a self-loop
+        for u in range(n):
+            a = base[u]
+            for v in chain(range(u), range(u + 1, n)):
+                b = base[v]
+                a2, b2 = table[a][b]
+                if a2 == a and b2 == b:
+                    succ[i] = succ.get(i, 0) + 1
+                    continue
                 mutable = list(base)
                 mutable[u] = a2
                 mutable[v] = b2
                 nxt = tuple(mutable)
-            j = index.get(nxt)
-            if j is None:
-                j = len(configs)
-                index[nxt] = j
-                configs.append(nxt)
-                successors.append({})
-                queue.append(j)
-            succ[j] = succ.get(j, 0) + 1
+                j = index.get(nxt)
+                if j is None:
+                    j = len(configs)
+                    index[nxt] = j
+                    configs.append(nxt)
+                    successors.append({})
+                    queue.append(j)
+                succ[j] = succ.get(j, 0) + 1
         successors[i] = succ
 
     return ConfigurationSpace(protocol, n, configs, index, successors, budget)

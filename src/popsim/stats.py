@@ -1,4 +1,4 @@
-"""Analytic step-probability formulas, geometric-sum oracles, and estimators.
+"""Analytic step-probability formulas, geometric-sum oracles, and summaries.
 
 Two one-step probabilities drive every experiment here, both for a uniformly
 random ordered pair among n agents:
@@ -135,31 +135,6 @@ def ceil_rational_power(n: int, num: int, den: int) -> int:
     return root if root**den == target else root + 1
 
 
-def block_lower_bound(n: int) -> int:
-    """Block-decomposition lower bound on the informed-set first passage to
-    ceil(n**(2/3)).
-
-    Blocks hold r = isqrt(n) indices each, and there are kappa =
-    ceil(n**(2/3)) // r whole blocks; the final partial block (when r does
-    not divide the threshold) is deliberately left out.  The bound sums, over
-    whole blocks, floor((r/2) * E[steps at the block's top index]).  The top
-    index of block i is k = (i+1) r; its geometric mean is n(n-1)/(2k(n-k)),
-    so each term is floor(r n (n-1) / (4 k (n-k))), taken with exact integer
-    arithmetic.  Indices at or beyond n (possible only at degenerate small n)
-    contribute nothing.
-    """
-    if n < 1:
-        raise ValueError("population size must be >= 1")
-    r = math.isqrt(n)
-    total = 0
-    for i in range(ceil_rational_power(n, 2, 3) // r):
-        k = (i + 1) * r
-        if k >= n:
-            break
-        total += (r * n * (n - 1)) // (4 * k * (n - k))
-    return total
-
-
 class EstimateRecord(NamedTuple):
     """Summary statistics of one Monte Carlo sample."""
 
@@ -213,29 +188,4 @@ def summarize(samples: Sequence[float]) -> EstimateRecord:
         std_error=std_error,
         percentiles={lvl: float(val) for lvl, val in zip(PERCENTILE_LEVELS, levels)},
     )
-
-
-def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b|."""
-    import numpy as np
-
-    xa = np.sort(np.asarray(a, dtype=float))
-    xb = np.sort(np.asarray(b, dtype=float))
-    if xa.size == 0 or xb.size == 0:
-        raise ValueError("both samples must be non-empty")
-    grid = np.concatenate([xa, xb])
-    cdf_a = np.searchsorted(xa, grid, side="right") / xa.size
-    cdf_b = np.searchsorted(xb, grid, side="right") / xb.size
-    return float(np.abs(cdf_a - cdf_b).max())
-
-
-def ks_critical_value(alpha: float, n_a: int, n_b: int) -> float:
-    """Large-sample two-sided KS rejection threshold at level ``alpha``:
-    sqrt(ln(2/alpha)/2) * sqrt((n_a + n_b) / (n_a * n_b))."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    if n_a < 1 or n_b < 1:
-        raise ValueError("sample sizes must be >= 1")
-    c = math.sqrt(math.log(2.0 / alpha) / 2.0)
-    return c * math.sqrt((n_a + n_b) / (n_a * n_b))
 

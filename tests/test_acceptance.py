@@ -9,31 +9,30 @@ this suite is a deterministic replay.
 import math
 from fractions import Fraction
 
-from popsim import (
-    Splitmix64,
-    backward_sets,
-    backward_step,
-    derive_seed,
-    first_exceed_time,
-    forward_sets,
-    make_protocol,
-    run_trial,
-    sample_interaction,
-)
+from oracles import ks_critical_value, ks_statistic
 from popsim.cli import main
+from popsim.core import run_trial, sample_interaction
 from popsim.exact import (
     enumerate_reachable,
     expected_hitting_steps,
     safety_verdicts,
 )
-from popsim.influence import INFLUENCER_EVENT, InteractionLog, demo_log
+from popsim.influence import (
+    INFLUENCER_EVENT,
+    InteractionLog,
+    backward_sets,
+    backward_step,
+    demo_log,
+    first_exceed_time,
+    forward_sets,
+)
+from popsim.protocols import make_protocol
+from popsim.rng import Splitmix64, derive_seed
 from popsim.stats import (
     ceil_rational_power,
     coupon_spec,
     epidemic_spec,
     expected_coupon_sum,
-    ks_critical_value,
-    ks_statistic,
     p_epidemic,
     p_leave,
     simulate_geometric_sum,

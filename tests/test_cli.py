@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import popsim
-from popsim.cli import _one_leader_stop, _summary_path, main, threshold_count
+from popsim.cli import _number, _one_leader_stop, _summary_path, main, threshold_count
 from popsim.core import LEADER, Trial, run_trial
 from popsim.influence import INFLUENCER_EVENT, InfluencerTable, ScheduleRecorder, write_log
 from popsim.protocols import CATALOG, make_protocol, protocol_from_dict
@@ -48,6 +48,11 @@ def test_threshold_expressions():
     assert threshold_count("log(n)", 1024) == 7
     assert threshold_count("12", 100) == 12
     assert threshold_count("2.5", 100) == 3
+    assert threshold_count("7.5", 100) == 8
+    assert threshold_count("1e-3", 100) == 1
+    assert threshold_count("3/2", 100) == 2
+    assert threshold_count("n^+.5e1", 2) == 32
+    assert threshold_count("n^-0", 100) == 1
 
 
 def test_threshold_expression_errors(capsys):
@@ -74,6 +79,45 @@ def test_threshold_expression_errors(capsys):
     assert threshold_count("1e4300", 10) == 10**4300
     assert main(["influencer", "--n", "10", "--threshold", "n^1000000"]) == 2
     assert capsys.readouterr().err == "popsim: 10^1000000 is not below 2^1024, the float range of thresholds\n"
+
+
+# Each string with the (numerator, denominator) _number reads, or None where
+# it refuses the string, and whether Python 3.10's and 3.11's Fraction agree
+# on it (3.10's takes no underscores; either expands 1e4301).
+NUMBERS = [
+    ("2/3", (2, 3), True),
+    ("0.5", (1, 2), True),
+    (".5", (1, 2), True),
+    ("5.", (5, 1), True),
+    ("+.5e1", (5, 1), True),
+    ("1E-3", (1, 1000), True),
+    ("-0", (0, 1), True),
+    ("1_0", (10, 1), False),
+    ("1__0", None, True),
+    ("1/0", None, True),
+    ("2/ 3", None, True),
+    ("nan", None, True),
+    ("1e4300", (10**4300, 1), True),
+    ("1e4301", None, False),
+]
+
+
+@pytest.mark.parametrize("text, expected, cross_check", NUMBERS,
+                         ids=[text.replace(" ", "_") for text, _, _ in NUMBERS])
+def test_number_reads_rationals_as_fraction_does(text, expected, cross_check):
+    from fractions import Fraction
+
+    if expected is None:
+        with pytest.raises(ValueError):
+            _number(text)
+    else:
+        assert _number(text) == expected
+    if cross_check:
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        assert value == (None if expected is None else Fraction(*expected))
 
 
 # -------------------------------------------------------------------------- run
@@ -691,6 +735,34 @@ def test_exact_counts_edges_against_the_budget(capsys):
     # 2^16 configurations times 240 ordered pairs pass the default 10^7
     assert main(["exact", "--protocol", "pairwise-elimination", "--n", "16"]) == 3
     assert "2^16 * 240 = 15728640 exceeds budget 10000000" in capsys.readouterr().err
+    assert main(["exact", "--protocol", "pairwise-elimination", "--n", "30"]) == 3
+    assert capsys.readouterr().err == (
+        "popsim: |Q|^n * n(n-1) = 2^30 * 870 = 934155386880 exceeds budget 10000000\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs an enforced RLIMIT_AS")
+def test_exact_at_huge_n_exits_3_without_building_the_power():
+    # 2^n * n(n-1) is past the budget once n passes its bits; built, it fills
+    # 1 GiB at n = 2^32 (MemoryError), and at n = 10^8 has too many digits to
+    # print (exit 2)
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from popsim.cli import main
+        for n in (1 << 32, 10**8):
+            print(main(["exact", "--protocol", "pairwise-elimination", "--n", str(n)]))
+    """)
+    src = Path(popsim.__file__).resolve().parent.parent
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["3", "3"]
+    assert proc.stderr.splitlines() == [
+        "popsim: |Q|^n * n(n-1) = 2^4294967296 * 18446744069414584320 exceeds budget 10000000",
+        "popsim: |Q|^n * n(n-1) = 2^100000000 * 9999999900000000 exceeds budget 10000000",
+    ]
 
 
 def test_exact_cyclic_token_solves_at_four_and_exits_3_at_six(tmp_path, capsys):
@@ -943,10 +1015,11 @@ def test_commands_without_pair_streams_load_neither_numpy_nor_hashlib(tmp_path):
         [(["run", "--protocol", "leave-init", "--n", "6", "--max-steps", "0", "--out", out,
            "--save-log", str(tmp_path / "z.log")], 0,
           [*HEAVY, EXACT, STATS], [PROTOCOLS, RNG, INFLUENCE])],
+        # their n^2/3 thresholds are split with integers, not fractions
         [(["coupon", "--n", "16", "--trials", "2", "--out", out], 0,
-          [EXACT, INFLUENCE], ["numpy", PROTOCOLS, RNG, STATS])],
+          [EXACT, INFLUENCE, "fractions"], ["numpy", PROTOCOLS, RNG, STATS])],
         [(["influencer", "--n", "16", "--trials", "2", "--out", out], 0,
-          [EXACT, PROTOCOLS], [INFLUENCE, RNG, STATS])],
+          [EXACT, PROTOCOLS, "fractions"], [INFLUENCE, RNG, STATS])],
     ]
     src = Path(popsim.__file__).resolve().parent.parent
     everything = [*HEAVY, EXACT, INFLUENCE, STATS, PROTOCOLS, RNG]

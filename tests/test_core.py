@@ -3,22 +3,21 @@ from types import SimpleNamespace
 
 import pytest
 
-from popsim import (
+from popsim.core import (
+    DENSE_GAP,
     Interaction,
     Protocol,
-    Splitmix64,
     TrialRecord,
     apply_interaction,
     configuration_digest,
-    make_protocol,
     output_vector,
     run_trial,
     sample_interaction,
+    step_budget,
 )
-from popsim.core import DENSE_GAP, step_budget
 from popsim.influence import ScheduleRecorder
-from popsim.protocols import CATALOG, protocol_from_dict
-from popsim.rng import pair_blocks
+from popsim.protocols import CATALOG, make_protocol, protocol_from_dict
+from popsim.rng import Splitmix64, pair_blocks
 
 # 0.999 quantile of the chi-square distribution with 55 degrees of freedom
 # (8 agents -> 56 ordered pairs).

@@ -1,18 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from popsim import (
-    LEADER,
-    Protocol,
-    apply_interaction,
-    exact,
-    make_protocol,
-    output_vector,
-    run_trial,
-)
+from popsim import exact
+from popsim.core import LEADER, Protocol, apply_interaction, output_vector, run_trial
 from popsim.exact import (
     BudgetExceededError,
     NonAbsorbingError,
@@ -20,6 +14,7 @@ from popsim.exact import (
     expected_hitting_steps,
     safety_verdicts,
 )
+from popsim.protocols import make_protocol
 
 
 def _replay(protocol, config, path):
@@ -113,6 +108,19 @@ def test_successor_multiset_counts_sum_to_pair_count():
     space = enumerate_reachable(make_protocol("pairwise-elimination", 4), 4)
     for succ in space.successors:
         assert sum(succ.values()) == 12
+
+
+def test_one_state_enumeration_holds_no_list_of_pairs():
+    # all n(n-1) ordered pairs are null: one configuration with one self-loop
+    # count; a list of the 999000 pairs as tuples alone would take about 70 MB
+    tracemalloc.start()
+    try:
+        space = enumerate_reachable(identity_protocol(1), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.configs == [(0,) * 1000] and space.successors == [{0: 999000}]
+    assert peak < 2 * 2**20
 
 
 def test_budget_error_names_the_size():

@@ -4,21 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from popsim import (
-    Interaction,
-    Protocol,
-    Splitmix64,
-    apply_interaction,
-    make_protocol,
-    protocol_from_dict,
-    load_protocol,
-    run_trial,
-    sample_interaction,
-)
 from popsim.cli import main
-from popsim.core import Trial
+from popsim.core import Interaction, Protocol, Trial, apply_interaction, run_trial, sample_interaction
 from popsim.influence import ScheduleRecorder
-from popsim.protocols import CATALOG, ProtocolLoadError
+from popsim.protocols import CATALOG, ProtocolLoadError, load_protocol, make_protocol, protocol_from_dict
+from popsim.rng import Splitmix64
 
 PAIRWISE_DOC = {
     "name": "pairwise-elimination",

@@ -11,17 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import popsim
+from oracles import block_lower_bound, ks_critical_value, ks_statistic
 from popsim.rng import Splitmix64, derive_seed
 from popsim.stats import (
     PERCENTILE_LEVELS,
     GeometricSumSpec,
-    block_lower_bound,
     ceil_rational_power,
     coupon_spec,
     epidemic_spec,
     expected_coupon_sum,
-    ks_critical_value,
-    ks_statistic,
     p_epidemic,
     p_leave,
     simulate_geometric_sum,
