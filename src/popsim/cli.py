@@ -194,8 +194,8 @@ def _run_job(job) -> dict:
 def _influencer_job(job) -> dict:
     from .influence import INFLUENCER_EVENT
 
-    _, n, threshold, trial_idx, seed, max_steps, agent = job
-    rec = first_exceed_time(None, n, seed, threshold, max_steps=max_steps, agent=agent)
+    _, n, threshold, trial_idx, seed, max_steps, agent, budget = job
+    rec = first_exceed_time(None, n, seed, threshold, max_steps=max_steps, agent=agent, budget=budget)
     t_min = rec.event_steps.get(INFLUENCER_EVENT)
     ratio = t_min / (n * math.log(n)) if t_min is not None else None
     return {
@@ -330,7 +330,8 @@ def cmd_influencer(args) -> int:
     from .stats import PERCENTILE_LEVELS
 
     # The kernel keeps n-entry lists and 8 bytes a step, about n ln n steps,
-    # so n itself is the work counted against the budget.
+    # so n itself is the work counted against the budget; a switch to masks
+    # charges their n*ceil(n/64) words in the kernel.
     budget = _budget()
     for n in args.n:
         if n > budget:
@@ -339,20 +340,23 @@ def cmd_influencer(args) -> int:
         check_mask_cap(args.n[0])  # the series of the first size replays masks
     trial_rows = []
     summary_rows = []
-    series_done = False
-    for n, threshold, results in _sweep(args, _influencer_job, args.agent):
+    series = None  # (n, seed, steps) of the trial the size series replays
+    for n, threshold, results in _sweep(args, _influencer_job, args.agent, budget):
         trial_rows.extend(results)
         ratios = [row["ratio"] for row in results if row["ratio"] != ""]
         summary_rows.append(_summary_row(n, threshold, ratios))
-        if args.series_out and not series_done:
+        if args.series_out and series is None:
             first = results[0]
             steps = step_budget(n, args.max_steps) if first["truncated"] else first["t_min"]
             # one mask union and one row per replayed step; no output is open yet
             if steps > budget:
                 raise BudgetExceededError(f"the size series of n={n} replays {steps} steps, past budget {budget}")
-            write_size_series(n, pair_stream(first["seed"], n, steps), args.series_out)
-            series_done = True
+            series = (n, first["seed"], steps)
 
+    # written once every size has run, so a later size over budget leaves none
+    if series is not None:
+        n, seed, steps = series
+        write_size_series(n, pair_stream(seed, n, steps), args.series_out)
     trial_cols = ["n", "trial", "seed", "threshold", "t_min", "ratio", "truncated"]
     _emit(_render_rows(trial_rows, trial_cols, args.format, "popsim.influencer-trials.v1"), args.out)
     summary_cols = ["n", "threshold", "count", "mean_ratio", "variance", "std_error"]

@@ -306,8 +306,13 @@ def run_trial(
     # block finds, the null steps before it counted at once.  Runs with
     # observers are never scanned.  ``mirror`` (made at the first scan, which
     # also imports numpy) is a numpy view of ``buf``, a copy of ``states``
-    # kept in step with it.  A run that stops at step 0 asks for a stream of
-    # no steps, which computes no block.
+    # kept in step with it, and ``flag`` says per agent whether its state is
+    # active, with a rule that changes a state when it initiates.  A pair
+    # whose initiator is not active is null, so a scan looks up ``changes``
+    # only at the pairs whose initiator is flagged (for pairwise elimination,
+    # the leaders); when every state is active, as in the one-way epidemic,
+    # the filter would keep every pair, and ``flags`` is None.  A run that
+    # stops at step 0 asks for a stream of no steps, which computes no block.
     skipping, nulls, mirror = False, 0, None
     skip_after = max_steps + 1 if notify_fns else DENSE_GAP
     for U, V in pair_blocks(seed, n, 0 if stopped else max_steps):
@@ -328,6 +333,7 @@ def run_trial(
                     nulls = 0
                     if mirror is not None:
                         buf[u] = a2
+                        flag[u] = active[a2]
                 if b2 != b:
                     counts[b] -= 1
                     counts[b2] += 1
@@ -335,6 +341,7 @@ def run_trial(
                     nulls = 0
                     if mirror is not None:
                         buf[v] = b2
+                        flag[v] = active[b2]
                 if nulls >= skip_after:
                     skipping = True
                     break
@@ -365,13 +372,25 @@ def run_trial(
                 buf = array("q", states)
                 mirror = np.frombuffer(buf, np.int64)
                 changes, width = protocol._changes, protocol.num_states
-            if Ui is None:
-                Ui, Vi = (np.frombuffer(X, np.uint32).astype(np.intp) for X in (U, V))
-            rest = changes[mirror[Ui[i:]] * width + mirror[Vi[i:]]]
-            gap = int(rest.argmax())
-            if not rest[gap]:  # the rest of the block is null
+                active = changes.reshape(width, width).any(1)
+                flag = array("B", active[mirror].tobytes())
+                flags = None if active.all() else np.frombuffer(flag, bool)
+                active = active.tolist()
+            if flags is not None:  # only a pair whose initiator is active can change
+                Ur, Vr = np.frombuffer(U, np.uint32)[i:], np.frombuffer(V, np.uint32)[i:]
+                at = flags.take(Ur).nonzero()[0]
+                Ur, Vr = Ur.take(at), Vr.take(at)
+            else:  # every pair is looked up, the block's indices made once
+                if Ui is None:
+                    Ui, Vi = (np.frombuffer(X, np.uint32).astype(np.intp) for X in (U, V))
+                Ur, Vr = Ui[i:], Vi[i:]
+            rest = changes[mirror.take(Ur) * width + mirror.take(Vr)]
+            gap = int(rest.argmax()) if len(rest) else 0
+            if not len(rest) or not rest[gap]:  # the rest of the block is null
                 step += end - i
                 break
+            if flags is not None:
+                gap = int(at[gap])
             step += gap
             i += gap
             skipping = gap >= DENSE_GAP

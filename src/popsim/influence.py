@@ -58,7 +58,9 @@ than by the mask cap; after one it is the masks, up to n*n/8 bytes, plus the
 prefix.  A switch at n above the cap raises
 :class:`~popsim.core.BudgetExceededError` rather than approximate, and there
 the multiple is ``SWITCH_MULTIPLE`` again, so the scans before the error
-cost at most three times the trial's step.
+cost at most three times the trial's step.  Below the cap a switch charges
+its masks, n*ceil(n/64) 64-bit words, against the work budget before it
+builds any, and raises the same error past it.
 The kernel is the only implementation of the crossing rule.
 
 The schedule of a trial is the first ``steps_taken`` pairs of its pair
@@ -76,7 +78,7 @@ from pathlib import Path
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Optional, Union
 
-from .core import BudgetExceededError, Interaction, Protocol, TrialRecord, run_trial, step_budget
+from .core import DEFAULT_BUDGET, BudgetExceededError, Interaction, Protocol, TrialRecord, run_trial, step_budget
 from .rng import MAX_BLOCK, check_population, pair_blocks
 
 MAX_TRACKED_AGENTS = 1 << 17
@@ -326,6 +328,7 @@ def first_exceed_time(
     max_steps: Optional[int] = None,
     agent: Optional[int] = None,
     extra_observers: Iterable = (),
+    budget: Optional[int] = None,
 ) -> TrialRecord:
     """Run a trial until some influencer set size strictly exceeds ``threshold``.
 
@@ -341,8 +344,11 @@ def first_exceed_time(
     Only a switch to masks (see the module docstring) at such an n raises
     :class:`~popsim.core.BudgetExceededError`, as it would need masks past
     the cap; below the cap a switch adds the masks, up to n*n/8 bytes, and
-    the prefix still grows.  At n = 2**20 the n^(2/3) crossing comes near
-    3.5 million steps, a prefix of about 28 MB.
+    the prefix still grows.  The switch charges those masks, n*ceil(n/64)
+    64-bit words, against ``budget`` (``DEFAULT_BUDGET`` when None) before it
+    builds any, and raises :class:`~popsim.core.BudgetExceededError` past
+    it.  At n = 2**20 the n^(2/3) crossing comes near 3.5 million steps, a
+    prefix of about 28 MB.
 
     The stream kernel finds the crossing without applying ``protocol``, so
     the record's ``final_states`` is None.  With ``extra_observers``, the
@@ -357,10 +363,12 @@ def first_exceed_time(
     check_population(n, 1)
     if agent is not None:
         _check_agent(n, agent)
-    budget = step_budget(n, max_steps)
-    step = _crossing_step(seed, n, threshold, agent, budget) if threshold < n else None
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    steps = step_budget(n, max_steps)
+    step = _crossing_step(seed, n, threshold, agent, steps, budget) if threshold < n else None
     if step is None:
-        rec = TrialRecord(seed, n, budget, {}, truncated=True)
+        rec = TrialRecord(seed, n, steps, {}, truncated=True)
     else:
         rec = TrialRecord(seed, n, step, {INFLUENCER_EVENT: step})
     if extra_observers:
@@ -399,18 +407,21 @@ def _positions() -> list[int]:
     return list(range(MAX_BLOCK))
 
 
-def _crossing_step(seed: int, n: int, threshold: float, agent: Optional[int], budget: int) -> Optional[int]:
+def _crossing_step(
+    seed: int, n: int, threshold: float, agent: Optional[int], steps: int, budget: int
+) -> Optional[int]:
     """The stream kernel of :func:`first_exceed_time` (see the module
-    docstring): the first step, within ``budget``, after which a
+    docstring): the first step, within ``steps``, after which a
     participant's set (the tracked agent's, when there is one) has more than
-    ``threshold`` members, or None."""
+    ``threshold`` members, or None.  A switch to masks charges their
+    n*ceil(n/64) words against ``budget``."""
     bound = [1] * n  # bound[v] >= the size of v's set
     prefix = InteractionLog(n)  # every pair read
     masks: Optional[list[int]] = None  # every set's mask, from the switch on
     scanned = 0  # pairs read by the backward scans
     multiple = _switch_multiple(n)
     first = 1  # the step of the current block's first pair
-    for U, V in pair_blocks(seed, n, budget):
+    for U, V in pair_blocks(seed, n, steps):
         prefix.initiators += U
         prefix.responders += V
         # A pair's step is ``first`` plus its position, worked out only where
@@ -432,6 +443,12 @@ def _crossing_step(seed: int, n: int, threshold: float, agent: Optional[int], bu
                                 raise BudgetExceededError(
                                     f"the crossing kernel needs masks at step {step}, "
                                     f"and masks are capped at n <= {MAX_TRACKED_AGENTS}"
+                                )
+                            words = n * -(-n // 64)
+                            if words > budget:
+                                raise BudgetExceededError(
+                                    f"the crossing kernel needs masks at step {step}, "
+                                    f"{words} words for n={n}, past budget {budget}"
                                 )
                             masks = forward_sets(prefix, step).masks
                         size = masks[u].bit_count()

@@ -20,12 +20,15 @@ uses this to compute a block of words at once with numpy's wrapping
 ``uint64`` arithmetic, then turns them into the same ordered pairs that
 ``Splitmix64.randbelow`` and ``core.sample_interaction`` would draw one at a
 time.  The draws alternate between an initiator (accepted below n) and a
-responder index (accepted below n - 1), so each word either toggles which
-of the two is awaited, forces one of them, or is skipped; the running
-parity of the toggles and the positions of the forces give every word's
-role in a few array passes, with no per-word Python loop.  Only the short
-leading blocks, where those passes would cost more than they save, take the
-draws one at a time.  Either way a block comes out in the schedule format
+responder index (accepted below n - 1).  The words that neither bound
+accepts are dropped, and the rest alternate initiator, responder, except
+for the words that only one bound accepts: such a word is skipped when it
+falls on its wrong role, and a parity rule on their places says which are
+(:func:`_pairs_by_arrays`).  That takes a few array passes, with no
+per-word Python loop.  Blocks start at ``FIRST_BLOCK`` (32) words and double
+up to ``MAX_BLOCK`` (8192); only the short leading blocks, where those passes
+would cost more than they save, take the draws one at a time
+(:func:`_pairs_by_words`).  Either way a block comes out in the schedule format
 of ``influence.InteractionLog``: two ``array('I')`` columns of initiators
 and responders, 8 bytes a pair, so a stream's population is below 2**32
 (:func:`check_population`).  numpy's own generators are never used, so the
@@ -114,13 +117,15 @@ class Splitmix64:
 
 
 # Blocks start small so that short trials compute few unused words, and double
-# up to a cap that bounds the memory of a long run.  Blocks below _ARRAY_BLOCK
+# up to a cap that bounds the memory of a long run: 8192 words, 64 kB as
+# uint64, where the passes' fixed cost per block is spread over twice the
+# words it was at 4096.  Blocks below _ARRAY_BLOCK
 # words form their pairs one word at a time: the array passes cost a fixed
 # few tens of microseconds, which a trial of a few steps would pay for its
 # first block.
 FIRST_BLOCK = 32
 _ARRAY_BLOCK = 512
-MAX_BLOCK = 4096
+MAX_BLOCK = 8192
 
 
 def check_population(n: int, fewest: int) -> None:
@@ -177,7 +182,6 @@ def _pair_blocks(state: int, n: int, steps: int) -> Iterator[tuple[array, array]
     bits = (n - 1).bit_length()  # randbelow(n) keeps the top ``bits`` bits
     drop = bits - (n - 2).bit_length()  # 1 when randbelow(n - 1) keeps one bit less
     shift = shifts[64 - bits]
-    n1 = n - 1
     size = FIRST_BLOCK
     u = -1  # an accepted initiator still waiting for its k draw
     while steps:
@@ -191,63 +195,85 @@ def _pair_blocks(state: int, n: int, steps: int) -> Iterator[tuple[array, array]
         if bits > 31:  # x ^ (x >> 31) leaves the top 31 bits of x as they are
             x ^= x >> u31
         x >>= shift
-        if size >= _ARRAY_BLOCK:
-            U, V, u = _pairs_by_arrays(x.astype(np.uint32), n, drop, u)
-            U, V = array("I", U.tobytes()), array("I", V.tobytes())
-        else:  # one draw (the top bits of a word) at a time
-            U, V = array("I"), array("I")
-            add_u, add_v = U.append, V.append
-            for r in x.tolist():
-                if u < 0:
-                    if r < n:
-                        u = r
-                else:
-                    k = r >> drop
-                    if k < n1:
-                        add_u(u)
-                        add_v(k if k < u else k + 1)
-                        u = -1
+        pairs = _pairs_by_arrays if size >= _ARRAY_BLOCK else _pairs_by_words
+        U, V, u = pairs(x.astype(np.uint32), n, drop, u)
         del U[steps:], V[steps:]  # the last block ends at the last step
         steps -= len(U)
         yield U, V
         size = min(2 * size, MAX_BLOCK)
 
 
-def _pairs_by_arrays(r: np.ndarray, n: int, drop: int, u: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _pairs_by_words(r: np.ndarray, n: int, drop: int, u: int) -> tuple[array, array, int]:
     """The pairs of a block's draws ``r`` (the top bits of its words, as
-    ``uint32``) in array passes; ``u`` is the initiator carried in (-1 for
-    none) and the one carried out.
+    ``uint32``) one draw at a time, as ``sample_interaction`` takes them;
+    ``u`` is the initiator carried in (-1 for none) and the one carried
+    out."""
+    U, V = array("I"), array("I")
+    add_u, add_v = U.append, V.append
+    n1 = n - 1
+    for w in r.tolist():
+        if u < 0:
+            if w < n:
+                u = w
+        else:
+            k = w >> drop
+            if k < n1:
+                add_u(u)
+                add_v(k if k < u else k + 1)
+                u = -1
+    return U, V, u
 
-    The draw a word serves is a two-state automaton: awaiting an initiator
-    (False) or a responder index (True).  A word accepted at both bounds
-    toggles the state, one accepted at neither leaves it, and one accepted at
-    only one bound forces the state (to True when it is a valid initiator, to
-    False when it is a valid index).  The state after word i is the one
-    forced by the last force at or before i, flipped once per toggle since.
-    The words that change the state then alternate: initiator, responder.
+
+def _pairs_by_arrays(r: np.ndarray, n: int, drop: int, u: int) -> tuple[array, array, int]:
+    """The pairs of :func:`_pairs_by_words`, formed in a few array passes.
+
+    A word is an initiator if r <= n-1 and a responder index if k = r >> drop
+    <= n-2.  Drop the words that neither bound accepts (at drop=0, r >= n; at
+    drop=1 there are none).  The words left alternate initiator, responder,
+    starting with a responder when an initiator is carried in (``waiting``
+    is 1), except for the forced words, which only one bound accepts: at
+    drop=0, r = n-1, only an initiator; at drop=1, r >= n, only a responder.
+    A forced word that falls on its wrong role is skipped, and does not flip
+    the role of the words after it.
+
+    Let f_j be the place of forced word j among the words left, and d_j =
+    (f_j + waiting) & 1, the role (1 for a responder) it would fall on if no
+    word before it were skipped.  Then forced word j is skipped iff d_j !=
+    d_(j-1), taking d_(-1) = drop.  By induction on j, the parity of the
+    skips up to and including word j is d_j at drop=0 and 1 - d_j at drop=1
+    (both 0 before the first forced word).  Forced word j falls on role d_j
+    flipped once per skip before it.  At drop=0 that is d_j ^ d_(j-1), and
+    its wrong role is a responder, so it is skipped iff d_j != d_(j-1), and
+    the skip parity becomes d_(j-1) ^ (d_j ^ d_(j-1)) = d_j.  At drop=1 that
+    is d_j ^ (1 - d_(j-1)), and its wrong role is an initiator, so again it
+    is skipped iff d_j != d_(j-1), and the parity becomes 1 - d_j.
+
+    With the skipped words deleted and the carried initiator put in front,
+    the initiators sit at even places and the responders at odd places, as
+    k = word >> drop, and the responder is v = k + (k >= u).
     """
     import numpy as np
 
-    as_u = r <= np.uint32(n - 1)
-    k = r >> np.uint32(drop) if drop else r
-    as_k = k <= np.uint32(n - 2)
-    flips = np.logical_xor.accumulate(as_u & as_k)  # toggle parity through word i
-    forced = (as_u ^ as_k).nonzero()[0]
+    if drop:
+        forced = (r >= np.uint32(n)).nonzero()[0]
+    else:
+        r = r[r < np.uint32(n)]
+        forced = (r == np.uint32(n - 1)).nonzero()[0]
     waiting = int(u >= 0)
-    # The state after word i is base ^ flips[i], with base constant between forces.
-    base = np.empty(len(forced) + 1, bool)
-    base[0] = waiting
-    base[1:] = as_u[forced] ^ flips[forced]
-    edges = np.empty(len(forced) + 2, np.intp)
-    edges[0], edges[-1] = 0, len(r)
-    edges[1:-1] = forced
-    state = np.empty(len(r) + 1, bool)  # state[i] is the state before word i
-    state[0] = waiting
-    np.logical_xor(base.repeat(edges[1:] - edges[:-1]), flips, out=state[1:])
-    moves = (state[1:] != state[:-1]).nonzero()[0]
-    inits = r.take(moves[waiting::2])
-    K = k.take(moves[1 - waiting :: 2])
+    if len(forced):
+        d = (forced + waiting) & 1
+        skip = np.empty(len(d), bool)
+        skip[0] = d[0] != drop
+        np.not_equal(d[1:], d[:-1], out=skip[1:])
+        keep = np.ones(len(r), bool)
+        keep[forced[skip]] = False
+        # at drop=1 about a third of the words are skipped, where a gather of
+        # the kept places is cheaper than a mask
+        r = r.take(keep.nonzero()[0]) if drop else r[keep]
     if waiting:
-        inits = np.concatenate((np.array([u], np.uint32), inits))
-    U = inits[: len(K)]
-    return U, K + (K >= U), int(inits[-1]) if state[-1] else -1
+        r = np.concatenate((np.array([u], np.uint32), r))
+    inits = r[0::2]
+    K = r[1::2] >> np.uint32(drop) if drop else r[1::2].copy()
+    U = array("I", inits[: len(K)].tobytes())
+    K += K >= np.frombuffer(U, np.uint32)
+    return U, array("I", K.tobytes()), int(inits[-1]) if len(inits) > len(K) else -1

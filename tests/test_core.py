@@ -329,6 +329,30 @@ def test_elimination_to_one_leader_matches_reference_run(seed):
     assert rec.event_steps == {"stabilized": rec.steps_taken}
 
 
+# Only an infected initiator changes a state, so a scan looks up only the
+# pairs whose initiator is flagged as infected.
+PUSH_EPIDEMIC_DOC = {
+    "name": "push-epidemic",
+    "states": ["S", "I"],
+    "initial": "S",
+    "outputs": {"S": "F", "I": "F"},
+    "rules": [["I", "S", "I", "I"]],
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_push_epidemic_flags_each_infected_responder_for_the_scans(seed):
+    # Every infection turns its responder into an initiator that can change a
+    # state, so the scans after it must look at that agent's pairs too.
+    proto = protocol_from_dict(PUSH_EPIDEMIC_DOC)
+    n = 1000
+    kwargs = {"max_steps": 10**6, "stop_event": ("all_infected", lambda t: t.counts[1] == n),
+              "initial": [1] + [0] * (n - 1)}
+    rec = run_trial(proto, n, seed, **kwargs)
+    assert not rec.truncated
+    assert rec == reference_run(proto, n, seed, **kwargs)
+
+
 @pytest.mark.parametrize("budget", [60_000, 90_000])
 def test_budget_inside_a_skipped_null_run_matches_reference_run(budget):
     # At n=1000 a handful of leaders is left after 60000 steps, so a state

@@ -650,6 +650,28 @@ def test_switch_above_the_mask_cap_exceeds_the_budget(monkeypatch):
     assert _fields(first_exceed_time(make_protocol("leave-init", n), n, seed, 21)) == _fields(low)
 
 
+def test_switch_charges_its_masks_against_the_budget(monkeypatch, capsys, tmp_path):
+    # Below the cap a switch builds n ceil(n/64) mask words, 262144 at
+    # n=4096: past a budget of 10^5 the kernel raises at the switch, before
+    # forward_sets builds any mask, and at exactly that many it switches.
+    # The CLI exits 3 with no output, the size series of the first --n
+    # (inside the budget) included.
+    n, seed = 4096, derive_seed(4096, 0)
+    seen = _kernel_counters(monkeypatch)
+    with pytest.raises(BudgetExceededError, match="262144 words for n=4096, past budget 100000"):
+        first_exceed_time(None, n, seed, 4000, budget=10**5)
+    assert seen["scanned"] > 0 and seen["switches"] == 0
+    rec = first_exceed_time(None, n, seed, 4000, budget=n * 64)
+    assert seen["switches"] == 1 and not rec.truncated
+    assert _fields(first_exceed_time(None, n, seed, 4000)) == _fields(rec)
+    monkeypatch.setenv("POPSIM_BUDGET", str(10**5))
+    out, series = tmp_path / "inf.csv", tmp_path / "series.csv"
+    argv = ["influencer", "--n", "64", "--n", str(n), "--threshold", "4000", "--trials", "1"]
+    assert main([*argv, "--out", str(out), "--series-out", str(series)]) == 3
+    assert "262144 words for n=4096, past budget 100000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scans_past_the_mask_cap_stop_at_the_flat_multiple(monkeypatch):
     # Past the cap no switch can follow the scans, so the kernel raises once
     # they pass SWITCH_MULTIPLE times the step, not the multiple that grows

@@ -2,6 +2,7 @@ from array import array
 from bisect import bisect_left
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from popsim.rng import (
     MASK64,
     MAX_BLOCK,
     Splitmix64,
+    _pairs_by_arrays,
+    _pairs_by_words,
     derive_seed,
     mix64,
     pair_blocks,
@@ -223,3 +226,35 @@ def test_pair_blocks_match_sample_interaction(n):
         last = bisect_left(pair_ends, steps)  # the block that reaches steps
         assert [len(U) for U, _ in cut] == (whole[:last] + [steps - starts[last]] if steps else [])
         assert [pair for U, V in cut for pair in zip(U, V)] == scalar[:steps]
+
+
+# The words that only one bound accepts are the forced ones: n-1 (only an
+# initiator) where both draws keep the same bits, n and above (only a
+# responder index) where n-1 is a power of two.  The sizes take both kinds;
+# at the first, 2**bits - 1 is rejected at both bounds unless it is n-1.
+FORCED_SIZES = (2, 3, 4, 5, 6, 9, 17, 100, 1000, 1024, 1025, 4097, 2**31 + 1, 2**32 - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from(FORCED_SIZES),
+    size=st.one_of(st.integers(1, 64), st.integers(1, MAX_BLOCK)),
+    shares=st.tuples(*[st.integers(0, 4)] * 4).filter(any),
+    waiting=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairs_by_arrays_match_the_per_word_rule_on_dense_forced_words(n, size, shares, waiting, seed):
+    # Words drawn from {n-1, n, 2**bits - 1, uniform} in the given shares put
+    # forced words next to each other, at block starts and at block ends,
+    # where the parity rule's skips are decided.
+    bits = (n - 1).bit_length()
+    drop = bits - (n - 2).bit_length()
+    top = (1 << bits) - 1
+    draw = np.random.default_rng(seed)
+    kinds = np.array([n - 1, min(n, top), top], np.uint64)
+    pick = draw.choice(4, size, p=np.array(shares) / sum(shares))
+    r = draw.integers(0, top, size, dtype=np.uint64, endpoint=True)
+    r[pick < 3] = kinds[pick[pick < 3]]
+    r = r.astype(np.uint32)
+    u = int(draw.integers(0, n)) if waiting else -1
+    assert _pairs_by_arrays(r, n, drop, u) == _pairs_by_words(r, n, drop, u)
