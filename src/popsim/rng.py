@@ -267,9 +267,7 @@ def _pairs_by_arrays(r: np.ndarray, n: int, drop: int, u: int) -> tuple[array, a
         np.not_equal(d[1:], d[:-1], out=skip[1:])
         keep = np.ones(len(r), bool)
         keep[forced[skip]] = False
-        # at drop=1 about a third of the words are skipped, where a gather of
-        # the kept places is cheaper than a mask
-        r = r.take(keep.nonzero()[0]) if drop else r[keep]
+        r = r[keep]
     if waiting:
         r = np.concatenate((np.array([u], np.uint32), r))
     inits = r[0::2]
