@@ -325,19 +325,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_influencer(args) -> int:
-    from .influence import check_mask_cap, write_size_series
+    from .influence import mask_words, write_size_series
     from .rng import pair_stream
     from .stats import PERCENTILE_LEVELS
 
     # The kernel keeps n-entry lists and 8 bytes a step, about n ln n steps,
     # so n itself is the work counted against the budget; a switch to masks
-    # charges their n*ceil(n/64) words in the kernel.
+    # charges their mask_words(n) in the kernel.
     budget = _budget()
     for n in args.n:
         if n > budget:
             raise BudgetExceededError(f"n={n} exceeds budget {budget}")
-    if args.series_out:
-        check_mask_cap(args.n[0])  # the series of the first size replays masks
+    if args.series_out:  # the series of the first size replays masks
+        n, words = args.n[0], mask_words(args.n[0])
+        if words > budget:
+            raise BudgetExceededError(f"the size series needs {words} mask words for n={n}, past budget {budget}")
     trial_rows = []
     summary_rows = []
     series = None  # (n, seed, steps) of the trial the size series replays

@@ -40,8 +40,8 @@ DEFAULT_BUDGET = 10**7
 class BudgetExceededError(RuntimeError):
     """The work asked for exceeds the budget: the potential configuration
     space of an enumeration, the edges of an exported graph, the population
-    of an influencer sweep, or the masks of a crossing kernel, past the cap
-    or past the work budget."""
+    of an influencer sweep, the masks or the steps of its size series, or
+    the scans of a crossing kernel whose masks do not fit it."""
 
 
 class NonAbsorbingError(RuntimeError):

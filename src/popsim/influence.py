@@ -23,10 +23,11 @@ test suite:
 Sets are represented as arbitrary-precision integers used as bit vectors
 (bit u set means agent u belongs), so a union is one word-parallel ``|`` and
 a size is one ``bit_count()``.  An agent's mask is made at its first
-interaction, so memory grows with the sets a run reaches, up to n*n/8 bytes
-per table.  Only masks are capped: a table, and the crossing kernel's switch
-to masks below, refuse n > ``MAX_TRACKED_AGENTS`` (2**17), which keeps
-exactness instead of trading it for scale.
+interaction, so memory grows with the sets a run reaches, up to
+:func:`mask_words` (n*ceil(n/64) 64-bit words) per table.  That count is the
+one limit on masks: the crossing kernel's switch below and ``popsim
+influencer --series-out`` charge it against the work budget before they
+build any, and refuse masks past it rather than approximate.
 
 A schedule, whether a log, a block of ``rng.pair_blocks`` or the kernel's
 recorded prefix, is kept as two ``array('I')`` columns of initiators and
@@ -54,13 +55,11 @@ current pair into masks, each later step ORs its two participants' masks,
 and an exact size is a ``bit_count()``.  The switch changes how an exact
 size is read, not which loop runs.  Without a switch memory is the prefix's
 8 bytes a step and two lists of n entries, so n is limited by time rather
-than by the mask cap; after one it is the masks, up to n*n/8 bytes, plus the
-prefix.  A switch at n above the cap raises
-:class:`~popsim.core.BudgetExceededError` rather than approximate, and there
-the multiple is ``SWITCH_MULTIPLE`` again, so the scans before the error
-cost at most three times the trial's step.  Below the cap a switch charges
-its masks, n*ceil(n/64) 64-bit words, against the work budget before it
-builds any, and raises the same error past it.
+than by the masks; after one it is the masks plus the prefix.  When the
+masks do not fit the work budget no switch can follow, so the scans are the
+only exact route: they may read the budget's worth of pairs, or
+``SWITCH_MULTIPLE`` times the step where that is more, and past it the
+kernel raises :class:`~popsim.core.BudgetExceededError`.
 The kernel is the only implementation of the crossing rule.
 
 The schedule of a trial is the first ``steps_taken`` pairs of its pair
@@ -80,8 +79,6 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .core import DEFAULT_BUDGET, BudgetExceededError, Interaction, Protocol, TrialRecord, run_trial, step_budget
 from .rng import MAX_BLOCK, check_population, pair_blocks
-
-MAX_TRACKED_AGENTS = 1 << 17
 
 INFLUENCER_EVENT = "influencer_threshold"
 
@@ -180,10 +177,10 @@ def demo_log() -> InteractionLog:
     return InteractionLog(5, DEMO_SCHEDULE_N5)
 
 
-def check_mask_cap(n: int) -> None:
-    """Refuse masks for more than ``MAX_TRACKED_AGENTS`` agents (ValueError)."""
-    if n > MAX_TRACKED_AGENTS:
-        raise ValueError(f"influencer tracking is capped at n <= {MAX_TRACKED_AGENTS}")
+def mask_words(n: int) -> int:
+    """The 64-bit words of a mask for each of n agents, n*ceil(n/64): what
+    masks for every set are charged against the work budget."""
+    return n * -(-n // 64)
 
 
 class InfluencerTable:
@@ -201,7 +198,6 @@ class InfluencerTable:
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("population size must be >= 1")
-        check_mask_cap(n)
         self.n = n
         self.step = 0
         self.masks: list[int] = [0] * n
@@ -340,15 +336,14 @@ def first_exceed_time(
     truncated record at once, without running the kernel.
 
     The kernel keeps 8 bytes a step of the pair stream and two lists of n
-    entries, so n may pass ``MAX_TRACKED_AGENTS``; it must be below 2**32.
-    Only a switch to masks (see the module docstring) at such an n raises
-    :class:`~popsim.core.BudgetExceededError`, as it would need masks past
-    the cap; below the cap a switch adds the masks, up to n*n/8 bytes, and
-    the prefix still grows.  The switch charges those masks, n*ceil(n/64)
-    64-bit words, against ``budget`` (``DEFAULT_BUDGET`` when None) before it
-    builds any, and raises :class:`~popsim.core.BudgetExceededError` past
-    it.  At n = 2**20 the n^(2/3) crossing comes near 3.5 million steps, a
-    prefix of about 28 MB.
+    entries; n must be below 2**32.  A switch to masks (see the module
+    docstring) adds :func:`mask_words` 64-bit words, up to n*n/8 bytes, and
+    the prefix still grows.  When those words pass ``budget``
+    (``DEFAULT_BUDGET`` when None) no switch is made: the backward scans may
+    read ``budget`` pairs, or ``SWITCH_MULTIPLE`` times the step where that
+    is more, and past that the kernel raises
+    :class:`~popsim.core.BudgetExceededError`.  At n = 2**20 the n^(2/3)
+    crossing comes near 3.5 million steps, a prefix of about 28 MB.
 
     The stream kernel finds the crossing without applying ``protocol``, so
     the record's ``final_states`` is None.  With ``extra_observers``, the
@@ -390,14 +385,16 @@ def first_exceed_time(
 # at n=4096 and n=1000; at 4, up to 1.4 times.  n^(2/3) at n=16384 needs at
 # most 7 scans' worth in 3000 trials, below its multiple of 12; at a flat 3
 # it switched in 76 of them, which took a run's peak memory from about 38 to
-# 66 MB on the seeds that did.  Above MAX_TRACKED_AGENTS there is no switch,
-# only BudgetExceededError, so the multiple stays SWITCH_MULTIPLE: a doubled
-# one of 192 at n = 2^18 spent 36.9 s of scans on a 2-vCPU guest, not 1.7 s.
+# 66 MB on the seeds that did.  When the masks do not fit the budget there is
+# no switch, only BudgetExceededError, so the scans may read the budget's
+# worth of pairs, or SWITCH_MULTIPLE times the step where that is more, not
+# a multiple that grows with n: one of 192 at n = 2^18 spent 36.9 s of scans
+# on a 2-vCPU guest.
 SWITCH_MULTIPLE = 3
 
 
 def _switch_multiple(n: int) -> float:
-    return SWITCH_MULTIPLE * (1 if n > MAX_TRACKED_AGENTS else max(1, n >> 12))
+    return SWITCH_MULTIPLE * max(1, n >> 12)
 
 
 @cache
@@ -413,13 +410,17 @@ def _crossing_step(
     """The stream kernel of :func:`first_exceed_time` (see the module
     docstring): the first step, within ``steps``, after which a
     participant's set (the tracked agent's, when there is one) has more than
-    ``threshold`` members, or None.  A switch to masks charges their
-    n*ceil(n/64) words against ``budget``."""
+    ``threshold`` members, or None.  A switch to masks needs
+    :func:`mask_words` within ``budget``; without them the scans may read
+    ``budget`` pairs, or ``SWITCH_MULTIPLE`` times the step, before the
+    kernel raises."""
     bound = [1] * n  # bound[v] >= the size of v's set
     prefix = InteractionLog(n)  # every pair read
     masks: Optional[list[int]] = None  # every set's mask, from the switch on
     scanned = 0  # pairs read by the backward scans
-    multiple = _switch_multiple(n)
+    words = mask_words(n)
+    # the scans may read max(floor, multiple * step) pairs in all
+    floor, multiple = (0, _switch_multiple(n)) if words <= budget else (budget, SWITCH_MULTIPLE)
     first = 1  # the step of the current block's first pair
     for U, V in pair_blocks(seed, n, steps):
         prefix.initiators += U
@@ -434,17 +435,11 @@ def _crossing_step(
             if size > threshold:
                 if agent is None or agent == u or agent == v:
                     step = first + j
-                    if masks is None and scanned + step - 1 <= multiple * step:
+                    if masks is None and scanned + step - 1 <= max(floor, multiple * step):
                         scanned += step - 1
                         size = _backward_size(prefix, step - 1, u, v, threshold)
                     else:
                         if masks is None:  # the switch: every set's mask through this step
-                            if n > MAX_TRACKED_AGENTS:
-                                raise BudgetExceededError(
-                                    f"the crossing kernel needs masks at step {step}, "
-                                    f"and masks are capped at n <= {MAX_TRACKED_AGENTS}"
-                                )
-                            words = n * -(-n // 64)
                             if words > budget:
                                 raise BudgetExceededError(
                                     f"the crossing kernel needs masks at step {step}, "

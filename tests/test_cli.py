@@ -518,17 +518,23 @@ def test_influencer_series_export(tmp_path):
     assert len(lines) > 1
 
 
-def test_series_out_past_the_mask_cap_exits_before_any_trial(tmp_path, monkeypatch, capsys):
+def test_series_out_with_masks_past_the_budget_exits_before_any_trial(tmp_path, monkeypatch, capsys):
+    # The series of the first --n replays masks of n ceil(n/64) words, so
+    # past the default budget of 10^7 (from n = 2^15) no trial runs and no
+    # output opens.
     def kernel(*args, **kwargs):
         raise AssertionError("the crossing kernel ran")
 
     monkeypatch.setattr("popsim.cli.first_exceed_time", kernel)
     out, series = tmp_path / "inf.csv", tmp_path / "series.csv"
-    code = main(["influencer", "--n", "262144", "--trials", "2", "--out", str(out),
-                 "--series-out", str(series)])
-    assert code == 2
-    assert capsys.readouterr().err == "popsim: influencer tracking is capped at n <= 131072\n"
-    assert not out.exists() and not series.exists()
+    for n, words in ((262144, 1073741824), (32768, 16777216)):
+        code = main(["influencer", "--n", str(n), "--trials", "2", "--out", str(out),
+                     "--series-out", str(series)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"popsim: the size series needs {words} mask words for n={n}, past budget 10000000\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 def _influencer_outputs(tmp_path, name, argv):
@@ -802,8 +808,8 @@ def test_bad_budget_env_exits_2_naming_it(monkeypatch, capsys, value):
 
 
 def test_influencer_counts_n_against_the_budget(tmp_path, monkeypatch, capsys):
-    # The crossing kernel builds no masks on its own, so the mask cap does
-    # not bound n; the budget does, before any trial runs or output opens.
+    # At n^2/3 the crossing kernel builds no masks, so n itself is what the
+    # budget bounds, before any trial runs or output opens.
     out = tmp_path / "inf.csv"
     monkeypatch.setenv("POPSIM_BUDGET", "63")
     assert main(["influencer", "--n", "8", "--n", "64", "--out", str(out)]) == 3

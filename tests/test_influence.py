@@ -114,11 +114,6 @@ def test_update_merges_both_participants():
     assert table.members(0) == frozenset({0, 1})
 
 
-def test_table_rejects_oversized_population():
-    with pytest.raises(ValueError, match="capped"):
-        InfluencerTable((1 << 17) + 1)
-
-
 def test_table_allocates_no_set_before_its_agent_interacts():
     # One single-bit integer per agent would peak near 18 MB at this size.
     tracemalloc.start()
@@ -629,33 +624,34 @@ def test_kernel_keeps_its_prefix_at_8_bytes_a_step():
     assert peak < 2**20
 
 
-def test_switch_above_the_mask_cap_exceeds_the_budget(monkeypatch):
-    # Masks are the only capped part: past the cap, a kernel that needs them
-    # stops with the budget error (exit 3) rather than approximate.  A
-    # threshold near n overflows at almost every step, so the scans pass
-    # their share and the kernel reaches its switch.
+def test_switch_to_masks_past_the_budget_exceeds_it(monkeypatch):
+    # The budget is the one limit on masks: when they do not fit, a kernel
+    # that needs them stops with the budget error (exit 3) rather than
+    # approximate.  A threshold near n overflows at almost every step, so the
+    # scans pass their share and the kernel reaches its switch.  Masks at
+    # n=100 take 200 words.
     n, seed = 100, derive_seed(100, 0)
     seen = _kernel_counters(monkeypatch)
     first_exceed_time(make_protocol("leave-init", n), n, seed, n - 1)
     assert seen["switches"] == 1
     low = first_exceed_time(make_protocol("leave-init", n), n, seed, 21)
     assert seen["switches"] == 1
-    monkeypatch.setattr(influence, "MAX_TRACKED_AGENTS", 64)
     seen.update(scanned=0)
-    with pytest.raises(BudgetExceededError, match="masks are capped at n <= 64"):
-        first_exceed_time(make_protocol("leave-init", n), n, seed, n - 1)
+    with pytest.raises(BudgetExceededError, match=r"at step \d+, 200 words for n=100, past budget 199"):
+        first_exceed_time(make_protocol("leave-init", n), n, seed, n - 1, budget=199)
     assert seen["scanned"] > 0 and seen["switches"] == 1
+    monkeypatch.setenv("POPSIM_BUDGET", "199")
     assert main(["influencer", "--n", str(n), "--threshold", str(n - 1), "--trials", "1"]) == 3
-    # a run that needs no masks is the same past the cap
-    assert _fields(first_exceed_time(make_protocol("leave-init", n), n, seed, 21)) == _fields(low)
+    # a run that needs no masks is the same when they do not fit
+    assert _fields(first_exceed_time(make_protocol("leave-init", n), n, seed, 21, budget=199)) == _fields(low)
 
 
 def test_switch_charges_its_masks_against_the_budget(monkeypatch, capsys, tmp_path):
-    # Below the cap a switch builds n ceil(n/64) mask words, 262144 at
-    # n=4096: past a budget of 10^5 the kernel raises at the switch, before
-    # forward_sets builds any mask, and at exactly that many it switches.
-    # The CLI exits 3 with no output, the size series of the first --n
-    # (inside the budget) included.
+    # A switch builds n ceil(n/64) mask words, 262144 at n=4096: past a
+    # budget of 10^5 the kernel raises instead, before forward_sets builds
+    # any mask, and at exactly that many it switches.  The CLI exits 3 with
+    # no output, the size series of the first --n (inside the budget)
+    # included.
     n, seed = 4096, derive_seed(4096, 0)
     seen = _kernel_counters(monkeypatch)
     with pytest.raises(BudgetExceededError, match="262144 words for n=4096, past budget 100000"):
@@ -672,17 +668,32 @@ def test_switch_charges_its_masks_against_the_budget(monkeypatch, capsys, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
-def test_scans_past_the_mask_cap_stop_at_the_flat_multiple(monkeypatch):
-    # Past the cap no switch can follow the scans, so the kernel raises once
-    # they pass SWITCH_MULTIPLE times the step, not the multiple that grows
-    # with n below the cap (12 at n=16384, where it scans 11.7 times).
-    monkeypatch.setattr(influence, "MAX_TRACKED_AGENTS", 8192)
+def test_scans_without_masks_stop_at_the_budget_or_the_flat_multiple(monkeypatch):
+    # When the masks do not fit the budget no switch can follow the scans,
+    # so the kernel raises once they pass the budget, or SWITCH_MULTIPLE
+    # times the step where that is more; not the multiple that grows with n
+    # (12 at n=16384, where it scans 11.7 times).  Masks at n=16384 take
+    # 4194304 words: a budget of 10^5 is below SWITCH_MULTIPLE times the
+    # step, and one word short of the masks above it.
     seen = _kernel_counters(monkeypatch)
-    with pytest.raises(BudgetExceededError) as raised:
-        first_exceed_time(None, 16384, 0, 16000)
-    step = int(re.search(r"masks at step (\d+)", str(raised.value)).group(1))
-    assert seen["switches"] == 0
-    assert 0 < seen["scanned"] <= influence.SWITCH_MULTIPLE * step
+    for budget, below_flat in ((10**5, True), (4194303, False)):
+        seen.update(scanned=0)
+        with pytest.raises(BudgetExceededError) as raised:
+            first_exceed_time(None, 16384, 0, 16000, budget=budget)
+        step = int(re.search(r"masks at step (\d+)", str(raised.value)).group(1))
+        flat = influence.SWITCH_MULTIPLE * step
+        assert seen["switches"] == 0
+        assert (budget < flat) == below_flat
+        assert 0 < min(budget, flat) < seen["scanned"] <= max(budget, flat)
+
+
+def test_scans_without_masks_reach_a_crossing_past_the_flat_multiple():
+    # No mask fits the default budget at n = 2^18.  This n^(2/3) trial's
+    # scans read 3088430 pairs, 3.97 times its crossing step, so they stop
+    # short of it at SWITCH_MULTIPLE times the step; within the budget's
+    # 10^7 pairs they reach it.
+    rec = first_exceed_time(None, 262144, derive_seed(0, 87), 4096)
+    assert _fields(rec) == ({INFLUENCER_EVENT: 778821}, 778821, False)
 
 
 def test_series_tracking(tmp_path):
