@@ -23,6 +23,7 @@ from .core import (
     DEFAULT_BUDGET,
     LEADER,
     BudgetExceededError,
+    CountWindow,
     NonAbsorbingError,
     Protocol,
     run_trial,
@@ -137,10 +138,9 @@ def _resolve_protocol(args, n: int) -> Optional[Protocol]:
     return None if name is None else make_protocol(name, n)
 
 
-def _one_leader_stop(protocol: Protocol):
-    """Stop predicate: exactly one agent outputs the leader symbol."""
-    leaders = protocol.output_states(LEADER)
-    return lambda trial: sum(trial.counts[s] for s in leaders) == 1
+def _one_leader_stop(protocol: Protocol) -> CountWindow:
+    """Stop window: exactly one agent outputs the leader symbol."""
+    return CountWindow(frozenset(protocol.output_states(LEADER)), 1, 1)
 
 
 def _run_plan(protocol: Protocol, n: int, threshold: Optional[int]):
@@ -173,9 +173,8 @@ def _run_plan(protocol: Protocol, n: int, threshold: Optional[int]):
 
 def _run_job(job) -> dict:
     """One trial of ``run`` or ``coupon``; top level so worker processes can
-    pickle it.  The stop predicate cannot be pickled, so the worker plans."""
-    protocol, n, threshold, trial_idx, seed, max_steps = job
-    stop_event, initial = _run_plan(protocol, n, threshold)
+    pickle it."""
+    protocol, n, threshold, trial_idx, seed, max_steps, stop_event, initial = job
     rec = run_trial(protocol, n, seed, max_steps=max_steps, stop_event=stop_event, initial=initial)
     row = {
         "trial": trial_idx,
@@ -225,8 +224,10 @@ def _sweep(args, job, *extra):
     """Run ``job`` on every trial of every ``--n``, yielding
     ``(n, threshold, rows)`` per size with the rows in trial order
     whatever ``--jobs``.  A job is ``(protocol, n, threshold, trial, seed,
-    max_steps, *extra)``; threshold is None when no ``--threshold`` is set,
-    and protocol when the command takes none."""
+    max_steps, *plan, *extra)``; threshold is None when no ``--threshold``
+    is set, and protocol when the command takes none.  ``plan`` is the
+    size's ``(stop_event, initial)`` from :func:`_run_plan`, made once per
+    size, and empty when there is no protocol."""
     for n in args.n:
         if n >= 1 << 32:  # refused before a plan's start or a trial's states is built
             from .rng import check_population
@@ -234,8 +235,9 @@ def _sweep(args, job, *extra):
             check_population(n, 2)
         protocol = _resolve_protocol(args, n)
         threshold = threshold_count(args.threshold, n) if args.threshold is not None else None
+        plan = () if protocol is None else _run_plan(protocol, n, threshold)
         jobs = [
-            (protocol, n, threshold, t, derive_seed(args.seed, t), args.max_steps, *extra)
+            (protocol, n, threshold, t, derive_seed(args.seed, t), args.max_steps, *plan, *extra)
             for t in range(args.trials)
         ]
         yield n, threshold, _map_jobs(job, jobs, args.jobs)

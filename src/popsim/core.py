@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 LEADER = "L"
 
@@ -65,7 +65,7 @@ class Protocol:
     by its five fields.
     """
 
-    __slots__ = ("num_states", "initial_state", "transitions", "outputs", "name", "_mask")
+    __slots__ = ("num_states", "initial_state", "transitions", "outputs", "name", "_mask", "_row_cache")
 
     def __init__(
         self,
@@ -95,6 +95,7 @@ class Protocol:
         self.outputs = outputs
         self.name = name
         self._mask = None
+        self._row_cache = {}
 
     def _fields(self) -> tuple:
         return self.num_states, self.initial_state, self.transitions, self.outputs, self.name
@@ -126,6 +127,30 @@ class Protocol:
             mask.flags.writeable = False
             self._mask = mask
         return self._mask
+
+    def _rows(self, watched: Optional[frozenset[int]]) -> tuple:
+        """The step loop's rule rows for a count of the agents in
+        ``watched``, built at the first use of each ``watched``:
+        ``rows[a][b]`` is None for a rule that changes neither state, and
+        otherwise ``(a2, b2, dc)``, the next states and the change dc to the
+        count.  With ``watched`` None every rule, null or not, gets its triple
+        and dc is 0.  Rejects a ``watched`` naming a state outside the
+        protocol."""
+        rows = self._row_cache.get(watched)
+        if rows is None:
+            if watched is not None and not watched.issubset(range(self.num_states)):
+                raise ValueError(f"count window names states outside 0..{self.num_states - 1}: {sorted(watched)}")
+            inside = [watched is not None and s in watched for s in range(self.num_states)]
+            rows = tuple(
+                tuple(
+                    None if watched is not None and (a2, b2) == (a, b)
+                    else (a2, b2, inside[a2] + inside[b2] - inside[a] - inside[b])
+                    for b, (a2, b2) in enumerate(row)
+                )
+                for a, row in enumerate(self.transitions)
+            )
+            self._row_cache[watched] = rows
+        return rows
 
 
 def apply_interaction(protocol: Protocol, config: Sequence[int], e: Interaction) -> Configuration:
@@ -221,15 +246,35 @@ class TrialRecord(NamedTuple):
         return self.steps_taken / self.n
 
 
-# A stop predicate must be a function of ``trial.counts`` and ``trial.states``
-# alone: without observers, run_trial evaluates it only at step 0 and after
-# steps that change the configuration.
+class CountWindow(NamedTuple):
+    """A stop as data: the number of agents in ``states`` lies in
+    ``[low, high]``.  ``run_trial`` without observers keeps that one count and
+    tests the window only after rules that change it; called on anything
+    with ``.counts`` (a ``Trial``, say), the window gives the same test."""
+
+    states: frozenset[int]
+    low: int
+    high: int
+
+    def __call__(self, trial) -> bool:
+        counts = trial.counts
+        return self.low <= sum(counts[s] for s in self.states) <= self.high
+
+
+# A stop is a CountWindow or a predicate over a Trial.  A predicate must be a
+# function of ``trial.counts`` and ``trial.states`` alone: without observers,
+# run_trial evaluates it only at step 0 and after steps that change the
+# configuration.
 StopPredicate = Callable[[Trial], bool]
 
-# Without observers, a trial whose last DENSE_GAP steps were null finds its next
-# state change with one array scan of the rest of the block, and keeps
-# scanning while the changes it finds are at least DENSE_GAP steps apart;
-# when they come closer together, stepping in Python is cheaper.
+# The window of a run with no stop: it holds for no count.
+_NEVER = CountWindow(frozenset(), 1, 0)
+
+# Without observers, a segment of DENSE_GAP pairs with no change (or the
+# shorter one that ends a block) makes the trial find its next state change
+# with one array scan of the rest of the block, and it keeps scanning while
+# the changes it finds are at least DENSE_GAP steps apart; when they come
+# closer together, stepping in Python is cheaper.
 DENSE_GAP = 64
 
 
@@ -239,7 +284,7 @@ def run_trial(
     seed: int,
     *,
     max_steps: Optional[int] = None,
-    stop_event: Optional[tuple[str, StopPredicate]] = None,
+    stop_event: Optional[tuple[str, Union[CountWindow, StopPredicate]]] = None,
     observers: Iterable = (),
     initial: Optional[Sequence[int]] = None,
 ) -> TrialRecord:
@@ -249,20 +294,25 @@ def run_trial(
     (the pairs ``sample_interaction`` draws from ``Splitmix64(seed)``),
     applies it, then notifies every observer with ``notify(trial,
     interaction, old_pair, new_pair)``.  ``stop_event`` is a ``(name,
-    predicate)`` pair: the run halts at the first step where the predicate
-    holds (checked before the first interaction as well) and records that
-    step in ``event_steps`` under ``name``, or it halts where the stream
-    ends, after ``max_steps`` interactions, whichever comes first.  Hitting
-    the step budget without the predicate firing marks the record as
-    truncated rather than raising.
+    stop)`` pair: the run halts at the first step where the stop holds
+    (checked before the first interaction as well) and records that step in
+    ``event_steps`` under ``name``, or it halts where the stream ends, after
+    ``max_steps`` interactions, whichever comes first.  Hitting the step
+    budget without the stop firing marks the record as truncated rather than
+    raising.
 
-    The predicate must depend on ``trial.counts`` and ``trial.states`` only.
-    Without observers it is evaluated at step 0 and after each step that
-    changes the configuration, and runs of null steps (pairs whose rule
-    changes neither state) are counted in bulk rather than visited, so the
-    record is the same as if it were checked every step.  With observers
-    attached, every step is visited, notified and followed by a predicate
-    check, so a predicate may also read observer state.
+    The stop is a :class:`CountWindow` or a predicate over the trial.
+    Without observers, a window is read as data: the run keeps only the
+    window's count, builds no ``Trial``, and tests the window after the steps
+    that change the count.  A predicate must depend on ``trial.counts`` and
+    ``trial.states`` only; without observers it is evaluated at step 0 and
+    after each step that changes the configuration.  Either way runs of null
+    steps (pairs whose rule changes neither state) are counted in bulk rather
+    than visited, so the record is the same as if the stop were checked
+    every step.  With observers attached, every step is visited, notified
+    and followed by a check of the stop, so a predicate may also read
+    observer state.  A window naming a state outside the protocol raises
+    ValueError.
 
     ``initial`` optionally overrides the starting configuration (the model's
     executions always start all-initial; the override is a harness feature
@@ -278,124 +328,143 @@ def run_trial(
     max_steps = step_budget(n, max_steps)
     check_population(n, 2)  # before the n-entry state list
 
-    counts = None  # counted by Trial unless the start is all-initial
     if initial is None:
         states = [protocol.initial_state] * n
-        counts = [0] * protocol.num_states
-        counts[protocol.initial_state] = n
     else:
         states = list(initial)
         if len(states) != n:
             raise ValueError("initial configuration length must equal n")
         if any(not 0 <= s < protocol.num_states for s in states):
             raise ValueError("initial configuration has out-of-range states")
-
-    trial = Trial(protocol, n, states, counts)
-    counts = trial.counts
-    table = protocol.transitions
+    event_name, stop = stop_event if stop_event is not None else (None, None)
     notify_fns = [obs.notify for obs in observers]
-    events: dict[str, int] = {}
-    event_name, event_pred = stop_event if stop_event is not None else (None, None)
 
-    step = 0
-    stopped = event_pred is not None and event_pred(trial)
+    # A window run keeps the window's count, changed by the rows' dc; a run
+    # with observers or a predicate keeps a Trial, with counts, and its rows'
+    # dc is 0.  A run with no stop and no observers is a window run that
+    # never stops.
+    if stop is None and not notify_fns:
+        stop = _NEVER
+    if type(stop) is CountWindow:
+        watched = frozenset(stop.states)
+        rows = protocol._rows(watched)  # checks the window's states
+    trial = pred = None
+    if notify_fns or type(stop) is not CountWindow:
+        if initial is None:
+            counts = [0] * protocol.num_states
+            counts[protocol.initial_state] = n
+            trial = Trial(protocol, n, states, counts)
+        else:
+            trial = Trial(protocol, n, states)
+        counts = trial.counts
+        pred = stop
+        # with observers every step takes the change path, null or not
+        rows = protocol._rows(None if notify_fns else frozenset())
+        stopped = pred is not None and pred(trial)
+    else:
+        low, high = stop.low, stop.high
+        if initial is None:
+            count = n if protocol.initial_state in watched else 0
+        else:
+            count = sum(map(watched.__contains__, states))
+        stopped = low <= count <= high
+    events: dict[str, int] = {}
     if stopped:
         events[event_name] = 0
-    # Each block is walked in segments that are stepped pair by pair: the rest
-    # of the block, or, once ``skip_after`` nulls in a row have set
-    # ``skipping``, the one state-changing pair that an array scan of the
-    # block finds, the null steps before it counted at once.  Runs with
-    # observers are never scanned.  ``mirror`` (made at the first scan, which
-    # also imports numpy) is a numpy view of ``buf``, a copy of ``states``
-    # kept in step with it, and ``flag`` says per agent whether its state is
-    # active, with a rule that changes a state when it initiates.  A pair
-    # whose initiator is not active is null, so a scan looks up ``changes``
-    # only at the pairs whose initiator is flagged (for pairwise elimination,
-    # the leaders).  When every state is active, as in the one-way epidemic,
-    # the filter would keep every pair at about twice the cost of the
-    # unfiltered lookup, and ``flags`` is None.  A run that stops at step 0
-    # asks for a stream of no steps, which computes no block.
-    skipping, nulls, mirror = False, 0, None
-    skip_after = max_steps + 1 if notify_fns else DENSE_GAP
+
+    # Each block is walked in segments of up to DENSE_GAP pairs, the pair at
+    # position k being step ``step + k + 1``.  A segment with no change, or
+    # one holding a single change that a scan found at least DENSE_GAP pairs
+    # on, sets ``scanning``: the next segment starts at the next change that
+    # an array scan of the block finds, which may lie in a later block, the
+    # null steps before it counted at once.  Runs with observers never
+    # scan, as their rows have no None.  ``mirror`` (made at the first scan,
+    # which also imports numpy) is a numpy view of ``buf``, a copy of
+    # ``states`` kept in step with it, and ``flag`` says per agent whether its
+    # state is active, with a rule that changes a state when it initiates.  A
+    # pair whose initiator is not active is null, so a scan looks up
+    # ``changes`` only at the pairs whose initiator is flagged (for pairwise
+    # elimination, the leaders).  When every state is active, as in the
+    # one-way epidemic, the filter would keep every pair at about twice the
+    # cost of the unfiltered lookup, and ``flags`` is None.  A run that stops
+    # at step 0 asks for a stream of no steps, which computes no block.
+    step, scanning, mirror = 0, False, None
     for U, V in pair_blocks(seed, n, 0 if stopped else max_steps):
-        i, end = 0, len(U)
-        pairs = () if skipping else zip(U, V)  # a block in a null run is scanned at once
-        while True:
-            first = step
-            for u, v in pairs:
-                step += 1
-                nulls += 1  # back to 0 if the step changes a state
+        i, end, last = 0, len(U), -1  # last: the position of the last change
+        while i < end:
+            far = False
+            if scanning:
+                if mirror is None:
+                    import numpy as np
+
+                    buf = array("q", states)
+                    mirror = np.frombuffer(buf, np.int64)
+                    changes, width = protocol._changes, protocol.num_states
+                    active = changes.reshape(width, width).any(1)
+                    flag = array("B", active[mirror].tobytes())
+                    flags = None if active.all() else np.frombuffer(flag, bool)
+                    active = active.tolist()
+                Ur, Vr = np.frombuffer(U, np.uint32)[i:], np.frombuffer(V, np.uint32)[i:]
+                if flags is not None:  # only a pair whose initiator is active can change
+                    at = flags.take(Ur).nonzero()[0]
+                    Ur, Vr = Ur.take(at), Vr.take(at)
+                rest = changes[mirror.take(Ur) * width + mirror.take(Vr)]
+                gap = int(rest.argmax()) if len(rest) else 0
+                if not len(rest) or not rest[gap]:  # the rest of the block is null
+                    break
+                if flags is not None:
+                    gap = int(at[gap])
+                far = gap >= DENSE_GAP
+                i += gap
+            j = i + 1 if far else i + DENSE_GAP
+            if j > end:
+                j = end
+            for k, u, v in zip(range(i, j), U[i:j], V[i:j]):
                 a = states[u]
                 b = states[v]
-                a2, b2 = table[a][b]
-                if a2 != a:
+                r = rows[a][b]
+                if r is None:
+                    continue
+                last = k
+                a2, b2, dc = r
+                states[u] = a2
+                states[v] = b2
+                if mirror is not None:
+                    buf[u] = a2
+                    buf[v] = b2
+                    flag[u] = active[a2]
+                    flag[v] = active[b2]
+                if dc:
+                    count += dc
+                    if low <= count <= high:
+                        stopped = True
+                        break
+                elif trial is not None:
                     counts[a] -= 1
                     counts[a2] += 1
-                    states[u] = a2
-                    nulls = 0
-                    if mirror is not None:
-                        buf[u] = a2
-                        flag[u] = active[a2]
-                if b2 != b:
                     counts[b] -= 1
                     counts[b2] += 1
-                    states[v] = b2
-                    nulls = 0
-                    if mirror is not None:
-                        buf[v] = b2
-                        flag[v] = active[b2]
-                if nulls >= skip_after:
-                    skipping = True
-                    break
-                if notify_fns:
-                    trial.step = step
-                    e = Interaction(u, v)
-                    old = (a, b)
-                    new = (a2, b2)
-                    for fn in notify_fns:
-                        fn(trial, e, old, new)
-                if event_pred is not None and (not nulls or notify_fns):
-                    trial.step = step
-                    if event_pred(trial):
-                        events[event_name] = step
+                    trial.step = step + k + 1
+                    if notify_fns:
+                        e = Interaction(u, v)
+                        old = (a, b)
+                        new = (a2, b2)
+                        for fn in notify_fns:
+                            fn(trial, e, old, new)
+                    if pred is not None and pred(trial):
                         stopped = True
                         break
             if stopped:
+                step += k + 1
+                events[event_name] = step
                 break
-            i += step - first
-            if i == end:
-                break
-            if not skipping:
-                pairs = zip(U[i:], V[i:])
-                continue
-            if mirror is None:
-                import numpy as np
-
-                buf = array("q", states)
-                mirror = np.frombuffer(buf, np.int64)
-                changes, width = protocol._changes, protocol.num_states
-                active = changes.reshape(width, width).any(1)
-                flag = array("B", active[mirror].tobytes())
-                flags = None if active.all() else np.frombuffer(flag, bool)
-                active = active.tolist()
-            Ur, Vr = np.frombuffer(U, np.uint32)[i:], np.frombuffer(V, np.uint32)[i:]
-            if flags is not None:  # only a pair whose initiator is active can change
-                at = flags.take(Ur).nonzero()[0]
-                Ur, Vr = Ur.take(at), Vr.take(at)
-            rest = changes[mirror.take(Ur) * width + mirror.take(Vr)]
-            gap = int(rest.argmax()) if len(rest) else 0
-            if not len(rest) or not rest[gap]:  # the rest of the block is null
-                step += end - i
-                break
-            if flags is not None:
-                gap = int(at[gap])
-            step += gap
-            i += gap
-            skipping = gap >= DENSE_GAP
-            pairs = ((U[i], V[i]),)
+            scanning = far or last < i
+            i = j
         if stopped:
             break
-    trial.step = step
+        step += end
+    if trial is not None:
+        trial.step = step
 
     return TrialRecord(
         seed=seed,

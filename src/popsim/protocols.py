@@ -6,8 +6,8 @@ document in the ``--protocol-file`` format, and :func:`protocol_from_dict`
 builds every protocol: the catalog's once, when this module loads.
 
 A catalog entry carries the experiment as well as the protocol: the name of
-the event a plain run stops at, the stop predicate over a trial's per-state
-counts, and the start (the epidemic's one infected agent).  The CLI applies
+the event a plain run stops at, the count window that stops it, and the
+start (the epidemic's one infected agent).  The CLI applies
 them only to a protocol equal to the entry's in every field, so a file equal
 to the entry's document gets them and one that only borrows its name does not.
 """
@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
-from .core import Configuration, Protocol, StopPredicate
+from .core import Configuration, CountWindow, Protocol
 
 
 class ProtocolLoadError(ValueError):
@@ -31,18 +31,18 @@ class CatalogEntry(NamedTuple):
 
     ``document`` is the protocol in the ``--protocol-file`` format; its state
     order fixes the state ids that ``stop`` and ``start`` read.
-    ``stop(n, threshold)`` returns the predicate of the stop event named
-    ``event``, or None when the run goes to its step budget;
-    ``reads_threshold`` says whether it uses ``threshold``.  The predicate
-    reads only ``trial.counts`` (or ``trial.states``): a run without
-    observers evaluates it only at step 0 and after steps that change the
-    configuration (see ``core.run_trial``).  ``start(n)`` returns the initial
+    ``stop(n, threshold)`` returns the ``core.CountWindow`` of the stop
+    event named ``event``: the run stops at the first step where the number
+    of agents in the window's states lies in its bounds.  It returns None
+    when the run goes to its step budget; ``reads_threshold`` says whether
+    it uses ``threshold``.  A window is plain data, so a sweep plans it once
+    per size and sends it to its workers.  ``start(n)`` returns the initial
     configuration, or None for all-initial.
     """
 
     document: dict
     event: str
-    stop: Callable[[int, Optional[int]], Optional[StopPredicate]]
+    stop: Callable[[int, Optional[int]], Optional[CountWindow]]
     start: Callable[[int], Optional[Configuration]] = lambda n: None
     reads_threshold: bool = False
 
@@ -55,7 +55,7 @@ CATALOG: dict[str, CatalogEntry] = {
         {"name": "pairwise-elimination", "states": ["L", "F"], "initial": "L",
          "outputs": {"L": "L", "F": "F"}, "rules": [["L", "L", "L", "F"]]},
         "stabilized",
-        lambda n, threshold: lambda trial: trial.counts[0] == 1,
+        lambda n, threshold: CountWindow(frozenset({0}), 1, 1),
     ),
     # Both participants of any interaction leave the initial state for good,
     # so the count still in init drops by the participants in init (0, 1 or
@@ -66,7 +66,7 @@ CATALOG: dict[str, CatalogEntry] = {
          "rules": [["init", "init", "done", "done"], ["init", "done", "done", "done"],
                    ["done", "init", "done", "done"]]},
         "init_below_threshold",
-        lambda n, threshold: None if threshold is None else lambda trial: trial.counts[0] < threshold,
+        lambda n, threshold: None if threshold is None else CountWindow(frozenset({0}), 0, threshold - 1),
         reads_threshold=True,
     ),
     # Infection spreads whenever either participant is infected, so with k
@@ -77,7 +77,7 @@ CATALOG: dict[str, CatalogEntry] = {
         {"name": "one-way-epidemic", "states": ["S", "I"], "initial": "S",
          "outputs": {"S": "F", "I": "F"}, "rules": [["S", "I", "I", "I"], ["I", "S", "I", "I"]]},
         "all_infected",
-        lambda n, threshold: lambda trial: trial.counts[1] == n,
+        lambda n, threshold: CountWindow(frozenset({1}), n, n),
         lambda n: [1] + [0] * (n - 1),
     ),
 }

@@ -121,10 +121,14 @@ class Splitmix64:
 # uint64, where the passes' fixed cost per block is spread over twice the
 # words it was at 4096.  Blocks below _ARRAY_BLOCK
 # words form their pairs one word at a time: the array passes cost a fixed
-# few tens of microseconds, which a trial of a few steps would pay for its
-# first block.
+# ten or so microseconds, which a trial of a few steps would pay for its
+# first block.  From 256 words on the array passes win at both values of
+# the responder draw's dropped bit (at 256 words, 35 against 10 us at
+# n=4096, 28 against 23 us at n=1025); at 128 words the word loop still
+# wins where a bit is dropped (16 against 21 us at n=1025, 13 against 14
+# us at n=3).
 FIRST_BLOCK = 32
-_ARRAY_BLOCK = 512
+_ARRAY_BLOCK = 256
 MAX_BLOCK = 8192
 
 

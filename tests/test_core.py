@@ -1,10 +1,14 @@
 import math
+import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popsim.core import (
     DENSE_GAP,
+    CountWindow,
     Interaction,
     Protocol,
     TrialRecord,
@@ -393,10 +397,12 @@ def test_observers_see_every_step_and_leave_the_record_unchanged(name, n):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_null_skip_in_the_leading_blocks_matches_observed_and_reference_runs(seed):
     # At n=4 leave-init turns null once every agent has interacted, a few
-    # steps in, so the first scan comes DENSE_GAP steps after that and the
-    # budget of 150 ends inside the same null run.  Both fall in the leading
-    # 32 + 64 + 128 + 256 = 480 words, whose blocks form their pairs one
-    # word at a time.
+    # steps in.  Each block here holds fewer than DENSE_GAP pairs, so the
+    # first block with no change ends a segment with no change, the scans
+    # start at the next block, and the budget of 150 ends inside the same
+    # null run.  Both fall in the leading 32 + 64 + 128 + 256 = 480 words:
+    # the first three blocks form their pairs one word at a time, the
+    # fourth, of _ARRAY_BLOCK = 256 words, with the array passes.
     proto = protocol_from_dict(CATALOG["leave-init"].document)  # a fresh instance, mask unbuilt
     changes = []
     expected = reference_run(proto, 4, seed, max_steps=150, changes=changes)
@@ -416,6 +422,89 @@ def test_with_observers_the_predicate_is_checked_every_step():
     rec = run_trial(identity_protocol(), 50, 4, max_steps=1000,
                     stop_event=("at_500", lambda t: t.step == 500), observers=[StepCounter()])
     assert rec.event_steps == {"at_500": 500}
+
+
+class EventLog:
+    def __init__(self):
+        self.events = []
+
+    def notify(self, trial, e, old, new):
+        self.events.append((trial.step, e, old, new))
+
+
+@st.composite
+def window_runs(draw):
+    """A random protocol of 1-4 states, n, a start, a budget, a seed and a
+    count window over the protocol.  The window either holds the count that
+    the schedule reaches at a random step of the budget, so that the run
+    stops there or before, or lies near the start's count (it may never
+    hold).  All but the seed come from ``random.Random``, whose choices are
+    uniform where Hypothesis favours the simplest values."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    k = rnd.randint(1, 4)
+    table = tuple(tuple((rnd.randrange(k), rnd.randrange(k)) for _ in range(k)) for _ in range(k))
+    protocol = Protocol(k, rnd.randrange(k), table, ("F",) * k, name="random")
+    n = rnd.randint(2, rnd.choice([16, 1025]))
+    initial = None
+    if rnd.random() < 0.5:
+        initial = rnd.choices(range(k), [rnd.randrange(4) + 1 for _ in range(k)], k=n)
+    budget = rnd.choice([0, 1, 63, 64, 200, 5000])
+    watched = frozenset(rnd.sample(range(k), rnd.randrange(k + 1)))
+    states = [protocol.initial_state] * n if initial is None else list(initial)
+    if budget and rnd.random() < 0.75:  # replay to a random step
+        sampler = Splitmix64(seed)
+        for _ in range(rnd.randrange(budget) + 1):
+            u, v = sample_interaction(sampler, n)
+            states[u], states[v] = table[states[u]][states[v]]
+    count = sum(s in watched for s in states)
+    move, width = rnd.choice([0, 0, 0, 0, 2, -2, 1, -1, 4, -4]), rnd.choice([1, 0, 3, -1])
+    low = count + move if move >= 0 else count + move - width  # holds the count only at move 0
+    return protocol, n, CountWindow(watched, low, low + width), initial, budget, seed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(window_runs(), st.booleans())
+def test_count_window_runs_match_predicate_and_reference_runs(case, observed):
+    # The window is read as data without observers and called on the trial
+    # with them; the equal lambda is always called.  The window counts the
+    # agents in ``states`` without a counts list.
+    protocol, n, window, initial, budget, seed = case
+    states, low, high = window
+
+    def equal(trial):
+        return low <= sum(trial.counts[s] for s in states) <= high
+
+    records, logs = [], []
+    for stop in (window, equal):
+        log = EventLog()
+        records.append(run_trial(protocol, n, seed, max_steps=budget, stop_event=("in_window", stop),
+                                 initial=initial, observers=[log] if observed else ()))
+        logs.append(log.events)
+    assert records[0] == records[1] == reference_run(
+        protocol, n, seed, max_steps=budget, stop_event=("in_window", equal), initial=initial)
+    assert logs[0] == logs[1]
+    if observed:
+        assert [step for step, *_ in logs[0]] == list(range(1, records[0].steps_taken + 1))
+
+
+@pytest.mark.parametrize("states", [frozenset({2}), frozenset({0, 5}), frozenset({-1})])
+def test_count_window_naming_a_state_outside_the_protocol_is_rejected(states):
+    proto = make_protocol("pairwise-elimination", 5)
+    for observers in ((), [EventLog()]):
+        with pytest.raises(ValueError, match="count window"):
+            run_trial(proto, 5, 0, stop_event=("x", CountWindow(states, 1, 1)), observers=observers)
+
+
+def test_count_window_rows_are_built_once_per_watched_set():
+    proto = protocol_from_dict(CATALOG["leave-init"].document)  # a fresh instance, no rows built
+    for seed in range(3):
+        run_trial(proto, 50, seed, stop_event=("drained", CountWindow(frozenset({0}), 0, 9)))
+        run_trial(proto, 50, seed, stop_event=("drained", CountWindow({0}, 0, 9)))  # a plain set too
+    assert list(proto._row_cache) == [frozenset({0})]
+    assert proto._rows(frozenset({0})) is proto._rows(frozenset({0}))
+    assert proto._rows(frozenset({0}))[0][0] == (1, 1, -2)  # init, init -> done, done
+    assert proto._rows(frozenset({0}))[1][1] is None  # done, done is null
 
 
 def test_observer_sees_old_and_new_states():
