@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 LEADER = "L"
@@ -65,7 +66,7 @@ class Protocol:
     by its five fields.
     """
 
-    __slots__ = ("num_states", "initial_state", "transitions", "outputs", "name", "_mask", "_row_cache")
+    __slots__ = ("num_states", "initial_state", "transitions", "outputs", "name", "_mask", "_rows")
 
     def __init__(
         self,
@@ -95,7 +96,7 @@ class Protocol:
         self.outputs = outputs
         self.name = name
         self._mask = None
-        self._row_cache = {}
+        self._rows = _RuleRows(transitions)
 
     def _fields(self) -> tuple:
         return self.num_states, self.initial_state, self.transitions, self.outputs, self.name
@@ -128,28 +129,35 @@ class Protocol:
             self._mask = mask
         return self._mask
 
-    def _rows(self, watched: Optional[frozenset[int]]) -> tuple:
-        """The step loop's rule rows for a count of the agents in
-        ``watched``, built at the first use of each ``watched``:
-        ``rows[a][b]`` is None for a rule that changes neither state, and
-        otherwise ``(a2, b2, dc)``, the next states and the change dc to the
-        count.  With ``watched`` None every rule, null or not, gets its triple
-        and dc is 0.  Rejects a ``watched`` naming a state outside the
-        protocol."""
-        rows = self._row_cache.get(watched)
-        if rows is None:
-            if watched is not None and not watched.issubset(range(self.num_states)):
-                raise ValueError(f"count window names states outside 0..{self.num_states - 1}: {sorted(watched)}")
-            inside = [watched is not None and s in watched for s in range(self.num_states)]
-            rows = tuple(
-                tuple(
-                    None if watched is not None and (a2, b2) == (a, b)
-                    else (a2, b2, inside[a2] + inside[b2] - inside[a] - inside[b])
-                    for b, (a2, b2) in enumerate(row)
-                )
-                for a, row in enumerate(self.transitions)
+
+class _RuleRows(dict):
+    """A protocol's rule rows for the step loop, keyed by ``watched``, a
+    frozenset of states or None, and built at the first use of each key:
+    ``rows[a][b]`` is None for a rule that changes neither state, and
+    otherwise ``(a2, b2, dc)``, the next states and the change dc to the
+    number of agents in ``watched``.  Under None every rule, null or not,
+    gets its triple and dc is 0.  A key naming a state outside the protocol
+    raises ValueError."""
+
+    __slots__ = ("transitions",)
+
+    def __init__(self, transitions: TransitionTable):
+        self.transitions = transitions
+
+    def __missing__(self, watched: Optional[frozenset[int]]) -> tuple:
+        width = len(self.transitions)
+        if watched is not None and not watched.issubset(range(width)):
+            raise ValueError(f"count window names states outside 0..{width - 1}: {sorted(watched)}")
+        inside = [watched is not None and s in watched for s in range(width)]
+        rows = tuple(
+            tuple(
+                None if watched is not None and (a2, b2) == (a, b)
+                else (a2, b2, inside[a2] + inside[b2] - inside[a] - inside[b])
+                for b, (a2, b2) in enumerate(row)
             )
-            self._row_cache[watched] = rows
+            for a, row in enumerate(self.transitions)
+        )
+        self[watched] = rows
         return rows
 
 
@@ -278,6 +286,16 @@ _NEVER = CountWindow(frozenset(), 1, 0)
 DENSE_GAP = 64
 
 
+@cache
+def _rng():
+    """The rng module, imported at the first trial: an import statement in
+    run_trial costs each trial 1-2 us (a tenth of a three-agent trial), and
+    importing rng with core would load it with every command."""
+    from . import rng
+
+    return rng
+
+
 def run_trial(
     protocol: Protocol,
     n: int,
@@ -323,10 +341,9 @@ def run_trial(
     Determinism: two runs with identical arguments produce identical
     interaction sequences, event steps, and final states.
     """
-    from .rng import check_population, pair_blocks
-
+    rng = _rng()
     max_steps = step_budget(n, max_steps)
-    check_population(n, 2)  # before the n-entry state list
+    rng.check_population(n, 2)  # before the n-entry state list
 
     if initial is None:
         states = [protocol.initial_state] * n
@@ -337,7 +354,7 @@ def run_trial(
         if any(not 0 <= s < protocol.num_states for s in states):
             raise ValueError("initial configuration has out-of-range states")
     event_name, stop = stop_event if stop_event is not None else (None, None)
-    notify_fns = [obs.notify for obs in observers]
+    notify_fns = [obs.notify for obs in observers] if observers else []
 
     # A window run keeps the window's count, changed by the rows' dc; a run
     # with observers or a predicate keeps a Trial, with counts, and its rows'
@@ -347,7 +364,7 @@ def run_trial(
         stop = _NEVER
     if type(stop) is CountWindow:
         watched = frozenset(stop.states)
-        rows = protocol._rows(watched)  # checks the window's states
+        rows = protocol._rows[watched]  # checks the window's states
     trial = pred = None
     if notify_fns or type(stop) is not CountWindow:
         if initial is None:
@@ -359,7 +376,7 @@ def run_trial(
         counts = trial.counts
         pred = stop
         # with observers every step takes the change path, null or not
-        rows = protocol._rows(None if notify_fns else frozenset())
+        rows = protocol._rows[None if notify_fns else _NEVER.states]
         stopped = pred is not None and pred(trial)
     else:
         low, high = stop.low, stop.high
@@ -389,7 +406,7 @@ def run_trial(
     # cost of the unfiltered lookup, and ``flags`` is None.  A run that stops
     # at step 0 asks for a stream of no steps, which computes no block.
     step, scanning, mirror = 0, False, None
-    for U, V in pair_blocks(seed, n, 0 if stopped else max_steps):
+    for U, V in rng.pair_blocks(seed, n, 0 if stopped else max_steps):
         i, end, last = 0, len(U), -1  # last: the position of the last change
         while i < end:
             far = False
@@ -419,7 +436,9 @@ def run_trial(
             j = i + 1 if far else i + DENSE_GAP
             if j > end:
                 j = end
-            for k, u, v in zip(range(i, j), U[i:j], V[i:j]):
+            # the leading blocks, shorter than DENSE_GAP pairs, go unsliced
+            segment = zip(range(end), U, V) if j - i == end else zip(range(i, j), U[i:j], V[i:j])
+            for k, u, v in segment:
                 a = states[u]
                 b = states[v]
                 r = rows[a][b]
@@ -440,10 +459,12 @@ def run_trial(
                         stopped = True
                         break
                 elif trial is not None:
-                    counts[a] -= 1
-                    counts[a2] += 1
-                    counts[b] -= 1
-                    counts[b2] += 1
+                    if a2 != a:
+                        counts[a] -= 1
+                        counts[a2] += 1
+                    if b2 != b:
+                        counts[b] -= 1
+                        counts[b2] += 1
                     trial.step = step + k + 1
                     if notify_fns:
                         e = Interaction(u, v)

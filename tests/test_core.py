@@ -501,10 +501,10 @@ def test_count_window_rows_are_built_once_per_watched_set():
     for seed in range(3):
         run_trial(proto, 50, seed, stop_event=("drained", CountWindow(frozenset({0}), 0, 9)))
         run_trial(proto, 50, seed, stop_event=("drained", CountWindow({0}, 0, 9)))  # a plain set too
-    assert list(proto._row_cache) == [frozenset({0})]
-    assert proto._rows(frozenset({0})) is proto._rows(frozenset({0}))
-    assert proto._rows(frozenset({0}))[0][0] == (1, 1, -2)  # init, init -> done, done
-    assert proto._rows(frozenset({0}))[1][1] is None  # done, done is null
+    assert list(proto._rows) == [frozenset({0})]
+    rows = proto._rows[frozenset({0})]
+    assert rows[0][0] == (1, 1, -2)  # init, init -> done, done
+    assert rows[1][1] is None  # done, done is null
 
 
 def test_observer_sees_old_and_new_states():
