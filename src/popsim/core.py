@@ -365,7 +365,7 @@ def run_trial(
     if type(stop) is CountWindow:
         watched = frozenset(stop.states)
         rows = protocol._rows[watched]  # checks the window's states
-    trial = pred = None
+    trial = None
     if notify_fns or type(stop) is not CountWindow:
         if initial is None:
             counts = [0] * protocol.num_states
@@ -374,10 +374,9 @@ def run_trial(
         else:
             trial = Trial(protocol, n, states)
         counts = trial.counts
-        pred = stop
         # with observers every step takes the change path, null or not
-        rows = protocol._rows[None if notify_fns else _NEVER.states]
-        stopped = pred is not None and pred(trial)
+        rows = protocol._rows[None if notify_fns else frozenset()]
+        stopped = stop is not None and stop(trial)
     else:
         low, high = stop.low, stop.high
         if initial is None:
@@ -472,7 +471,7 @@ def run_trial(
                         new = (a2, b2)
                         for fn in notify_fns:
                             fn(trial, e, old, new)
-                    if pred is not None and pred(trial):
+                    if stop is not None and stop(trial):
                         stopped = True
                         break
             if stopped:

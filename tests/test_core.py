@@ -398,9 +398,9 @@ def test_observers_see_every_step_and_leave_the_record_unchanged(name, n):
 def test_null_skip_in_the_leading_blocks_matches_observed_and_reference_runs(seed):
     # At n=4 leave-init turns null once every agent has interacted, a few
     # steps in.  Each block here holds fewer than DENSE_GAP pairs, so the
-    # first block with no change ends a segment with no change, the scans
-    # start at the next block, and the budget of 150 ends inside the same
-    # null run.  Both fall in the leading 32 + 64 + 128 + 256 = 480 words:
+    # first block with no change is a segment with no change, the scans start
+    # at the next block, and the budget of 150 ends inside the same null
+    # run.  Both fall in the leading 32 + 64 + 128 + 256 = 480 words:
     # the first three blocks form their pairs one word at a time, the
     # fourth, of _ARRAY_BLOCK = 256 words, with the array passes.
     proto = protocol_from_dict(CATALOG["leave-init"].document)  # a fresh instance, mask unbuilt
@@ -466,9 +466,9 @@ def window_runs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(window_runs(), st.booleans())
 def test_count_window_runs_match_predicate_and_reference_runs(case, observed):
-    # The window is read as data without observers and called on the trial
-    # with them; the equal lambda is always called.  The window counts the
-    # agents in ``states`` without a counts list.
+    # Without observers the window is read as data, one count and no counts
+    # list; with them it is called on the trial.  The equal lambda is always
+    # called.
     protocol, n, window, initial, budget, seed = case
     states, low, high = window
 
