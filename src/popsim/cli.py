@@ -129,7 +129,7 @@ def threshold_count(expr: str, n: int) -> int:
 
 def _resolve_protocol(args, n: int) -> Optional[Protocol]:
     """The protocol of ``--protocol-file`` or ``--protocol`` at this n, or
-    None for a command that takes neither (``influencer``)."""
+    None for a command that takes neither (``influencer``, ``coupon``)."""
     if getattr(args, "protocol_file", None):
         from .protocols import load_protocol
 
@@ -172,22 +172,27 @@ def _run_plan(protocol: Protocol, n: int, threshold: Optional[int]):
 
 
 def _run_job(job) -> dict:
-    """One trial of ``run`` or ``coupon``; top level so worker processes can
-    pickle it."""
-    protocol, n, threshold, trial_idx, seed, max_steps, stop_event, initial = job
+    """One trial of ``run``; top level so worker processes can pickle it."""
+    protocol, n, _, trial_idx, seed, max_steps, stop_event, initial = job
     rec = run_trial(protocol, n, seed, max_steps=max_steps, stop_event=stop_event, initial=initial)
-    row = {
-        "trial": trial_idx,
-        "seed": seed,
-        "n": n,
-        "f": threshold,
-        "steps": rec.steps_taken,
-        "parallel_time": rec.parallel_time,
-        "truncated": int(rec.truncated),
-    }
+    row = {"trial": trial_idx, "seed": seed, "n": n, "steps": rec.steps_taken,
+           "parallel_time": rec.parallel_time, "truncated": int(rec.truncated)}
     if stop_event is not None:
         row[f"{stop_event[0]}_step"] = rec.event_steps.get(stop_event[0], "")
     return row
+
+
+def _coupon_job(job) -> dict:
+    """One trial of ``coupon``, read off its pair stream by
+    ``rng.first_fresh_below``; top level so worker processes can pickle it."""
+    from .rng import first_fresh_below
+
+    _, n, f, trial_idx, seed, max_steps = job
+    budget = step_budget(n, max_steps)
+    t = first_fresh_below(seed, n, f, budget)
+    steps = budget if t is None else t
+    return {"n": n, "trial": trial_idx, "seed": seed, "f": f, "steps": steps,
+            "parallel_time": steps / n, "truncated": int(t is None)}
 
 
 def _influencer_job(job) -> dict:
@@ -385,40 +390,35 @@ def _summary_path(args) -> Optional[str]:
 
 
 def cmd_coupon(args) -> int:
+    from .rng import check_population
     from .stats import coupon_spec, expected_coupon_sum, f_star, variance_coupon_sum
 
-    trial_rows = []
+    # Every size is checked before any trial runs, in the order its trials and
+    # its summary would check it, so a refused size prints the same message.
     summary_rows = []
-    for n, threshold, results in _sweep(args, _run_job):
+    for n in args.n:
+        check_population(max(n, 2), 2)  # refuses n >= 2^32 only
+        if n < 1:
+            raise ValueError("population size must be >= 1")
+        f = threshold_count(args.threshold, n)
+        step_budget(n, args.max_steps)
+        spec = coupon_spec(n, f)
+        summary_rows.append({"n": n, "f": f, "f_star": f_star(f), "analytic_mean": expected_coupon_sum(spec),
+                             "analytic_variance": variance_coupon_sum(spec)})
+    trial_rows = []
+    for (_, _, results), summary in zip(_sweep(args, _coupon_job), summary_rows):
         trial_rows.extend(results)
-
-        spec = coupon_spec(n, threshold)
-        analytic_mean = expected_coupon_sum(spec)
-        analytic_var = variance_coupon_sum(spec)
         steps = [row["steps"] for row in results if not row["truncated"]]
-        summary = {
-            "n": n,
-            "f": threshold,
-            "f_star": f_star(threshold),
-            "analytic_mean": analytic_mean,
-            "analytic_variance": analytic_var,
-        }
         if steps:
             est = summarize([float(s) for s in steps])
-            below_half = sum(1 for s in steps if s < analytic_mean / 2)
-            summary.update(
-                empirical_mean=est.mean,
-                empirical_std_error=est.std_error,
-                fraction_below_half_analytic=below_half / len(steps),
-            )
-        summary_rows.append(summary)
+            below_half = sum(1 for s in steps if s < summary["analytic_mean"] / 2)
+            summary.update(empirical_mean=est.mean, empirical_std_error=est.std_error,
+                           fraction_below_half_analytic=below_half / len(steps))
 
     trial_cols = ["n", "trial", "seed", "f", "steps", "parallel_time", "truncated"]
     _emit(_render_rows(trial_rows, trial_cols, args.format, "popsim.coupon-trials.v1"), args.out)
-    summary_cols = [
-        "n", "f", "f_star", "analytic_mean", "analytic_variance",
-        "empirical_mean", "empirical_std_error", "fraction_below_half_analytic",
-    ]
+    summary_cols = ["n", "f", "f_star", "analytic_mean", "analytic_variance",
+                    "empirical_mean", "empirical_std_error", "fraction_below_half_analytic"]
     summary_text = _render_rows(summary_rows, summary_cols, args.format, "popsim.coupon-summary.v1")
     _emit(summary_text, _summary_path(args))
     return EXIT_OK
@@ -583,10 +583,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coupon = sub.add_parser("coupon", help="initial-state drain experiment with analytic bound")
     p_coupon.add_argument("--threshold", default="n^2/3",
-                          help="stop once fewer than this many agents remain initial")
+                          help="stop once fewer than this many agents have not interacted")
     p_coupon.add_argument("--summary-out", default=None)
     _add_common(p_coupon)
-    p_coupon.set_defaults(func=cmd_coupon, protocol="leave-init")
+    p_coupon.set_defaults(func=cmd_coupon)
 
     p_exact = sub.add_parser("exact", help="exhaustive reachability, safety, and hitting time")
     _add_protocol_source(p_exact)

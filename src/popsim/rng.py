@@ -39,6 +39,11 @@ A stream has a length: ``pair_blocks(seed, n, steps)`` yields the first
 ``steps`` pairs, its last block cut there, so this module alone knows where
 a trial's schedule ends.  A stream of 0 steps computes no block.
 
+:func:`first_fresh_below` reads one quantity off a stream's blocks: the
+first step at which fewer than f agents are fresh, in no pair yet.  That is
+|F(t)|, the agents that have not interacted by step t, so the step is the
+drain time that ``popsim coupon`` reports, with no protocol run.
+
 numpy is imported by the block passes themselves, not by this module: the
 word offsets, the shift table and the mix constants are made once per
 process, on the first block a stream computes (``_word_tables``), and each
@@ -52,7 +57,7 @@ from __future__ import annotations
 from array import array
 from functools import cache
 from itertools import chain, starmap
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:
     import numpy as np
@@ -162,6 +167,82 @@ def pair_blocks(seed: int, n: int, steps: int) -> Iterator[tuple[array, array]]:
 def pair_stream(seed: int, n: int, steps: int) -> Iterator[tuple[int, int]]:
     """The pairs of :func:`pair_blocks` one at a time, as Python ints."""
     return chain.from_iterable(starmap(zip, pair_blocks(seed, n, steps)))
+
+
+# Blocks of fewer pairs than this are walked one pair at a time by
+# first_fresh_below: marking through numpy costs a few microseconds a block,
+# which the leading blocks of a trial of a few steps would pay in full.
+_ARRAY_PAIRS = 128
+
+
+def first_fresh_below(seed: int, n: int, f: int, steps: int) -> Optional[int]:
+    """The first step t >= 0 at which fewer than ``f`` agents are fresh,
+    that is, appear in none of the first t pairs of ``pair_blocks(seed, n,
+    steps)``; None when the stream's ``steps`` pairs never get there.
+
+    The fresh agents at step t are F(t), the agents that have not interacted
+    by step t, so t is also where the ``init`` count of the catalog's
+    leave-init protocol first drops below f, the stop of its window
+    ``CountWindow({init}, 0, f - 1)`` in ``core.run_trial`` on the same seed
+    and budget.  Every non-null leave-init rule sends both participants to
+    ``done``: a pair with an ``init`` participant is (init, init), (init,
+    done) or (done, init), each rewritten to (done, done), and (done, done)
+    is null.  So by induction on t an agent is in ``init`` after step t iff
+    it took part in none of the first t pairs, and the ``init`` count is
+    |F(t)|.
+
+    One bytearray of n seen flags carries F from block to block.  Blocks
+    shorter than ``_ARRAY_PAIRS`` pairs (the leading ones) are walked in
+    Python.  A longer block marks its agents through a numpy view of the
+    flags and counts the fresh agents left with ``count_nonzero``.  Only the
+    block where that count drops below f locates the step: each agent fresh
+    at the block's start leaves F at its first position in the block
+    (``np.minimum.at`` over the positions where it was fresh), and the step
+    is the position where |F| - f + 1 of them have left.  The flags as they
+    were at the block's start are copied beforehand only where the block
+    could cross, when fewer than f plus two per pair are fresh.
+    """
+    blocks = pair_blocks(seed, n, steps)  # checks n and steps
+    if n < f:
+        return 0
+    seen = bytearray(n)
+    flags = None  # the numpy view of ``seen``, made at the first long block
+    fresh, step = n, 0
+    for U, V in blocks:
+        end = len(U)
+        if end < _ARRAY_PAIRS:
+            for t, u, v in zip(range(step + 1, step + end + 1), U, V):
+                if not seen[u]:
+                    seen[u] = 1
+                    fresh -= 1
+                if not seen[v]:
+                    seen[v] = 1
+                    fresh -= 1
+                if fresh < f:
+                    return t
+            step += end
+            continue
+        if flags is None:
+            import numpy as np
+
+            flags = np.frombuffer(seen, bool)
+        before = bytes(seen) if fresh - 2 * end < f else None
+        Ui = np.frombuffer(U, np.uint32).astype(np.intp)
+        Vi = np.frombuffer(V, np.uint32).astype(np.intp)
+        flags[Ui] = True
+        flags[Vi] = True
+        left = n - int(np.count_nonzero(flags))
+        if left < f:
+            was = np.frombuffer(before, bool)
+            first = np.full(n, end, np.intp)
+            for agents in (Ui, Vi):
+                at = np.flatnonzero(~was[agents])
+                np.minimum.at(first, agents[at], at)
+            gone = np.bincount(first, minlength=end + 1)[:end].cumsum()
+            return step + int(gone.searchsorted(fresh - f + 1)) + 1
+        fresh = left
+        step += end
+    return None
 
 
 @cache

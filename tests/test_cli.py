@@ -670,6 +670,36 @@ def test_coupon_degenerate_four_agents(tmp_path):
     assert int(srows[0]["f_star"]) == 4
 
 
+@pytest.mark.parametrize("n, threshold, max_steps", [
+    (4096, "n^2/3", None), (4097, "n^2/3", None), (5, "5", None), (17, "1", "40"), (4096, "1", "240"),
+])
+def test_coupon_rows_are_leave_init_runs(tmp_path, n, threshold, max_steps):
+    # coupon reads the drain off the pair stream; run steps leave-init on
+    # the engine until its init count drops below the threshold
+    common = ["--n", str(n), "--trials", "20", "--seed", "5", "--threshold", threshold]
+    common += ["--max-steps", max_steps] if max_steps else []
+    assert main(["coupon", *common, "--out", str(tmp_path / "c.csv")]) == 0
+    assert main(["run", "--protocol", "leave-init", *common, "--out", str(tmp_path / "r.csv")]) == 0
+    columns = ("seed", "n", "steps", "parallel_time", "truncated")
+    coupon = [tuple(r[c] for c in columns) for r in read_csv(tmp_path / "c.csv")[1]]
+    assert coupon == [tuple(r[c] for c in columns) for r in read_csv(tmp_path / "r.csv")[1]]
+    assert any(r[-1] == "1" for r in coupon) == (max_steps is not None)
+
+
+def test_coupon_refuses_a_threshold_above_n_before_any_trial(tmp_path, monkeypatch, capsys):
+    # the second size's threshold is out of range, so no trial of the first runs
+    import popsim.rng
+
+    trials = []
+    monkeypatch.setattr(popsim.rng, "first_fresh_below", lambda *args: trials.append(args))
+    out = tmp_path / "coupon.csv"
+    code = main(["coupon", "--n", "100000", "--n", "5", "--threshold", "6", "--trials", "20", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "popsim: threshold 6 out of range [1, 5]\n"
+    assert trials == []
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------------ exact
 
 
@@ -1021,9 +1051,10 @@ def test_commands_without_pair_streams_load_neither_numpy_nor_hashlib(tmp_path):
         [(["run", "--protocol", "leave-init", "--n", "6", "--max-steps", "0", "--out", out,
            "--save-log", str(tmp_path / "z.log")], 0,
           [*HEAVY, EXACT, STATS], [PROTOCOLS, RNG, INFLUENCE])],
-        # their n^2/3 thresholds are split with integers, not fractions
+        # their n^2/3 thresholds are split with integers, not fractions, and
+        # coupon reads its drain off the pair stream with no protocol
         [(["coupon", "--n", "16", "--trials", "2", "--out", out], 0,
-          [EXACT, INFLUENCE, "fractions"], ["numpy", PROTOCOLS, RNG, STATS])],
+          [EXACT, INFLUENCE, PROTOCOLS, "fractions"], ["numpy", RNG, STATS])],
         [(["influencer", "--n", "16", "--trials", "2", "--out", out], 0,
           [EXACT, PROTOCOLS, "fractions"], [INFLUENCE, RNG, STATS])],
     ]

@@ -1,14 +1,17 @@
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, islice
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from popsim.core import sample_interaction
+from popsim.core import CountWindow, run_trial, sample_interaction, step_budget
+from popsim.protocols import make_protocol
 from popsim.rng import (
+    _ARRAY_PAIRS,
     FIRST_BLOCK,
     GOLDEN_GAMMA,
     MASK64,
@@ -17,6 +20,7 @@ from popsim.rng import (
     _pairs_by_arrays,
     _pairs_by_words,
     derive_seed,
+    first_fresh_below,
     mix64,
     pair_blocks,
     pair_stream,
@@ -258,3 +262,112 @@ def test_pairs_by_arrays_match_the_per_word_rule_on_dense_forced_words(n, size, 
     r = r.astype(np.uint32)
     u = int(draw.integers(0, n)) if waiting else -1
     assert _pairs_by_arrays(r, n, drop, u) == _pairs_by_words(r, n, drop, u)
+
+
+# ------------------------------------------------------------- fresh agents
+
+
+def fresh_walk(seed, n, f, steps):
+    """``first_fresh_below`` by a walk of the stream one pair at a time:
+    ``(t, block, gone, long_blocks)``, where t is the first step with fewer
+    than f agents in no pair yet (None if the ``steps`` pairs never get
+    there), ``block`` the length of the last block walked, ``gone`` the
+    fresh agents step t's pair removed, and ``long_blocks`` the blocks of at
+    least ``_ARRAY_PAIRS`` pairs walked."""
+    fresh, seen, step, block, long_blocks = n, set(), 0, 0, 0
+    if fresh < f:
+        return 0, block, 0, long_blocks
+    for U, V in pair_blocks(seed, n, steps):
+        block = len(U)
+        long_blocks += block >= _ARRAY_PAIRS
+        for u, v in zip(U, V):
+            step += 1
+            gone = (u not in seen) + (v not in seen)
+            seen.update((u, v))
+            fresh -= gone
+            if fresh < f:
+                return step, block, gone, long_blocks
+    return None, block, 0, long_blocks
+
+
+def leave_init_drain(seed, n, f, max_steps):
+    """The engine's answer: the step where leave-init's ``init`` count drops
+    below f, or None for a truncated run."""
+    rec = run_trial(make_protocol("leave-init", n), n, seed, max_steps=max_steps,
+                    stop_event=("drain", CountWindow(frozenset({0}), 0, f - 1)))
+    return None if rec.truncated else rec.steps_taken
+
+
+# (seed, n, f, max_steps) cases the cross-check always runs, with the kind of
+# crossing a walk finds in each: the side of the block that crosses, or None
+# where the budget cuts the stream first, and the fresh agents the crossing
+# pair removes.  At seed 3 and n=4096 the blocks end at pairs 16, 48, 112,
+# 240 and 496, so 112 is a short block's end, 100 lies inside that block,
+# 240 is a long block's end, and 440 cuts a long block at 200 pairs.
+DRAIN_EXAMPLES = [
+    ((0, 2, 1, None), "short", 2),
+    ((0, 5, 4, None), "short", 2),
+    ((0, 17, 10, None), "short", 1),
+    ((0, 4096, 3800, None), "numpy", 2),
+    ((10, 4096, 3800, None), "numpy", 1),
+    ((3, 4096, 4097, None), None, 0),  # f > n: step 0
+    ((3, 4096, 1, 0), None, 0),
+    ((3, 4096, 1, 100), "short", 0),
+    ((3, 4096, 1, 112), "short", 0),
+    ((3, 4096, 1, 240), "numpy", 0),
+    ((3, 4096, 1, 440), "numpy", 0),
+]
+
+
+def test_drain_examples_are_the_kinds_they_claim():
+    for (seed, n, f, max_steps), side, gone in DRAIN_EXAMPLES:
+        t, block, removed, _ = fresh_walk(seed, n, f, step_budget(n, max_steps))
+        truncated = t is None
+        if side is None:
+            assert t == (0 if f > n else None), (seed, n, f)
+        else:
+            assert (t is not None) != (max_steps is not None), (seed, n, f)
+            assert (block >= _ARRAY_PAIRS) == (side == "numpy"), (seed, n, f)
+        assert removed == gone and truncated == (max_steps is not None and f <= n)
+
+
+@st.composite
+def drains(draw):
+    """(seed, n, f, max_steps): n-1 a power of two drops a bit from the
+    responder draw (3, 5, 17, 1025, 4097); f = n + 1 stops at step 0; a
+    budget is the default one, 0, a block's end or any step up to the end
+    of the tenth block."""
+    n = draw(st.one_of(st.sampled_from([2, 3, 5, 17, 1025, 4097]), st.integers(2, 5000)))
+    f = draw(st.integers(1, n + 1))
+    seed = draw(st.integers(0, 2**64 - 1))
+    ends = list(accumulate(len(U) for U, _ in islice(pair_blocks(seed, n, 1 << 20), 10)))
+    max_steps = draw(st.one_of(st.none(), st.just(0), st.sampled_from(ends), st.integers(1, ends[-1])))
+    return seed, n, f, max_steps
+
+
+def _with_examples(test):
+    for case, _, _ in DRAIN_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drains())
+@_with_examples
+def test_first_fresh_below_is_leave_inits_drain(case):
+    seed, n, f, max_steps = case
+    steps = step_budget(n, max_steps)
+    t, _, _, long_blocks = fresh_walk(seed, n, f, steps)
+    with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as counted:
+        got = first_fresh_below(seed, n, f, steps)
+    assert got == t == leave_init_drain(seed, n, f, max_steps)
+    # every block of _ARRAY_PAIRS pairs or more is marked and counted through
+    # numpy, once, and every shorter one is walked in Python
+    assert counted.call_count == long_blocks
+
+
+def test_first_fresh_below_checks_its_stream():
+    with pytest.raises(ValueError):
+        first_fresh_below(0, 1, 1, 5)
+    with pytest.raises(ValueError):
+        first_fresh_below(0, 5, 1, -1)
