@@ -298,12 +298,13 @@ def leave_init_drain(seed, n, f, max_steps):
     return None if rec.truncated else rec.steps_taken
 
 
-# (seed, n, f, max_steps) cases the cross-check always runs, with the kind of
-# crossing a walk finds in each: the side of the block that crosses, or None
-# where the budget cuts the stream first, and the fresh agents the crossing
-# pair removes.  At seed 3 and n=4096 the blocks end at pairs 16, 48, 112,
-# 240 and 496, so 112 is a short block's end, 100 lies inside that block,
-# 240 is a long block's end, and 440 cuts a long block at 200 pairs.
+# (seed, n, f, max_steps) cases the cross-check always runs, with what a walk
+# finds in each: the side of the last block walked (the one that crosses, or
+# the one the budget cuts), None where no block is walked, and the fresh
+# agents the crossing pair removes.  At seed 3 and n=4096 the blocks end at
+# pairs 16, 48, 112, 240 and 496, so 112 is a short block's end, 100 lies
+# inside that block, 240 is a long block's end, and 440 cuts a long block
+# at 200 pairs.
 DRAIN_EXAMPLES = [
     ((0, 2, 1, None), "short", 2),
     ((0, 5, 4, None), "short", 2),
@@ -320,15 +321,17 @@ DRAIN_EXAMPLES = [
 
 
 def test_drain_examples_are_the_kinds_they_claim():
+    ends = list(accumulate(len(U) for U, _ in islice(pair_blocks(3, 4096, 1 << 20), 5)))
+    assert ends == [16, 48, 112, 240, 496]
     for (seed, n, f, max_steps), side, gone in DRAIN_EXAMPLES:
         t, block, removed, _ = fresh_walk(seed, n, f, step_budget(n, max_steps))
-        truncated = t is None
+        # a budget here always cuts the stream before the crossing
+        assert (t is None) == (max_steps is not None and f <= n), (seed, n, f)
         if side is None:
-            assert t == (0 if f > n else None), (seed, n, f)
+            assert t == 0 or max_steps == 0, (seed, n, f)
         else:
-            assert (t is not None) != (max_steps is not None), (seed, n, f)
             assert (block >= _ARRAY_PAIRS) == (side == "numpy"), (seed, n, f)
-        assert removed == gone and truncated == (max_steps is not None and f <= n)
+        assert removed == gone, (seed, n, f)
 
 
 @st.composite
