@@ -25,8 +25,17 @@ accepts are dropped, and the rest alternate initiator, responder, except
 for the words that only one bound accepts: such a word is skipped when it
 falls on its wrong role, and a parity rule on their places says which are
 (:func:`_pairs_by_arrays`).  That takes a few array passes, with no
-per-word Python loop.  Blocks start at ``FIRST_BLOCK`` (32) words and double
-up to ``MAX_BLOCK`` (8192); only the short leading blocks, where those passes
+per-word Python loop.  A block is a function of its word range
+(:func:`_block`): the pairs formed from words ``[start, start + size)`` given
+the initiator carried in from the words before, so the blocks of any split
+of the stream, chained through their carries, form the same pairs.
+``pair_blocks`` splits it into a ladder: blocks start at ``FIRST_BLOCK`` (32)
+words and double up to ``MAX_BLOCK`` (8192), so a trial of a few steps
+computes few unused words and a long one pays a block's fixed cost once per
+8192 words.  :func:`first_fresh_below` knows how far its drain has left to
+go, so it sizes each block to that rest instead (:func:`_drain_words`):
+climbing the ladder cost it more in blocks' fixed costs than it computed in
+words.  Blocks below ``_ARRAY_BLOCK`` (256) words, where the array passes
 would cost more than they save, take the draws one at a time
 (:func:`_pairs_by_words`).  Either way a block comes out in the schedule format
 of ``influence.InteractionLog``: two ``array('I')`` columns of initiators
@@ -54,6 +63,7 @@ only the standard library, so a command that draws no pairs (``exact``,
 
 from __future__ import annotations
 
+import math
 from array import array
 from functools import cache
 from itertools import chain, starmap
@@ -158,10 +168,17 @@ def pair_blocks(seed: int, n: int, steps: int) -> Iterator[tuple[array, array]]:
     responder is k skipping over u.  An initiator accepted in one block can
     get its responder from the next.
     """
+    return _pair_blocks(_stream_state(seed, n, steps), n, steps)
+
+
+def _stream_state(seed: int, n: int, steps: int) -> int:
+    """The state a stream of ``steps`` pairs among n agents starts from, the
+    seed masked to 64 bits; refuses n outside ``[2, 2**32)`` and ``steps <
+    0``."""
     check_population(n, 2)
     if steps < 0:
         raise ValueError("a pair stream's steps must be >= 0")
-    return _pair_blocks(seed & MASK64, n, steps)
+    return seed & MASK64
 
 
 def pair_stream(seed: int, n: int, steps: int) -> Iterator[tuple[int, int]]:
@@ -171,7 +188,7 @@ def pair_stream(seed: int, n: int, steps: int) -> Iterator[tuple[int, int]]:
 
 # Blocks of fewer pairs than this are walked one pair at a time by
 # first_fresh_below: marking through numpy costs a few microseconds a block,
-# which the leading blocks of a trial of a few steps would pay in full.
+# which a trial of a few steps would pay in full.
 _ARRAY_PAIRS = 128
 
 
@@ -179,6 +196,7 @@ def first_fresh_below(seed: int, n: int, f: int, steps: int) -> Optional[int]:
     """The first step t >= 0 at which fewer than ``f`` agents are fresh,
     that is, appear in none of the first t pairs of ``pair_blocks(seed, n,
     steps)``; None when the stream's ``steps`` pairs never get there.
+    Refuses ``f < 1``, which no step reaches.
 
     The fresh agents at step t are F(t), the agents that have not interacted
     by step t, so t is also where the ``init`` count of the catalog's
@@ -191,24 +209,36 @@ def first_fresh_below(seed: int, n: int, f: int, steps: int) -> Optional[int]:
     it took part in none of the first t pairs, and the ``init`` count is
     |F(t)|.
 
-    One bytearray of n seen flags carries F from block to block.  Blocks
-    shorter than ``_ARRAY_PAIRS`` pairs (the leading ones) are walked in
-    Python.  A longer block marks its agents through a numpy view of the
-    flags and counts the fresh agents left with ``count_nonzero``.  Only the
-    block where that count drops below f locates the step: each agent fresh
-    at the block's start leaves F at its first position in the block
+    The kernel cuts the stream into blocks of its own with :func:`_block`,
+    each sized by :func:`_drain_words` to the expected rest of the drain, so
+    a trial at n = 4096 takes two blocks where ``pair_blocks``' ladder
+    takes nine; the pairs, and so the step, are the stream's whatever the
+    sizes.  One bytearray of n seen flags carries F from block to block.
+    Blocks shorter than ``_ARRAY_PAIRS`` pairs are walked in Python.  A
+    longer block marks its agents through a numpy view of the flags and
+    counts the fresh agents left with ``count_nonzero``.  Only the block
+    where that count drops below f locates the step: each agent fresh at the
+    block's start leaves F at its first position in the block
     (``np.minimum.at`` over the positions where it was fresh), and the step
     is the position where |F| - f + 1 of them have left.  The flags as they
     were at the block's start are copied beforehand only where the block
     could cross, when fewer than f plus two per pair are fresh.
     """
-    blocks = pair_blocks(seed, n, steps)  # checks n and steps
+    state = _stream_state(seed, n, steps)
+    if f < 1:
+        raise ValueError("a drain's threshold f must be >= 1")
     if n < f:
         return 0
     seen = bytearray(n)
     flags = None  # the numpy view of ``seen``, made at the first long block
-    fresh, step = n, 0
-    for U, V in blocks:
+    fresh = n
+    step = start = 0
+    carry = -1
+    while step < steps:
+        size = _drain_words(n, fresh, f)
+        U, V, carry = _block(state, n, start, size, carry)
+        start += size
+        del U[steps - step :], V[steps - step :]  # the budget cuts the last block
         end = len(U)
         if end < _ARRAY_PAIRS:
             for t, u, v in zip(range(step + 1, step + end + 1), U, V):
@@ -245,13 +275,39 @@ def first_fresh_below(seed: int, n: int, f: int, steps: int) -> Optional[int]:
     return None
 
 
+def _drain_words(n: int, fresh: int, f: int) -> int:
+    """The words of a drain's next block, from ``fresh`` fresh agents to
+    fewer than ``f`` (``1 <= f <= fresh``): the expected rest of the drain
+    plus two standard deviations, clamped to ``[FIRST_BLOCK, MAX_BLOCK]``.
+
+    A pair leaves a given agent fresh with probability 1 - 2/n, so E|F(t)|
+    = n(1 - 2/n)^t, and each agent's first pair comes at about an
+    exponential time of mean n/2 pairs (-ln(1 - 2/n) is 2/n to within a
+    factor 1 + 1/n, and this form has no pole at n = 2).  The drain's rest is
+    then the (fresh - f + 1)-th of ``fresh`` such times: its mean is (n/2)
+    times H(fresh) - H(f - 1), about ln((fresh + 1/2) / (f - 1/2)), and its
+    variance (n/2)^2 times the sum of 1/j^2 for j = f .. fresh, about 1/(f -
+    1/2) - 1/(fresh + 1/2).  A pair takes 2^bits / n words for its
+    initiator's draw at bound n and 2^bits' / (n - 1) for its responder's at
+    n - 1, on average.  A block's fixed cost is worth a few thousand words
+    (at n = 4096 about 18 us, against 4 ns a word), so the margin leans long:
+    at n = 4096 and f = 256, where the capped first block leaves at least
+    two, a trial took 2.77 blocks on average with blocks sized to the mean
+    alone and 2.03 with two deviations (1000 trials).
+    """
+    per_pair = (1 << (n - 1).bit_length()) / n + (1 << (n - 2).bit_length()) / (n - 1)
+    a, b = fresh + 0.5, f - 0.5
+    pairs = n / 2 * (math.log(a / b) + 2 * math.sqrt(1 / b - 1 / a))
+    return min(max(int(per_pair * pairs), FIRST_BLOCK), MAX_BLOCK)
+
+
 @cache
 def _word_tables():
     """numpy and the constants of the block passes, made once per process on
-    the first stream: the offsets ``(i + 1) * GOLDEN_GAMMA`` of a block's
-    words, the 64 shift counts (making one per stream costs a trial of a few
+    the first block: the offsets ``(i + 1) * GOLDEN_GAMMA`` of a block's
+    words, the 64 shift counts (making them per stream cost a trial of a few
     steps, which draws a single block, about 2% of its time) and the mix
-    constants.  A stream then pays one cache lookup for all of them."""
+    constants.  A block then pays one cache lookup for all of them."""
     import numpy as np
 
     offsets = np.arange(1, MAX_BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
@@ -260,37 +316,45 @@ def _word_tables():
 
 
 def _pair_blocks(state: int, n: int, steps: int) -> Iterator[tuple[array, array]]:
-    if not steps:  # no block, so no numpy
-        return
-    np, offsets, shifts, mix_a, mix_b = _word_tables()
-    u30, u27, u31 = shifts[30], shifts[27], shifts[31]
-    bits = (n - 1).bit_length()  # randbelow(n) keeps the top ``bits`` bits
-    drop = bits - (n - 2).bit_length()  # 1 when randbelow(n - 1) keeps one bit less
-    shift = shifts[64 - bits]
-    size = FIRST_BLOCK
-    u = -1  # an accepted initiator still waiting for its k draw
-    while steps:
-        # mix64 of the next ``size`` states, as Splitmix64.next64 computes them
-        x = offsets[:size] + np.uint64(state)
-        state = (state + size * GOLDEN_GAMMA) & MASK64
-        x ^= x >> u30
-        x *= mix_a
-        x ^= x >> u27
-        x *= mix_b
-        if bits > 31:  # x ^ (x >> 31) leaves the top 31 bits of x as they are
-            x ^= x >> u31
-        x >>= shift
-        pairs = _pairs_by_arrays if size >= _ARRAY_BLOCK else _pairs_by_words
-        U, V, u = pairs(x.astype(np.uint32), n, drop, u)
+    start, size, carry = 0, FIRST_BLOCK, -1
+    while steps:  # a stream of 0 steps computes no block, so loads no numpy
+        U, V, carry = _block(state, n, start, size, carry)
         del U[steps:], V[steps:]  # the last block ends at the last step
         steps -= len(U)
         yield U, V
+        start += size
         size = min(2 * size, MAX_BLOCK)
 
 
+def _block(state: int, n: int, start: int, size: int, carry: int) -> tuple[array, array, int]:
+    """The pairs formed from words ``[start, start + size)`` of the stream
+    seeded with ``state`` (already masked to 64 bits), ``1 <= size <=
+    MAX_BLOCK``, with the initiator ``carry`` carried in (-1 for none):
+    ``(U, V, carry)``, the carry out being the initiator still waiting for
+    its responder at the block's end.  Word i is ``mix64(state + (i + 1) *
+    GOLDEN_GAMMA)``, so a block needs no word before ``start``; the blocks
+    of a split of the words, chained through their carries, give the
+    stream's pairs whatever the split."""
+    np, offsets, shifts, mix_a, mix_b = _word_tables()
+    bits = (n - 1).bit_length()  # randbelow(n) keeps the top ``bits`` bits
+    drop = bits - (n - 2).bit_length()  # 1 when randbelow(n - 1) keeps one bit less
+    # mix64 of the block's states, as Splitmix64.next64 computes them
+    x = offsets[:size] + np.uint64((state + start * GOLDEN_GAMMA) & MASK64)
+    x ^= x >> shifts[30]
+    x *= mix_a
+    x ^= x >> shifts[27]
+    x *= mix_b
+    if bits > 31:  # x ^ (x >> 31) leaves the top 31 bits of x as they are
+        x ^= x >> shifts[31]
+    x >>= shifts[64 - bits]
+    if size < _ARRAY_BLOCK:
+        return _pairs_by_words(x, n, drop, carry)
+    return _pairs_by_arrays(x.astype(np.uint32), n, drop, carry)
+
+
 def _pairs_by_words(r: np.ndarray, n: int, drop: int, u: int) -> tuple[array, array, int]:
-    """The pairs of a block's draws ``r`` (the top bits of its words, as
-    ``uint32``) one draw at a time, as ``sample_interaction`` takes them;
+    """The pairs of a block's draws ``r`` (the top bits of its words, below
+    2**32) one draw at a time, as ``sample_interaction`` takes them;
     ``u`` is the initiator carried in (-1 for none) and the one carried
     out."""
     U, V = array("I"), array("I")

@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 
 from popsim.core import CountWindow, run_trial, sample_interaction, step_budget
 from popsim.protocols import make_protocol
+import popsim.rng
 from popsim.rng import (
+    _ARRAY_BLOCK,
     _ARRAY_PAIRS,
     FIRST_BLOCK,
     GOLDEN_GAMMA,
     MASK64,
     MAX_BLOCK,
     Splitmix64,
+    _block,
+    _drain_words,
     _pairs_by_arrays,
     _pairs_by_words,
     derive_seed,
@@ -264,30 +268,83 @@ def test_pairs_by_arrays_match_the_per_word_rule_on_dense_forced_words(n, size, 
     assert _pairs_by_arrays(r, n, drop, u) == _pairs_by_words(r, n, drop, u)
 
 
+# A block is a function of its word range: both drop classes, n = 2, and the
+# top of a stream's range.
+CHAIN_SIZES = (2, 3, 5, 1025, 4096, 4097, 2**32 - 1)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from(CHAIN_SIZES),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.one_of(st.just(0), st.integers(0, 2**70)),
+    sizes=st.lists(
+        st.one_of(st.integers(1, _ARRAY_BLOCK - 1), st.integers(_ARRAY_BLOCK, MAX_BLOCK), st.just(MAX_BLOCK)),
+        min_size=1, max_size=4,
+    ),
+)
+@example(n=4097, seed=0, start=0, sizes=[_ARRAY_BLOCK - 1, _ARRAY_BLOCK, 1, MAX_BLOCK])
+def test_blocks_chained_through_their_carries_are_the_stream(n, seed, start, sizes):
+    # Word i of the stream seeded with s is word i - j of the stream seeded
+    # with s + j * GOLDEN_GAMMA, so words start, start + 1, ... with no
+    # initiator carried in form the pairs of that stream for j = start: any
+    # split of them into _block calls, each taking the carry the last one
+    # gave, must form exactly those pairs.
+    U, V, carry = array("I"), array("I"), -1
+    at = start
+    for size in sizes:
+        block_u, block_v, carry = _block(seed, n, at, size, carry)
+        assert type(block_u) is type(block_v) is array and len(block_u) == len(block_v)
+        U += block_u
+        V += block_v
+        at += size
+    stream = list(pair_stream((seed + start * GOLDEN_GAMMA) & MASK64, n, len(U) + 1))
+    assert list(zip(U, V)) == stream[:-1]
+    # a waiting initiator is the next pair's
+    assert carry in (-1, stream[-1][0])
+
+
 # ------------------------------------------------------------- fresh agents
 
 
 def fresh_walk(seed, n, f, steps):
-    """``first_fresh_below`` by a walk of the stream one pair at a time:
-    ``(t, block, gone, long_blocks)``, where t is the first step with fewer
-    than f agents in no pair yet (None if the ``steps`` pairs never get
-    there), ``block`` the length of the last block walked, ``gone`` the
-    fresh agents step t's pair removed, and ``long_blocks`` the blocks of at
-    least ``_ARRAY_PAIRS`` pairs walked."""
-    fresh, seen, step, block, long_blocks = n, set(), 0, 0, 0
+    """``first_fresh_below`` by a walk of the stream one pair at a time over
+    the kernel's own blocks, each ``_block`` of the ``_drain_words`` sized
+    from the fresh count at its start: ``(t, blocks, gone)``, where t is the
+    first step with fewer than f agents in no pair yet (None if the
+    ``steps`` pairs never get there), ``blocks`` the ``(start, size,
+    pairs)`` of each block walked, its pairs cut at the budget, and ``gone``
+    the fresh agents step t's pair removed."""
+    fresh, seen, step, start, carry, blocks = n, set(), 0, 0, -1, []
     if fresh < f:
-        return 0, block, 0, long_blocks
-    for U, V in pair_blocks(seed, n, steps):
-        block = len(U)
-        long_blocks += block >= _ARRAY_PAIRS
-        for u, v in zip(U, V):
+        return 0, blocks, 0
+    while step < steps:
+        size = _drain_words(n, fresh, f)
+        U, V, carry = _block(seed & MASK64, n, start, size, carry)
+        blocks.append((start, size, min(len(U), steps - step)))
+        start += size
+        for u, v in islice(zip(U, V), steps - step):
             step += 1
             gone = (u not in seen) + (v not in seen)
             seen.update((u, v))
             fresh -= gone
             if fresh < f:
-                return step, block, gone, long_blocks
-    return None, block, 0, long_blocks
+                return step, blocks, gone
+    return None, blocks, 0
+
+
+def ladder_drain(seed, n, f, steps):
+    """The same step by a walk of ``pair_stream``, whose pairs come in the
+    default ladder's blocks."""
+    fresh, seen = n, set()
+    if fresh < f:
+        return 0
+    for t, (u, v) in enumerate(pair_stream(seed, n, steps), 1):
+        fresh -= (u not in seen) + (v not in seen)
+        seen.update((u, v))
+        if fresh < f:
+            return t
+    return None
 
 
 def leave_init_drain(seed, n, f, max_steps):
@@ -299,12 +356,15 @@ def leave_init_drain(seed, n, f, max_steps):
 
 
 # (seed, n, f, max_steps) cases the cross-check always runs, with what a walk
-# finds in each: the side of the last block walked (the one that crosses, or
-# the one the budget cuts), None where no block is walked, and the fresh
-# agents the crossing pair removes.  At seed 3 and n=4096 the blocks end at
-# pairs 16, 48, 112, 240 and 496, so 112 is a short block's end, 100 lies
-# inside that block, 240 is a long block's end, and 440 cuts a long block
-# at 200 pairs.
+# of the kernel's blocks finds in each: the side of the last block walked
+# (the one that crosses, or the one the budget cuts), None where no block is
+# walked, and the fresh agents the crossing pair removes.  At seed 41, n=17
+# and f=1 the kernel's blocks are short, of 155 and 83 words, and end at
+# pairs 54 and 84, while the drain ends at step 60, so 40 lies inside a
+# short block and 54 is its end.  At seed 3, n=4096 and f=1 they are
+# MAX_BLOCK words and end at pairs 4096, 8192, 12287 and 16383, so 440 cuts
+# a long block, 8192 is a long block's end, and 4196 cuts the second block
+# to 100 pairs, which are walked in Python.
 DRAIN_EXAMPLES = [
     ((0, 2, 1, None), "short", 2),
     ((0, 5, 4, None), "short", 2),
@@ -313,24 +373,31 @@ DRAIN_EXAMPLES = [
     ((10, 4096, 3800, None), "numpy", 1),
     ((3, 4096, 4097, None), None, 0),  # f > n: step 0
     ((3, 4096, 1, 0), None, 0),
-    ((3, 4096, 1, 100), "short", 0),
-    ((3, 4096, 1, 112), "short", 0),
-    ((3, 4096, 1, 240), "numpy", 0),
+    ((41, 17, 1, 40), "short", 0),
+    ((41, 17, 1, 54), "short", 0),
     ((3, 4096, 1, 440), "numpy", 0),
+    ((3, 4096, 1, 8192), "numpy", 0),
+    ((3, 4096, 1, 4196), "short", 0),
 ]
 
 
+def block_ends(seed, n, f, max_steps=None):
+    return list(accumulate(pairs for _, _, pairs in fresh_walk(seed, n, f, step_budget(n, max_steps))[1]))
+
+
 def test_drain_examples_are_the_kinds_they_claim():
-    ends = list(accumulate(len(U) for U, _ in islice(pair_blocks(3, 4096, 1 << 20), 5)))
-    assert ends == [16, 48, 112, 240, 496]
+    assert block_ends(41, 17, 1) == [54, 84]
+    assert [size for _, size, _ in fresh_walk(41, 17, 1, 100)[1]] == [155, 83]
+    assert block_ends(3, 4096, 1) == [4096, 8192, 12287, 16383]
+    assert fresh_walk(3, 4096, 1, step_budget(4096, None))[1][-1][1] == MAX_BLOCK
     for (seed, n, f, max_steps), side, gone in DRAIN_EXAMPLES:
-        t, block, removed, _ = fresh_walk(seed, n, f, step_budget(n, max_steps))
+        t, blocks, removed = fresh_walk(seed, n, f, step_budget(n, max_steps))
         # a budget here always cuts the stream before the crossing
         assert (t is None) == (max_steps is not None and f <= n), (seed, n, f)
         if side is None:
-            assert t == 0 or max_steps == 0, (seed, n, f)
+            assert not blocks and (t == 0 or max_steps == 0), (seed, n, f)
         else:
-            assert (block >= _ARRAY_PAIRS) == (side == "numpy"), (seed, n, f)
+            assert (blocks[-1][2] >= _ARRAY_PAIRS) == (side == "numpy"), (seed, n, f)
         assert removed == gone, (seed, n, f)
 
 
@@ -338,12 +405,12 @@ def test_drain_examples_are_the_kinds_they_claim():
 def drains(draw):
     """(seed, n, f, max_steps): n-1 a power of two drops a bit from the
     responder draw (3, 5, 17, 1025, 4097); f = n + 1 stops at step 0; a
-    budget is the default one, 0, a block's end or any step up to the end
-    of the tenth block."""
+    budget is the default one, 0, the end of one of the kernel's blocks or
+    any step up to the end of the last one."""
     n = draw(st.one_of(st.sampled_from([2, 3, 5, 17, 1025, 4097]), st.integers(2, 5000)))
     f = draw(st.integers(1, n + 1))
     seed = draw(st.integers(0, 2**64 - 1))
-    ends = list(accumulate(len(U) for U, _ in islice(pair_blocks(seed, n, 1 << 20), 10)))
+    ends = block_ends(seed, n, f) or [1]
     max_steps = draw(st.one_of(st.none(), st.just(0), st.sampled_from(ends), st.integers(1, ends[-1])))
     return seed, n, f, max_steps
 
@@ -357,16 +424,26 @@ def _with_examples(test):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(drains())
 @_with_examples
+@example((0, 2, 2, None))
+@example((0, 2, 0, None))  # f < 1: refused
+@example((7, 4096, 0, 300))
 def test_first_fresh_below_is_leave_inits_drain(case):
     seed, n, f, max_steps = case
     steps = step_budget(n, max_steps)
-    t, _, _, long_blocks = fresh_walk(seed, n, f, steps)
-    with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as counted:
+    if f < 1:
+        with pytest.raises(ValueError, match="f must be >= 1"):
+            first_fresh_below(seed, n, f, steps)
+        return
+    t, blocks, _ = fresh_walk(seed, n, f, steps)
+    with (mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as counted,
+          mock.patch.object(popsim.rng, "_block", wraps=_block) as drawn):
         got = first_fresh_below(seed, n, f, steps)
-    assert got == t == leave_init_drain(seed, n, f, max_steps)
-    # every block of _ARRAY_PAIRS pairs or more is marked and counted through
+    assert got == t == ladder_drain(seed, n, f, steps) == leave_init_drain(seed, n, f, max_steps)
+    # the kernel draws the blocks the walk sized; each one of _ARRAY_PAIRS
+    # pairs or more after the budget's cut is marked and counted through
     # numpy, once, and every shorter one is walked in Python
-    assert counted.call_count == long_blocks
+    assert [call.args[2:4] for call in drawn.call_args_list] == [block[:2] for block in blocks]
+    assert counted.call_count == sum(pairs >= _ARRAY_PAIRS for _, _, pairs in blocks)
 
 
 def test_first_fresh_below_checks_its_stream():
@@ -374,3 +451,14 @@ def test_first_fresh_below_checks_its_stream():
         first_fresh_below(0, 1, 1, 5)
     with pytest.raises(ValueError):
         first_fresh_below(0, 5, 1, -1)
+    # no step has fewer than 0 fresh agents: f < 1 is refused before any
+    # pair is drawn, not walked to the end of the budget
+    for f in (0, -1):
+        with mock.patch.object(popsim.rng, "_block", wraps=_block) as drawn:
+            with pytest.raises(ValueError, match="f must be >= 1"):
+                first_fresh_below(0, 4096, f, 10**6)
+        assert not drawn.called
+    # n = 2: the first pair takes both agents, and the size rule has no pole
+    # where 1 - 2/n = 0
+    assert [first_fresh_below(seed, 2, f, 5) for seed in (0, 9) for f in (1, 2, 3)] == [1, 1, 0] * 2
+    assert first_fresh_below(0, 2, 1, 0) is None
