@@ -56,7 +56,7 @@ drain time that ``popsim coupon`` reports, with no protocol run.
 numpy is imported by the block passes themselves, not by this module: the
 word offsets, the shift table and the mix constants are made once per
 process, on the first block a stream computes (``_word_tables``), and each
-stream after that looks them up in a cache.  Importing this module loads
+block after that looks them up in a cache.  Importing this module loads
 only the standard library, so a command that draws no pairs (``exact``,
 ``export-graph``) never loads numpy.
 """

@@ -363,8 +363,9 @@ def leave_init_drain(seed, n, f, max_steps):
 # pairs 54 and 84, while the drain ends at step 60, so 40 lies inside a
 # short block and 54 is its end.  At seed 3, n=4096 and f=1 they are
 # MAX_BLOCK words and end at pairs 4096, 8192, 12287 and 16383, so 440 cuts
-# a long block, 8192 is a long block's end, and 4196 cuts the second block
-# to 100 pairs, which are walked in Python.
+# the first block to a numpy block, as 240 does, while 100 and 112 cut it to
+# fewer than _ARRAY_PAIRS pairs, which are walked in Python, as are the 100
+# pairs 4196 leaves of the second block; 8192 is a long block's end.
 DRAIN_EXAMPLES = [
     ((0, 2, 1, None), "short", 2),
     ((0, 5, 4, None), "short", 2),
@@ -375,6 +376,9 @@ DRAIN_EXAMPLES = [
     ((3, 4096, 1, 0), None, 0),
     ((41, 17, 1, 40), "short", 0),
     ((41, 17, 1, 54), "short", 0),
+    ((3, 4096, 1, 100), "short", 0),
+    ((3, 4096, 1, 112), "short", 0),
+    ((3, 4096, 1, 240), "numpy", 0),
     ((3, 4096, 1, 440), "numpy", 0),
     ((3, 4096, 1, 8192), "numpy", 0),
     ((3, 4096, 1, 4196), "short", 0),
