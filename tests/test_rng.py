@@ -385,15 +385,16 @@ DRAIN_EXAMPLES = [
 ]
 
 
-def block_ends(seed, n, f, max_steps=None):
-    return list(accumulate(pairs for _, _, pairs in fresh_walk(seed, n, f, step_budget(n, max_steps))[1]))
+def kernel_blocks(seed, n, f):
+    """``(size, end)`` of each block the kernel draws on the default budget,
+    ``end`` being the pair the block ends at."""
+    blocks = fresh_walk(seed, n, f, step_budget(n, None))[1]
+    return list(zip((size for _, size, _ in blocks), accumulate(pairs for _, _, pairs in blocks)))
 
 
 def test_drain_examples_are_the_kinds_they_claim():
-    assert block_ends(41, 17, 1) == [54, 84]
-    assert [size for _, size, _ in fresh_walk(41, 17, 1, 100)[1]] == [155, 83]
-    assert block_ends(3, 4096, 1) == [4096, 8192, 12287, 16383]
-    assert fresh_walk(3, 4096, 1, step_budget(4096, None))[1][-1][1] == MAX_BLOCK
+    assert kernel_blocks(41, 17, 1) == [(155, 54), (83, 84)]
+    assert kernel_blocks(3, 4096, 1) == [(MAX_BLOCK, end) for end in (4096, 8192, 12287, 16383)]
     for (seed, n, f, max_steps), side, gone in DRAIN_EXAMPLES:
         t, blocks, removed = fresh_walk(seed, n, f, step_budget(n, max_steps))
         # a budget here always cuts the stream before the crossing
@@ -414,7 +415,7 @@ def drains(draw):
     n = draw(st.one_of(st.sampled_from([2, 3, 5, 17, 1025, 4097]), st.integers(2, 5000)))
     f = draw(st.integers(1, n + 1))
     seed = draw(st.integers(0, 2**64 - 1))
-    ends = block_ends(seed, n, f) or [1]
+    ends = [end for _, end in kernel_blocks(seed, n, f)] or [1]
     max_steps = draw(st.one_of(st.none(), st.just(0), st.sampled_from(ends), st.integers(1, ends[-1])))
     return seed, n, f, max_steps
 
