@@ -25,24 +25,22 @@ accepts are dropped, and the rest alternate initiator, responder, except
 for the words that only one bound accepts: such a word is skipped when it
 falls on its wrong role, and a parity rule on their places says which are
 (:func:`_pairs_by_arrays`).  That takes a few array passes, with no
-per-word Python loop.  A block is a function of its word range
-(:func:`_block`): the pairs formed from words ``[start, start + size)`` given
-the initiator carried in from the words before, so the blocks of any split
-of the stream, chained through their carries, form the same pairs.
-``pair_blocks`` splits it into a ladder: blocks start at ``FIRST_BLOCK`` (32)
-words and double up to ``MAX_BLOCK`` (8192), so a trial of a few steps
-computes few unused words and a long one pays a block's fixed cost once per
-8192 words.  :func:`first_fresh_below` knows how far its drain has left to
-go, so it sizes each block to that rest instead (:func:`_drain_words`):
-climbing the ladder cost it more in blocks' fixed costs than it computed in
-words.  Blocks below ``_ARRAY_BLOCK`` (256) words, where the array passes
-would cost more than they save, take the draws one at a time
-(:func:`_pairs_by_words`).  Either way a block comes out in the schedule format
-of ``influence.InteractionLog``: two ``array('I')`` columns of initiators
-and responders, 8 bytes a pair, so a stream's population is below 2**32
-(:func:`check_population`).  numpy's own generators are never used, so the
-stream is unchanged; the scalar generator stays the reference the block
-stream is tested against.
+per-word Python loop, and it forms every block, whatever its size.  A block
+is a function of its word range (:func:`_block`): the pairs formed from
+words ``[start, start + size)`` given the initiator carried in from the
+words before, so the blocks of any split of the stream, chained through
+their carries, form the same pairs.  ``pair_blocks`` splits it into a
+ladder: blocks start at ``FIRST_BLOCK`` (32) words and double up to
+``MAX_BLOCK`` (8192), so a trial of a few steps computes few unused words
+and a long one pays a block's fixed cost once per 8192 words.
+:func:`first_fresh_below` knows how far its drain has left to go, so it
+sizes each block to that rest instead (:func:`_drain_words`): climbing the
+ladder cost it more in blocks' fixed costs than it computed in words.  A
+block comes out in the schedule format of ``influence.InteractionLog``: two
+``array('I')`` columns of initiators and responders, 8 bytes a pair, so a
+stream's population is below 2**32 (:func:`check_population`).  numpy's
+own generators are never used, so the stream is unchanged; the scalar
+generator stays the reference the block stream is tested against.
 
 A stream has a length: ``pair_blocks(seed, n, steps)`` yields the first
 ``steps`` pairs, its last block cut there, so this module alone knows where
@@ -53,8 +51,8 @@ first step at which fewer than f agents are fresh, in no pair yet.  That is
 |F(t)|, the agents that have not interacted by step t, so the step is the
 drain time that ``popsim coupon`` reports, with no protocol run.
 
-numpy is imported by the block passes themselves, not by this module: the
-word offsets, the shift table and the mix constants are made once per
+numpy is imported with the block passes' tables, not by this module: numpy,
+the word offsets, the shift table and the mix constants are made once per
 process, on the first block a stream computes (``_word_tables``), and each
 block after that looks them up in a cache.  Importing this module loads
 only the standard library, so a command that draws no pairs (``exact``,
@@ -134,16 +132,8 @@ class Splitmix64:
 # Blocks start small so that short trials compute few unused words, and double
 # up to a cap that bounds the memory of a long run: 8192 words, 64 kB as
 # uint64, where the passes' fixed cost per block is spread over twice the
-# words it was at 4096.  Blocks below _ARRAY_BLOCK
-# words form their pairs one word at a time: the array passes cost a fixed
-# ten or so microseconds, which a trial of a few steps would pay for its
-# first block.  From 256 words on the array passes win at both values of
-# the responder draw's dropped bit (at 256 words, 35 against 10 us at
-# n=4096, 28 against 23 us at n=1025); at 128 words the word loop still
-# wins where a bit is dropped (16 against 21 us at n=1025, 13 against 14
-# us at n=3).
+# words it was at 4096.
 FIRST_BLOCK = 32
-_ARRAY_BLOCK = 256
 MAX_BLOCK = 8192
 
 
@@ -186,12 +176,6 @@ def pair_stream(seed: int, n: int, steps: int) -> Iterator[tuple[int, int]]:
     return chain.from_iterable(starmap(zip, pair_blocks(seed, n, steps)))
 
 
-# Blocks of fewer pairs than this are walked one pair at a time by
-# first_fresh_below: marking through numpy costs a few microseconds a block,
-# which a trial of a few steps would pay in full.
-_ARRAY_PAIRS = 128
-
-
 def first_fresh_below(seed: int, n: int, f: int, steps: int) -> Optional[int]:
     """The first step t >= 0 at which fewer than ``f`` agents are fresh,
     that is, appear in none of the first t pairs of ``pair_blocks(seed, n,
@@ -213,24 +197,25 @@ def first_fresh_below(seed: int, n: int, f: int, steps: int) -> Optional[int]:
     each sized by :func:`_drain_words` to the expected rest of the drain, so
     a trial at n = 4096 takes two blocks where ``pair_blocks``' ladder
     takes nine; the pairs, and so the step, are the stream's whatever the
-    sizes.  One bytearray of n seen flags carries F from block to block.
-    Blocks shorter than ``_ARRAY_PAIRS`` pairs are walked in Python.  A
-    longer block marks its agents through a numpy view of the flags and
-    counts the fresh agents left with ``count_nonzero``.  Only the block
-    where that count drops below f locates the step: each agent fresh at the
-    block's start leaves F at its first position in the block
-    (``np.minimum.at`` over the positions where it was fresh), and the step
-    is the position where |F| - f + 1 of them have left.  The flags as they
-    were at the block's start are copied beforehand only where the block
-    could cross, when fewer than f plus two per pair are fresh.
+    sizes.  One numpy array of n seen flags carries F from block to block:
+    each block marks its agents in it and counts the fresh agents left with
+    ``count_nonzero``.  Only the block where that count drops below f
+    locates the step: each agent fresh at the block's start leaves F at its
+    first position in the block (``np.minimum.at`` over the positions where
+    it was fresh), and the step is the position where |F| - f + 1 of them
+    have left.  The flags as they were at the block's start are copied
+    beforehand only where the block could cross, when fewer than f plus two
+    per pair are fresh.
     """
     state = _stream_state(seed, n, steps)
     if f < 1:
         raise ValueError("a drain's threshold f must be >= 1")
     if n < f:
         return 0
-    seen = bytearray(n)
-    flags = None  # the numpy view of ``seen``, made at the first long block
+    if not steps:
+        return None  # a stream of 0 steps computes no block, so loads no numpy
+    np = _word_tables()[0]
+    flags = np.zeros(n, bool)
     fresh = n
     step = start = 0
     carry = -1
@@ -240,30 +225,13 @@ def first_fresh_below(seed: int, n: int, f: int, steps: int) -> Optional[int]:
         start += size
         del U[steps - step :], V[steps - step :]  # the budget cuts the last block
         end = len(U)
-        if end < _ARRAY_PAIRS:
-            for t, u, v in zip(range(step + 1, step + end + 1), U, V):
-                if not seen[u]:
-                    seen[u] = 1
-                    fresh -= 1
-                if not seen[v]:
-                    seen[v] = 1
-                    fresh -= 1
-                if fresh < f:
-                    return t
-            step += end
-            continue
-        if flags is None:
-            import numpy as np
-
-            flags = np.frombuffer(seen, bool)
-        before = bytes(seen) if fresh - 2 * end < f else None
+        was = flags.copy() if fresh - 2 * end < f else None
         Ui = np.frombuffer(U, np.uint32).astype(np.intp)
         Vi = np.frombuffer(V, np.uint32).astype(np.intp)
         flags[Ui] = True
         flags[Vi] = True
         left = n - int(np.count_nonzero(flags))
         if left < f:
-            was = np.frombuffer(before, bool)
             first = np.full(n, end, np.intp)
             for agents in (Ui, Vi):
                 at = np.flatnonzero(~was[agents])
@@ -347,34 +315,14 @@ def _block(state: int, n: int, start: int, size: int, carry: int) -> tuple[array
     if bits > 31:  # x ^ (x >> 31) leaves the top 31 bits of x as they are
         x ^= x >> shifts[31]
     x >>= shifts[64 - bits]
-    if size < _ARRAY_BLOCK:
-        return _pairs_by_words(x, n, drop, carry)
     return _pairs_by_arrays(x.astype(np.uint32), n, drop, carry)
 
 
-def _pairs_by_words(r: np.ndarray, n: int, drop: int, u: int) -> tuple[array, array, int]:
-    """The pairs of a block's draws ``r`` (the top bits of its words, below
-    2**32) one draw at a time, as ``sample_interaction`` takes them;
-    ``u`` is the initiator carried in (-1 for none) and the one carried
-    out."""
-    U, V = array("I"), array("I")
-    add_u, add_v = U.append, V.append
-    n1 = n - 1
-    for w in r.tolist():
-        if u < 0:
-            if w < n:
-                u = w
-        else:
-            k = w >> drop
-            if k < n1:
-                add_u(u)
-                add_v(k if k < u else k + 1)
-                u = -1
-    return U, V, u
-
-
 def _pairs_by_arrays(r: np.ndarray, n: int, drop: int, u: int) -> tuple[array, array, int]:
-    """The pairs of :func:`_pairs_by_words`, formed in a few array passes.
+    """The pairs of a block's draws ``r`` (the top bits of its words, as
+    ``uint32``) in the order ``sample_interaction`` takes them one draw at a
+    time, formed in a few array passes; ``u`` is the initiator carried in
+    (-1 for none) and the one carried out.
 
     A word is an initiator if r <= n-1 and a responder index if k = r >> drop
     <= n-2.  Drop the words that neither bound accepts (at drop=0, r >= n; at
@@ -401,13 +349,12 @@ def _pairs_by_arrays(r: np.ndarray, n: int, drop: int, u: int) -> tuple[array, a
     the initiators sit at even places and the responders at odd places, as
     k = word >> drop, and the responder is v = k + (k >= u).
     """
-    import numpy as np
-
+    np = _word_tables()[0]
     if drop:
-        forced = (r >= np.uint32(n)).nonzero()[0]
+        forced = (r >= n).nonzero()[0]
     else:
-        r = r[r < np.uint32(n)]
-        forced = (r == np.uint32(n - 1)).nonzero()[0]
+        r = r[r < n]
+        forced = (r == n - 1).nonzero()[0]
     waiting = int(u >= 0)
     if len(forced):
         d = (forced + waiting) & 1
@@ -420,7 +367,7 @@ def _pairs_by_arrays(r: np.ndarray, n: int, drop: int, u: int) -> tuple[array, a
     if waiting:
         r = np.concatenate((np.array([u], np.uint32), r))
     inits = r[0::2]
-    K = r[1::2] >> np.uint32(drop) if drop else r[1::2].copy()
+    K = r[1::2] >> drop if drop else r[1::2].copy()
     U = array("I", inits[: len(K)].tobytes())
     K += K >= np.frombuffer(U, np.uint32)
     return U, array("I", K.tobytes()), int(inits[-1]) if len(inits) > len(K) else -1

@@ -1,9 +1,11 @@
 """Reference oracles the tests check popsim against and no command runs: the
 two-sample Kolmogorov-Smirnov statistic and its large-sample critical value,
-and the block-decomposition lower bound on the epidemic's first passage to
-ceil(n**(2/3))."""
+the block-decomposition lower bound on the epidemic's first passage to
+ceil(n**(2/3)), and the per-word rule that forms a block's pairs one draw at
+a time."""
 
 import math
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -57,3 +59,24 @@ def ks_critical_value(alpha: float, n_a: int, n_b: int) -> float:
         raise ValueError("sample sizes must be >= 1")
     c = math.sqrt(math.log(2.0 / alpha) / 2.0)
     return c * math.sqrt((n_a + n_b) / (n_a * n_b))
+
+
+def pairs_by_words(r: np.ndarray, n: int, drop: int, u: int) -> tuple[array, array, int]:
+    """The pairs of a block's draws ``r`` (the top bits of its words, below
+    2**32) one draw at a time, as ``sample_interaction`` takes them;
+    ``u`` is the initiator carried in (-1 for none) and the one carried
+    out."""
+    U, V = array("I"), array("I")
+    add_u, add_v = U.append, V.append
+    n1 = n - 1
+    for w in r.tolist():
+        if u < 0:
+            if w < n:
+                u = w
+        else:
+            k = w >> drop
+            if k < n1:
+                add_u(u)
+                add_v(k if k < u else k + 1)
+                u = -1
+    return U, V, u

@@ -400,9 +400,8 @@ def test_null_skip_in_the_leading_blocks_matches_observed_and_reference_runs(see
     # steps in.  Each block here holds fewer than DENSE_GAP pairs, so the
     # first block with no change is a segment with no change, the scans start
     # at the next block, and the budget of 150 ends inside the same null
-    # run.  Both fall in the leading 32 + 64 + 128 + 256 = 480 words:
-    # the first three blocks form their pairs one word at a time, the
-    # fourth, of _ARRAY_BLOCK = 256 words, with the array passes.
+    # run.  Both fall in the leading four blocks, of 32 + 64 + 128 + 256 =
+    # 480 words.
     proto = protocol_from_dict(CATALOG["leave-init"].document)  # a fresh instance, mask unbuilt
     changes = []
     expected = reference_run(proto, 4, seed, max_steps=150, changes=changes)

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import pairs_by_words
 from popsim.core import CountWindow, run_trial, sample_interaction, step_budget
 from popsim.protocols import make_protocol
 import popsim.rng
 from popsim.rng import (
-    _ARRAY_BLOCK,
-    _ARRAY_PAIRS,
     FIRST_BLOCK,
     GOLDEN_GAMMA,
     MASK64,
@@ -22,7 +21,6 @@ from popsim.rng import (
     _block,
     _drain_words,
     _pairs_by_arrays,
-    _pairs_by_words,
     derive_seed,
     first_fresh_below,
     mix64,
@@ -199,8 +197,7 @@ BLOCK_SIZES = (2, 3, 4, 5, 9, 17, 1000, 1025, 2**30 + 1, 2**31 + 1, 2**32 - 1)
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_pair_blocks_match_sample_interaction(n):
-    # the leading blocks take the per-word rule, the later ones the array
-    # passes; every block, the first of FIRST_BLOCK words on, is two uint32
+    # every block, the first of FIRST_BLOCK words on, is two uint32
     # schedule columns
     sizes = [min(FIRST_BLOCK << i, MAX_BLOCK) for i in range(9)]
     assert sizes[0] == FIRST_BLOCK and sizes[-1] == MAX_BLOCK
@@ -265,7 +262,7 @@ def test_pairs_by_arrays_match_the_per_word_rule_on_dense_forced_words(n, size, 
     r[pick < 3] = kinds[pick[pick < 3]]
     r = r.astype(np.uint32)
     u = int(draw.integers(0, n)) if waiting else -1
-    assert _pairs_by_arrays(r, n, drop, u) == _pairs_by_words(r, n, drop, u)
+    assert _pairs_by_arrays(r, n, drop, u) == pairs_by_words(r, n, drop, u)
 
 
 # A block is a function of its word range: both drop classes, n = 2, and the
@@ -279,11 +276,11 @@ CHAIN_SIZES = (2, 3, 5, 1025, 4096, 4097, 2**32 - 1)
     seed=st.integers(0, 2**64 - 1),
     start=st.one_of(st.just(0), st.integers(0, 2**70)),
     sizes=st.lists(
-        st.one_of(st.integers(1, _ARRAY_BLOCK - 1), st.integers(_ARRAY_BLOCK, MAX_BLOCK), st.just(MAX_BLOCK)),
+        st.one_of(st.integers(1, MAX_BLOCK), st.sampled_from([FIRST_BLOCK << i for i in range(9)])),
         min_size=1, max_size=4,
     ),
 )
-@example(n=4097, seed=0, start=0, sizes=[_ARRAY_BLOCK - 1, _ARRAY_BLOCK, 1, MAX_BLOCK])
+@example(n=4097, seed=0, start=0, sizes=[255, 256, 1, MAX_BLOCK])
 def test_blocks_chained_through_their_carries_are_the_stream(n, seed, start, sizes):
     # Word i of the stream seeded with s is word i - j of the stream seeded
     # with s + j * GOLDEN_GAMMA, so words start, start + 1, ... with no
@@ -356,32 +353,30 @@ def leave_init_drain(seed, n, f, max_steps):
 
 
 # (seed, n, f, max_steps) cases the cross-check always runs, with what a walk
-# of the kernel's blocks finds in each: the side of the last block walked
-# (the one that crosses, or the one the budget cuts), None where no block is
-# walked, and the fresh agents the crossing pair removes.  At seed 41, n=17
-# and f=1 the kernel's blocks are short, of 155 and 83 words, and end at
-# pairs 54 and 84, while the drain ends at step 60, so 40 lies inside a
-# short block and 54 is its end.  At seed 3, n=4096 and f=1 they are
-# MAX_BLOCK words and end at pairs 4096, 8192, 12287 and 16383, so 440 cuts
-# the first block to a numpy block, as 240 does, while 100 and 112 cut it to
-# fewer than _ARRAY_PAIRS pairs, which are walked in Python, as are the 100
-# pairs 4196 leaves of the second block; 8192 is a long block's end.
+# of the kernel's blocks finds in each: the blocks walked (the last one
+# crosses, or the budget cuts it), and the fresh agents the crossing pair
+# removes.  At seed 41, n=17 and f=1 the kernel's blocks are of 155 and 83
+# words and end at pairs 54 and 84, while the drain ends at step 60, so 40
+# lies inside the first block and 54 is its end.  At seed 3, n=4096 and f=1
+# they are MAX_BLOCK words and end at pairs 4096, 8192, 12287 and 16383, so
+# 100, 112, 240 and 440 cut the first block, 4196 leaves 100 pairs of the
+# second, and 8192 is the second block's end.
 DRAIN_EXAMPLES = [
-    ((0, 2, 1, None), "short", 2),
-    ((0, 5, 4, None), "short", 2),
-    ((0, 17, 10, None), "short", 1),
-    ((0, 4096, 3800, None), "numpy", 2),
-    ((10, 4096, 3800, None), "numpy", 1),
-    ((3, 4096, 4097, None), None, 0),  # f > n: step 0
-    ((3, 4096, 1, 0), None, 0),
-    ((41, 17, 1, 40), "short", 0),
-    ((41, 17, 1, 54), "short", 0),
-    ((3, 4096, 1, 100), "short", 0),
-    ((3, 4096, 1, 112), "short", 0),
-    ((3, 4096, 1, 240), "numpy", 0),
-    ((3, 4096, 1, 440), "numpy", 0),
-    ((3, 4096, 1, 8192), "numpy", 0),
-    ((3, 4096, 1, 4196), "short", 0),
+    ((0, 2, 1, None), 1, 2),
+    ((0, 5, 4, None), 1, 2),
+    ((0, 17, 10, None), 1, 1),
+    ((0, 4096, 3800, None), 1, 2),
+    ((10, 4096, 3800, None), 1, 1),
+    ((3, 4096, 4097, None), 0, 0),  # f > n: step 0
+    ((3, 4096, 1, 0), 0, 0),
+    ((41, 17, 1, 40), 1, 0),
+    ((41, 17, 1, 54), 1, 0),
+    ((3, 4096, 1, 100), 1, 0),
+    ((3, 4096, 1, 112), 1, 0),
+    ((3, 4096, 1, 240), 1, 0),
+    ((3, 4096, 1, 440), 1, 0),
+    ((3, 4096, 1, 8192), 2, 0),
+    ((3, 4096, 1, 4196), 2, 0),
 ]
 
 
@@ -395,14 +390,13 @@ def kernel_blocks(seed, n, f):
 def test_drain_examples_are_the_kinds_they_claim():
     assert kernel_blocks(41, 17, 1) == [(155, 54), (83, 84)]
     assert kernel_blocks(3, 4096, 1) == [(MAX_BLOCK, end) for end in (4096, 8192, 12287, 16383)]
-    for (seed, n, f, max_steps), side, gone in DRAIN_EXAMPLES:
+    for (seed, n, f, max_steps), walked, gone in DRAIN_EXAMPLES:
         t, blocks, removed = fresh_walk(seed, n, f, step_budget(n, max_steps))
         # a budget here always cuts the stream before the crossing
         assert (t is None) == (max_steps is not None and f <= n), (seed, n, f)
-        if side is None:
-            assert not blocks and (t == 0 or max_steps == 0), (seed, n, f)
-        else:
-            assert (blocks[-1][2] >= _ARRAY_PAIRS) == (side == "numpy"), (seed, n, f)
+        assert len(blocks) == walked, (seed, n, f)
+        if not walked:
+            assert t == 0 or max_steps == 0, (seed, n, f)
         assert removed == gone, (seed, n, f)
 
 
@@ -444,11 +438,10 @@ def test_first_fresh_below_is_leave_inits_drain(case):
           mock.patch.object(popsim.rng, "_block", wraps=_block) as drawn):
         got = first_fresh_below(seed, n, f, steps)
     assert got == t == ladder_drain(seed, n, f, steps) == leave_init_drain(seed, n, f, max_steps)
-    # the kernel draws the blocks the walk sized; each one of _ARRAY_PAIRS
-    # pairs or more after the budget's cut is marked and counted through
-    # numpy, once, and every shorter one is walked in Python
+    # the kernel draws the blocks the walk sized, and marks and counts each
+    # through numpy, once
     assert [call.args[2:4] for call in drawn.call_args_list] == [block[:2] for block in blocks]
-    assert counted.call_count == sum(pairs >= _ARRAY_PAIRS for _, _, pairs in blocks)
+    assert counted.call_count == len(blocks)
 
 
 def test_first_fresh_below_checks_its_stream():
