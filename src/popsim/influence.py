@@ -29,37 +29,44 @@ one limit on masks: the crossing kernel's switch below and ``popsim
 influencer --series-out`` charge it against the work budget before they
 build any, and refuse masks past it rather than approximate.
 
-A schedule, whether a log, a block of ``rng.pair_blocks`` or the kernel's
-recorded prefix, is kept as two ``array('I')`` columns of initiators and
-responders, 8 bytes a step, so a population is below 2**32
-(``rng.check_population``).
+A schedule, whether a log or a block of ``rng.pair_blocks``, is kept as two
+``array('I')`` columns of initiators and responders, 8 bytes a step, so a
+population is below 2**32 (``rng.check_population``).
 
 First crossings of a size threshold (:func:`first_exceed_time`) run on a
-stream kernel, one loop over the blocks of ``rng.pair_blocks``, the last
-block ending at the step budget, that applies no protocol, since influence
-does not depend on states.  Each block is appended to the trial's prefix,
-an :class:`InteractionLog` kept for the whole trial.  Per step the kernel
-keeps only an upper bound on each set's size: a merged set's bound is the
-sum of the two participants' bounds (when one agent is tracked, other bounds
-are capped at n), which never falls below the true size, so no crossing is
-skipped.  Only a bound above the threshold needs an exact size.  At first
-one backward scan of the prefix gives it: the :func:`backward_step`
-recurrence from the two participants, counted on a flag per agent rather
-than stored, whose result then replaces both bounds.
-A scan reads the whole prefix, so once the scans of a trial pass a multiple
-of its current step in all (as with thresholds near n, whose bounds overflow
-at almost every step; the multiple is ``SWITCH_MULTIPLE`` below n=8192 and
-grows with n, as a union of n-bit masks grows dearer than a scanned pair),
-the kernel switches: :func:`forward_sets` replays the prefix through the
-current pair into masks, each later step ORs its two participants' masks,
-and an exact size is a ``bit_count()``.  The switch changes how an exact
-size is read, not which loop runs.  Without a switch memory is the prefix's
-8 bytes a step and two lists of n entries, so n is limited by time rather
-than by the masks; after one it is the masks plus the prefix.  When the
-masks do not fit the work budget no switch can follow, so the scans are the
-only exact route: they may read the budget's worth of pairs, or
-``SWITCH_MULTIPLE`` times the step where that is more, and past it the
-kernel raises :class:`~popsim.core.BudgetExceededError`.
+stream kernel, one loop over the blocks of ``rng.described_pair_blocks``,
+the last block ending at the step budget, that applies no protocol, since
+influence does not depend on states.  The kernel keeps no pair it has read:
+of each block it keeps only the descriptor rng gives beside it, the block's
+word range, the initiator carried into it and the pairs it kept, from which
+``rng.reformed_blocks`` forms its pairs again (splitmix64 is counter-based,
+so a word is a function of its index).  Per step the kernel keeps only an
+upper bound on each set's size: a merged set's bound is the sum of the two
+participants' bounds (when one agent is tracked, other bounds are capped at
+n), which never falls below the true size, so no crossing is skipped.  Only
+a bound above the threshold needs an exact size.  At first one backward
+scan gives it: the :func:`backward_step` recurrence from the two
+participants over the pairs before theirs, newest first, counted on a flag
+per agent rather than stored, whose result then replaces both bounds.  The
+scan reads the current block where it lies and forms the older blocks again
+as it reaches them, so a scan that passes the threshold early forms no
+block older than it needed.
+A scan reads up to every pair before its own, so once the scans of a trial
+pass a multiple of its current step in all (as with thresholds near n, whose
+bounds overflow at almost every step; the multiple is ``SWITCH_MULTIPLE``
+below n=8192 and grows with n, as a union of n-bit masks grows dearer than a
+scanned pair), the kernel switches: it forms the older blocks again, oldest
+first, and replays them and the current block through the current pair into
+masks by the union of :meth:`InfluencerTable.update`; each later step ORs
+its two participants' masks, and an exact size is a ``bit_count()``.  The
+switch changes how an exact size is read, not which loop runs.  Without a
+switch memory is two lists of n entries (the bounds, and a scan's flags), a
+block or two of pairs and one descriptor per block read, so it is linear in
+n, and n is limited by time rather than by the masks; after a switch it adds
+the masks.  When the masks do not fit the work budget no switch can follow,
+so the scans are the only exact route: they may read the budget's worth of
+pairs, or ``SWITCH_MULTIPLE`` times the step where that is more, and past it
+the kernel raises :class:`~popsim.core.BudgetExceededError`.
 The kernel is the only implementation of the crossing rule.
 
 The schedule of a trial is the first ``steps_taken`` pairs of its pair
@@ -74,11 +81,11 @@ import csv
 from array import array
 from functools import cache
 from pathlib import Path
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, starmap
 from typing import Iterable, Iterator, Optional, Union
 
 from .core import DEFAULT_BUDGET, BudgetExceededError, Interaction, Protocol, TrialRecord, run_trial, step_budget
-from .rng import MAX_BLOCK, check_population, pair_blocks
+from .rng import MAX_BLOCK, Descriptor, check_population, described_pair_blocks, reformed_blocks
 
 INFLUENCER_EVENT = "influencer_threshold"
 
@@ -227,21 +234,6 @@ def _check_step(log: InteractionLog, t: int) -> None:
         raise ValueError(f"step {t} out of range for a log of length {len(log)}")
 
 
-def forward_sets(log: InteractionLog, t: Optional[int] = None) -> InfluencerTable:
-    """Replay the first ``t`` entries of a log (all of them by default)."""
-    if t is None:
-        t = len(log)
-    _check_step(log, t)
-    table = InfluencerTable(log.n)
-    masks = table.masks
-    # InfluencerTable.update, inlined: the crossing kernel's switch replays
-    # its whole prefix here
-    for u, v in islice(zip(log.initiators, log.responders), t):
-        masks[u] = masks[v] = (masks[u] or 1 << u) | (masks[v] or 1 << v)
-    table.step = t
-    return table
-
-
 def backward_step(members: frozenset[int], e: Interaction) -> frozenset[int]:
     """One layer of the backward recurrence (from layer i+1 to layer i,
     where ``e`` is log entry i)."""
@@ -335,15 +327,17 @@ def first_exceed_time(
     has more than n members, so a threshold of n or more returns that
     truncated record at once, without running the kernel.
 
-    The kernel keeps 8 bytes a step of the pair stream and two lists of n
-    entries; n must be below 2**32.  A switch to masks (see the module
-    docstring) adds :func:`mask_words` 64-bit words, up to n*n/8 bytes, and
-    the prefix still grows.  When those words pass ``budget``
-    (``DEFAULT_BUDGET`` when None) no switch is made: the backward scans may
-    read ``budget`` pairs, or ``SWITCH_MULTIPLE`` times the step where that
-    is more, and past that the kernel raises
-    :class:`~popsim.core.BudgetExceededError`.  At n = 2**20 the n^(2/3)
-    crossing comes near 3.5 million steps, a prefix of about 28 MB.
+    The kernel keeps two lists of n entries, a block or two of pairs and a
+    descriptor of each block it has read, none of the pairs themselves: a
+    backward scan forms the blocks it reads again (see the module
+    docstring).  So its memory is linear in n: at n = 2**20 the n^(2/3)
+    crossing comes near 3.5 million steps, whose pairs would take 28 MB,
+    and the kernel keeps about 860 descriptors.  n must be below 2**32.  A
+    switch to masks adds :func:`mask_words` 64-bit words, up to n*n/8
+    bytes.  When those words pass ``budget`` (``DEFAULT_BUDGET`` when None)
+    no switch is made: the backward scans may read ``budget`` pairs, or
+    ``SWITCH_MULTIPLE`` times the step where that is more, and past that
+    the kernel raises :class:`~popsim.core.BudgetExceededError`.
 
     The stream kernel finds the crossing without applying ``protocol``, so
     the record's ``final_states`` is None.  With ``extra_observers``, the
@@ -372,24 +366,24 @@ def first_exceed_time(
     return rec
 
 
-# Each backward scan reads the whole prefix.  Once a trial's scans would have
-# read more than _switch_multiple(n) times its current step in all, the kernel
-# replays the prefix into masks instead.  A replayed pair costs a union of two
-# n-bit integers and a scanned pair a flag test, so the replay grows dearer
-# with n: per pair it cost 2.7, 5.1, 9.9, 24 and 42 scanned pairs at n = 1000,
-# 4096, 8192, 16384 and 32768.  The multiple, SWITCH_MULTIPLE for n < 8192 and
-# doubling with n above, stays below that break-even, so the scans before a
-# switch cost less than the replay.  SWITCH_MULTIPLE was chosen by timing 2, 3
-# and 4 against a kernel that keeps masks from the start: at 3, thresholds
-# near n, which overflow at almost every step, take about 1.2 times its time
-# at n=4096 and n=1000; at 4, up to 1.4 times.  n^(2/3) at n=16384 needs at
-# most 7 scans' worth in 3000 trials, below its multiple of 12; at a flat 3
-# it switched in 76 of them, which took a run's peak memory from about 38 to
-# 66 MB on the seeds that did.  When the masks do not fit the budget there is
-# no switch, only BudgetExceededError, so the scans may read the budget's
-# worth of pairs, or SWITCH_MULTIPLE times the step where that is more, not
-# a multiple that grows with n: one of 192 at n = 2^18 spent 36.9 s of scans
-# on a 2-vCPU guest.
+# Each backward scan reads up to every pair before its own.  Once a trial's
+# scans would have read more than _switch_multiple(n) times its current step
+# in all, the kernel replays those pairs into masks instead.  A replayed pair
+# costs a union of two n-bit integers and a scanned pair a flag test, so the
+# replay grows dearer with n: per pair it cost 2.7, 5.1, 9.9, 24 and 42
+# scanned pairs at n = 1000, 4096, 8192, 16384 and 32768.  The multiple,
+# SWITCH_MULTIPLE for n < 8192 and doubling with n above, stays below that
+# break-even, so the scans before a switch cost less than the replay.
+# SWITCH_MULTIPLE was chosen by timing 2, 3 and 4 against a kernel that keeps
+# masks from the start: at 3, thresholds near n, which overflow at almost
+# every step, take about 1.2 times its time at n=4096 and n=1000; at 4, up to
+# 1.4 times.  n^(2/3) at n=16384 needs at most 7 scans' worth in 3000 trials,
+# below its multiple of 12; at a flat 3 it switched in 76 of them, which took
+# a run's peak memory from about 38 to 66 MB on the seeds that did.  When the
+# masks do not fit the budget there is no switch, only BudgetExceededError, so
+# the scans may read the budget's worth of pairs, or SWITCH_MULTIPLE times the
+# step where that is more, not a multiple that grows with n: one of 192 at
+# n = 2^18 spent 36.9 s of scans on a 2-vCPU guest.
 SWITCH_MULTIPLE = 3
 
 
@@ -399,9 +393,11 @@ def _switch_multiple(n: int) -> float:
 
 @cache
 def _positions() -> list[int]:
-    """The positions a pair can take in a block: a block of the pair stream
-    draws at most MAX_BLOCK words and each pair at least one."""
-    return list(range(MAX_BLOCK))
+    """The positions a pair can take in a block of the pair stream: a block
+    draws at most MAX_BLOCK words, and each pair takes two of them, an
+    initiator and a responder, except the pair of an initiator carried in,
+    which takes one; so a block has at most MAX_BLOCK / 2 pairs."""
+    return list(range(MAX_BLOCK // 2))
 
 
 def _crossing_step(
@@ -415,16 +411,14 @@ def _crossing_step(
     ``budget`` pairs, or ``SWITCH_MULTIPLE`` times the step, before the
     kernel raises."""
     bound = [1] * n  # bound[v] >= the size of v's set
-    prefix = InteractionLog(n)  # every pair read
+    older: list[Descriptor] = []  # the descriptors of the blocks before the current one
     masks: Optional[list[int]] = None  # every set's mask, from the switch on
     scanned = 0  # pairs read by the backward scans
     words = mask_words(n)
     # the scans may read max(floor, multiple * step) pairs in all
     floor, multiple = (0, _switch_multiple(n)) if words <= budget else (budget, SWITCH_MULTIPLE)
     first = 1  # the step of the current block's first pair
-    for U, V in pair_blocks(seed, n, steps):
-        prefix.initiators += U
-        prefix.responders += V
+    for U, V, descriptor in described_pair_blocks(seed, n, steps):
         # A pair's step is ``first`` plus its position, worked out only where
         # the loop needs it: the positions are shared ints, where a count of
         # every step would make a new int per step.
@@ -437,7 +431,7 @@ def _crossing_step(
                     step = first + j
                     if masks is None and scanned + step - 1 <= max(floor, multiple * step):
                         scanned += step - 1
-                        size = _backward_size(prefix, step - 1, u, v, threshold)
+                        size = _backward_size(seed, n, older, U, V, j, threshold)
                     else:
                         if masks is None:  # the switch: every set's mask through this step
                             if words > budget:
@@ -445,38 +439,56 @@ def _crossing_step(
                                     f"the crossing kernel needs masks at step {step}, "
                                     f"{words} words for n={n}, past budget {budget}"
                                 )
-                            masks = forward_sets(prefix, step).masks
+                            masks = _replay_masks(seed, n, older, U, V, j)
                         size = masks[u].bit_count()
                     if size > threshold:
                         return step
                 elif size > n:  # no set has more than n members
                     size = n
             bound[u] = bound[v] = size
+        older.append(descriptor)
         first += len(U)
     return None
 
 
-def _backward_size(log: InteractionLog, t: int, u: int, v: int, limit: float) -> int:
-    """The size of the union of the sets of ``u`` and ``v`` after the first
-    ``t`` entries of ``log``, or a number above ``limit`` once the count
-    passes it.
+def _backward_size(
+    seed: int, n: int, older: list[Descriptor], U: array, V: array, j: int, limit: float
+) -> int:
+    """The size of the union of the sets of ``U[j]`` and ``V[j]`` just
+    before that pair, in the stream whose blocks before the current one
+    ``(U, V)`` have the descriptors ``older``, or a number above ``limit``
+    once the count passes it.
 
-    One backward scan of those entries, newest first, by the recurrence of
+    One backward scan, newest first, by the recurrence of
     :func:`backward_step` counted on a membership flag per agent: a pair
-    with exactly one member adds the other agent.
+    with exactly one member adds the other agent.  It reads the current
+    block's pairs before position j where they lie, then forms the older
+    blocks again, newest first, each only when the scan reaches it.
     """
-    member = [False] * log.n
-    member[u] = member[v] = True
+    member = [False] * n
+    member[U[j]] = member[V[j]] = True
     size = 2
-    # views, so the scan copies nothing; the log cannot grow while they last
-    with memoryview(log.initiators) as initiators, memoryview(log.responders) as responders:
-        for a, b in zip(reversed(initiators[:t]), reversed(responders[:t])):
+    current = memoryview(U)[:j], memoryview(V)[:j]  # views: the scan copies no pair
+    for A, B in chain((current,), reformed_blocks(seed, n, older, newest_first=True)):
+        for a, b in zip(reversed(A), reversed(B)):
             if member[a] is not member[b]:
                 member[a] = member[b] = True
                 size += 1
                 if size > limit:
                     return size
     return size
+
+
+def _replay_masks(seed: int, n: int, older: list[Descriptor], U: array, V: array, j: int) -> list[int]:
+    """The kernel's switch: every agent's mask (0 for one in no pair yet)
+    through pair j of the current block ``(U, V)``, replayed from the blocks
+    before it, formed again from their descriptors ``older``, oldest first,
+    by the union of :meth:`InfluencerTable.update`."""
+    masks = [0] * n
+    older_pairs = chain.from_iterable(starmap(zip, reformed_blocks(seed, n, older)))
+    for u, v in chain(older_pairs, islice(zip(U, V), j + 1)):
+        masks[u] = masks[v] = (masks[u] or 1 << u) | (masks[v] or 1 << v)
+    return masks
 
 
 def write_size_series(n: int, schedule: Iterable[tuple[int, int]], path: Union[str, Path]) -> None:

@@ -45,6 +45,12 @@ generator stays the reference the block stream is tested against.
 A stream has a length: ``pair_blocks(seed, n, steps)`` yields the first
 ``steps`` pairs, its last block cut there, so this module alone knows where
 a trial's schedule ends.  A stream of 0 steps computes no block.
+:func:`described_pair_blocks` yields the same blocks, each beside a
+descriptor of a few ints, its word range, the initiator carried in and the
+pairs kept after the cut, from which :func:`reformed_blocks` forms them
+again, oldest or newest first: a reader that must go back over a stream
+(the influencer kernel's backward scans) keeps the descriptors, not the
+pairs, and never learns the ladder or the cut.
 
 :func:`first_fresh_below` reads one quantity off a stream's blocks: the
 first step at which fewer than f agents are fresh, in no pair yet.  That is
@@ -65,7 +71,7 @@ import math
 from array import array
 from functools import cache
 from itertools import chain, starmap
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -136,6 +142,9 @@ class Splitmix64:
 FIRST_BLOCK = 32
 MAX_BLOCK = 8192
 
+# A block's descriptor (start, size, carry, pairs): see described_pair_blocks.
+Descriptor = tuple[int, int, int, int]
+
 
 def check_population(n: int, fewest: int) -> None:
     """Refuse a population outside ``[fewest, 2**32)``: a schedule, a block
@@ -158,7 +167,44 @@ def pair_blocks(seed: int, n: int, steps: int) -> Iterator[tuple[array, array]]:
     responder is k skipping over u.  An initiator accepted in one block can
     get its responder from the next.
     """
+    return (block[:2] for block in described_pair_blocks(seed, n, steps))
+
+
+def described_pair_blocks(seed: int, n: int, steps: int) -> Iterator[tuple[array, array, Descriptor]]:
+    """The blocks of :func:`pair_blocks`, each beside its descriptor
+    ``(start, size, carry, pairs)``: the words ``[start, start + size)`` it
+    was formed from, the initiator carried into it (-1 for none) and the
+    pairs it keeps, ``len(U)``, which only the budget's cut makes fewer
+    than its words form.  :func:`reformed_blocks` forms the blocks again
+    from their descriptors, so a reader that keeps those need not keep the
+    pairs."""
     return _pair_blocks(_stream_state(seed, n, steps), n, steps)
+
+
+def reformed_blocks(
+    seed: int, n: int, described: Sequence[Descriptor], newest_first: bool = False
+) -> Iterator[tuple[array, array]]:
+    """The pairs of the blocks that :func:`described_pair_blocks` yielded
+    beside ``described``, a run of its descriptors in stream order, formed
+    again from their words, as blocks ``(U, V)``: oldest first, or newest
+    first.  The blocks come in sizes of their own: descriptors whose words
+    fit ``MAX_BLOCK`` together are formed as one block, which gives the
+    same pairs (the blocks of a split of the words, chained through their
+    carries, form the same pairs whatever the split) for one block's fixed
+    cost.  Those are the ladder's leading rungs, 32 to 4096 words, which end
+    at word 8160."""
+    state = seed & MASK64
+    joined: list[Descriptor] = []
+    for start, size, carry, pairs in described:
+        if joined and joined[-1][1] + size <= MAX_BLOCK:
+            start, joined_size, carry, joined_pairs = joined.pop()
+            size += joined_size
+            pairs += joined_pairs
+        joined.append((start, size, carry, pairs))
+    for start, size, carry, pairs in reversed(joined) if newest_first else joined:
+        U, V, _ = _block(state, n, start, size, carry)
+        del U[pairs:], V[pairs:]  # the budget's cut
+        yield U, V
 
 
 def _stream_state(seed: int, n: int, steps: int) -> int:
@@ -283,15 +329,16 @@ def _word_tables():
     return np, offsets, shifts, np.uint64(_MIX_A), np.uint64(_MIX_B)
 
 
-def _pair_blocks(state: int, n: int, steps: int) -> Iterator[tuple[array, array]]:
+def _pair_blocks(state: int, n: int, steps: int) -> Iterator[tuple[array, array, Descriptor]]:
     start, size, carry = 0, FIRST_BLOCK, -1
     while steps:  # a stream of 0 steps computes no block, so loads no numpy
-        U, V, carry = _block(state, n, start, size, carry)
+        U, V, carry_out = _block(state, n, start, size, carry)
         del U[steps:], V[steps:]  # the last block ends at the last step
         steps -= len(U)
-        yield U, V
+        yield U, V, (start, size, carry, len(U))
         start += size
         size = min(2 * size, MAX_BLOCK)
+        carry = carry_out
 
 
 def _block(state: int, n: int, start: int, size: int, carry: int) -> tuple[array, array, int]:

@@ -1,16 +1,33 @@
 """Reference oracles the tests check popsim against and no command runs: the
 two-sample Kolmogorov-Smirnov statistic and its large-sample critical value,
 the block-decomposition lower bound on the epidemic's first passage to
-ceil(n**(2/3)), and the per-word rule that forms a block's pairs one draw at
-a time."""
+ceil(n**(2/3)), the per-word rule that forms a block's pairs one draw at a
+time, and the forward influencer sets of a recorded schedule."""
 
 import math
 from array import array
-from typing import Sequence
+from itertools import islice
+from typing import Optional, Sequence
 
 import numpy as np
 
+from popsim.influence import InfluencerTable, InteractionLog
 from popsim.stats import ceil_rational_power
+
+
+def forward_sets(log: InteractionLog, t: Optional[int] = None) -> InfluencerTable:
+    """The forward influencer sets after the first ``t`` entries of a log
+    (all of them by default), each entry replayed through
+    ``InfluencerTable.update``: the forward route that the backward and
+    layered-graph routes and the crossing kernel are checked against."""
+    if t is None:
+        t = len(log)
+    if not 0 <= t <= len(log):
+        raise ValueError(f"step {t} out of range for a log of length {len(log)}")
+    table = InfluencerTable(log.n)
+    for e in islice(log, t):
+        table.update(e)
+    return table
 
 
 def block_lower_bound(n: int) -> int:

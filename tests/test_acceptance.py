@@ -9,7 +9,7 @@ this suite is a deterministic replay.
 import math
 from fractions import Fraction
 
-from oracles import ks_critical_value, ks_statistic
+from oracles import forward_sets, ks_critical_value, ks_statistic
 from popsim.cli import main
 from popsim.core import run_trial, sample_interaction
 from popsim.exact import (
@@ -24,7 +24,6 @@ from popsim.influence import (
     backward_step,
     demo_log,
     first_exceed_time,
-    forward_sets,
 )
 from popsim.protocols import make_protocol
 from popsim.rng import Splitmix64, derive_seed

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import forward_sets
 from popsim import influence
 from popsim.cli import main
 from popsim.core import Interaction, run_trial, sample_interaction, step_budget
@@ -22,14 +23,23 @@ from popsim.influence import (
     backward_step,
     demo_log,
     first_exceed_time,
-    forward_sets,
     layered_edges,
     sources_reaching,
     write_log,
     write_size_series,
 )
 from popsim.protocols import CATALOG, make_protocol
-from popsim.rng import FIRST_BLOCK, MAX_BLOCK, Splitmix64, derive_seed, pair_blocks, pair_stream
+from popsim.rng import (
+    FIRST_BLOCK,
+    MAX_BLOCK,
+    Splitmix64,
+    _block,
+    derive_seed,
+    described_pair_blocks,
+    pair_blocks,
+    pair_stream,
+    reformed_blocks,
+)
 
 A, B, C, D, E = range(5)
 
@@ -417,22 +427,23 @@ def test_single_agent_mode_waits_for_that_agent():
 
 def _kernel_counters(monkeypatch):
     """Wrap the kernel's backward scan and its switch to masks (the one
-    ``forward_sets`` call of a trial); the returned dict counts the pairs the
-    scans read (each reads the first ``t`` pairs of the prefix, or stops
-    early) and the switches."""
+    ``_replay_masks`` call of a trial); the returned dict counts the pairs
+    the scans read (each reads the pairs before its own, those of the older
+    blocks and the current block's first ``j``, or stops early) and the
+    switches."""
     seen = {"scanned": 0, "switches": 0}
-    scan, replay = influence._backward_size, influence.forward_sets
+    scan, replay = influence._backward_size, influence._replay_masks
 
-    def counted_scan(prefix, t, *args):
-        seen["scanned"] += t
-        return scan(prefix, t, *args)
+    def counted_scan(seed, n, older, U, V, j, limit):
+        seen["scanned"] += sum(pairs for *_, pairs in older) + j
+        return scan(seed, n, older, U, V, j, limit)
 
-    def counted_replay(prefix, t):
+    def counted_replay(*args):
         seen["switches"] += 1
-        return replay(prefix, t)
+        return replay(*args)
 
     monkeypatch.setattr(influence, "_backward_size", counted_scan)
-    monkeypatch.setattr(influence, "forward_sets", counted_replay)
+    monkeypatch.setattr(influence, "_replay_masks", counted_replay)
     return seen
 
 
@@ -518,6 +529,86 @@ def test_kernel_budgets_at_block_ends_match_forward_replay(monkeypatch, n, thres
     assert (seen["switches"] > 0) == switches
 
 
+@pytest.mark.parametrize("n", [2, 3, 1025, 4096, 4097])
+def test_block_descriptors_reform_the_blocks(n):
+    # The descriptors the kernel keeps instead of the pairs re-form exactly
+    # the blocks it read: each alone, block for block, and a run of them,
+    # oldest or newest first, pair for pair, with the ladder's eight leading
+    # rungs (32 to 4096 words) formed as one block.  The budgets lie at the
+    # ladder's block ends, one pair either side of them and inside its
+    # blocks, so the last block is cut; initiators are carried across blocks.
+    carried = cut = 0
+    for i in range(2):
+        seed = derive_seed(n, i)
+        ends = _block_ends(seed, n, 9)
+        inside = [(a + b) // 2 for a, b in zip([0, *ends], ends)]
+        for steps in sorted({0, 1, *ends, *(e - 1 for e in ends), *(e + 1 for e in ends), *inside}):
+            described = list(described_pair_blocks(seed, n, steps))
+            blocks = list(pair_blocks(seed, n, steps))
+            assert [(U, V) for U, V, _ in described] == blocks
+            descriptors = [d for _, _, d in described]
+            for d, block in zip(descriptors, blocks):
+                assert list(reformed_blocks(seed, n, [d])) == [block]
+            stream = list(pair_stream(seed, n, steps))
+            oldest_first = list(reformed_blocks(seed, n, descriptors))
+            newest_first = list(reformed_blocks(seed, n, descriptors, newest_first=True))
+            assert newest_first == oldest_first[::-1]
+            assert [pair for U, V in oldest_first for pair in zip(U, V)] == stream
+            assert len(oldest_first) == min(len(blocks), 1) + max(len(blocks) - 8, 0)
+            carried += sum(carry >= 0 for _, _, carry, _ in descriptors)
+            if descriptors:
+                start, size, carry, pairs = descriptors[-1]
+                cut += pairs < len(_block(seed, n, start, size, carry)[0])
+    # at n = 2 every word is accepted as either draw, so each pair takes two
+    # words and none waits across a block's end (every size is even)
+    assert cut > 0 and (carried > 0) == (n > 2)
+
+
+# (n, threshold, agent): scans only, scans and a switch, and the switch
+# under --agent, with crossings across the ladder's blocks and past them
+RECORD_CASES = [(1025, 100, None), (4097, 256, 0), (1000, 999.5, None), (64, 63, 0)]
+
+
+@pytest.mark.parametrize("n, threshold, agent", RECORD_CASES)
+def test_kernel_reads_the_stream_before_each_pair_again(monkeypatch, n, threshold, agent):
+    # Each scan, and the switch to masks, is handed the pairs before its own
+    # as the kernel's descriptors of the older blocks and the current block
+    # up to position j: re-formed, they are the stream's pairs in order, and
+    # the scan's size and the switch's masks are those of the forward route.
+    scan, replay = influence._backward_size, influence._replay_masks
+    seen = Counter()
+
+    def read_before(seed, older, U, V, j):
+        before = [pair for A, B in reformed_blocks(seed, n, older) for pair in zip(A, B)]
+        before += zip(U[:j], V[:j])
+        assert before + [(U[j], V[j])] == list(pair_stream(seed, n, len(before) + 1))
+        return InteractionLog(n, before), Interaction(U[j], V[j])
+
+    def checked_scan(seed, n, older, U, V, j, limit):
+        log, (u, v) = read_before(seed, older, U, V, j)
+        table = forward_sets(log)
+        true = len(table.members(u) | table.members(v))
+        size = scan(seed, n, older, U, V, j, limit)
+        assert size == true or limit < size <= true
+        seen["scans"] += 1
+        return size
+
+    def checked_replay(seed, n, older, U, V, j):
+        log, pair = read_before(seed, older, U, V, j)
+        log.append(pair)
+        masks = replay(seed, n, older, U, V, j)
+        assert masks == forward_sets(log).masks
+        seen["switches"] += 1
+        return masks
+
+    monkeypatch.setattr(influence, "_backward_size", checked_scan)
+    monkeypatch.setattr(influence, "_replay_masks", checked_replay)
+    for i in range(2):
+        first_exceed_time(None, n, derive_seed(n, i), threshold, agent=agent)
+    assert seen["scans"] > 0
+    assert (seen["switches"] > 0) == (threshold > n / 2)
+
+
 def _fewer_missing_step(seed, n, f):
     """The first step t at which fewer than ``f`` agents are missing from the
     first t pairs of the stream."""
@@ -564,9 +655,9 @@ def test_stream_walkers_match_pathwise_identities(n):
             assert first_exceed_time(None, n, seed, 1, agent=a).event_steps[INFLUENCER_EVENT] == first
 
 
-def test_switching_kernel_memory_is_the_masks_and_the_prefix(monkeypatch):
-    # After the switch the masks of 4096 agents take at most 2 MB, beside the
-    # prefix's 8 bytes a step.
+def test_switching_kernel_memory_is_the_masks(monkeypatch):
+    # After the switch the masks of 4096 agents take at most 2 MB; the
+    # kernel keeps none of the pairs it read.
     n = 4096
     seen = _kernel_counters(monkeypatch)
     import numpy  # noqa: F401  popsim imports it on first use; its import is not the kernel's memory
@@ -591,37 +682,40 @@ def test_kernel_scans_stay_within_the_switch_multiple(monkeypatch, n, threshold,
         assert seen["scanned"] <= influence._switch_multiple(n) * rec.steps_taken
 
 
-def test_kernel_memory_grows_with_the_prefix_not_the_masks():
-    # Masks for every set would take about 25 MB here; the prefix about 3 MB.
-    n = 16384
-    protocol = make_protocol("leave-init", n)
+def _traced_kernel_peak(n, seed, threshold):
+    """One first_exceed_time trial on the kernel alone, and the peak of the
+    memory it traced."""
     import numpy  # noqa: F401  popsim imports it on first use; its import is not the kernel's memory
 
     tracemalloc.start()
     try:
-        rec = first_exceed_time(protocol, n, derive_seed(0, 0), 646)
+        rec = first_exceed_time(None, n, seed, threshold)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return rec, peak
+
+
+def test_kernel_memory_is_the_bounds_not_the_masks_or_the_pairs():
+    # Masks for every set would take about 25 MB here, and a recorded prefix
+    # of the 32665 pairs read about 260 kB.  The kernel keeps neither: its
+    # memory is the bounds and a scan's flags, about 130 kB each as lists of
+    # n entries, the int objects of the bounds, and a block or two of pairs.
+    rec, peak = _traced_kernel_peak(16384, derive_seed(0, 0), 646)
     assert rec.event_steps[INFLUENCER_EVENT] == 32665
     assert peak < 8 * 2**20
-
-
-def test_kernel_keeps_its_prefix_at_8_bytes_a_step():
-    # The prefix of 32665 steps takes about 260 kB as two uint32 arrays, and
-    # the bounds and a scan's flags about 130 kB each.
-    n = 16384
-    protocol = make_protocol("leave-init", n)
-    import numpy  # noqa: F401  popsim imports it on first use; its import is not the kernel's memory
-
-    tracemalloc.start()
-    try:
-        rec = first_exceed_time(protocol, n, derive_seed(0, 0), 646)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rec.event_steps[INFLUENCER_EVENT] == 32665
     assert peak < 2**20
+
+
+def test_kernel_keeps_no_pair_it_read():
+    # One n^(2/3) trial at n = 2^16 reads 162482 pairs.  Kept as a prefix of
+    # two uint32 columns, they take about 1.3 MB, and the trial peaked at
+    # 2.9 MiB traced; with its blocks re-formed from their descriptors it
+    # peaked at 1.7 MiB (Python 3.11, numpy 2.4).  The bound lies halfway,
+    # about 0.6 MiB from either.
+    rec, peak = _traced_kernel_peak(65536, derive_seed(0, 0), 1626)
+    assert rec.event_steps[INFLUENCER_EVENT] == 162482
+    assert peak < 2.25 * 2**20
 
 
 def test_switch_to_masks_past_the_budget_exceeds_it(monkeypatch):
@@ -648,8 +742,8 @@ def test_switch_to_masks_past_the_budget_exceeds_it(monkeypatch):
 
 def test_switch_charges_its_masks_against_the_budget(monkeypatch, capsys, tmp_path):
     # A switch builds n ceil(n/64) mask words, 262144 at n=4096: past a
-    # budget of 10^5 the kernel raises instead, before forward_sets builds
-    # any mask, and at exactly that many it switches.  The CLI exits 3 with
+    # budget of 10^5 the kernel raises instead, before it builds any mask,
+    # and at exactly that many it switches.  The CLI exits 3 with
     # no output, the size series of the first --n (inside the budget)
     # included.
     n, seed = 4096, derive_seed(4096, 0)
