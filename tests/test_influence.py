@@ -682,28 +682,39 @@ def test_kernel_scans_stay_within_the_switch_multiple(monkeypatch, n, threshold,
         assert seen["scanned"] <= influence._switch_multiple(n) * rec.steps_taken
 
 
-def _traced_kernel_peak(n, seed, threshold):
+def _traced_kernel_peak(protocol, n, seed, threshold):
     """One first_exceed_time trial on the kernel alone, and the peak of the
     memory it traced."""
     import numpy  # noqa: F401  popsim imports it on first use; its import is not the kernel's memory
 
     tracemalloc.start()
     try:
-        rec = first_exceed_time(None, n, seed, threshold)
+        rec = first_exceed_time(protocol, n, seed, threshold)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return rec, peak
 
 
-def test_kernel_memory_is_the_bounds_not_the_masks_or_the_pairs():
-    # Masks for every set would take about 25 MB here, and a recorded prefix
-    # of the 32665 pairs read about 260 kB.  The kernel keeps neither: its
-    # memory is the bounds and a scan's flags, about 130 kB each as lists of
-    # n entries, the int objects of the bounds, and a block or two of pairs.
-    rec, peak = _traced_kernel_peak(16384, derive_seed(0, 0), 646)
+def test_kernel_memory_grows_with_the_prefix_not_the_masks():
+    # Masks for every set would take about 25 MB here.  The prefix of the
+    # stream the kernel has read is now a descriptor per block, not the
+    # pairs, so the kernel's memory is linear in n.
+    n = 16384
+    rec, peak = _traced_kernel_peak(make_protocol("leave-init", n), n, derive_seed(0, 0), 646)
     assert rec.event_steps[INFLUENCER_EVENT] == 32665
     assert peak < 8 * 2**20
+
+
+def test_kernel_keeps_its_prefix_at_8_bytes_a_step():
+    # At most 8 bytes a step: the 32665 pairs read, kept as two uint32
+    # columns, would take about 260 kB, and the kernel keeps none of them,
+    # only each block's descriptor.  Its memory is the bounds and a scan's
+    # flags, about 130 kB each as lists of n entries, the int objects of the
+    # bounds, and a block or two of pairs.
+    n = 16384
+    rec, peak = _traced_kernel_peak(make_protocol("leave-init", n), n, derive_seed(0, 0), 646)
+    assert rec.event_steps[INFLUENCER_EVENT] == 32665
     assert peak < 2**20
 
 
@@ -713,7 +724,7 @@ def test_kernel_keeps_no_pair_it_read():
     # 2.9 MiB traced; with its blocks re-formed from their descriptors it
     # peaked at 1.7 MiB (Python 3.11, numpy 2.4).  The bound lies halfway,
     # about 0.6 MiB from either.
-    rec, peak = _traced_kernel_peak(65536, derive_seed(0, 0), 1626)
+    rec, peak = _traced_kernel_peak(None, 65536, derive_seed(0, 0), 1626)
     assert rec.event_steps[INFLUENCER_EVENT] == 162482
     assert peak < 2.25 * 2**20
 
