@@ -8,11 +8,19 @@ byte-identical.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 resource budget
 exceeded, 4 internal assertion failure.
+
+A process runs :func:`console`, as the ``popsim`` script and as ``python -m
+popsim.cli``: :func:`main`'s exit code, with ``gc.freeze()`` on every way out.
+The interpreter then exits as usual (atexit handlers, flushes, closes), but its
+last collections skip the frozen heap that exit frees anyway: 9-20 ms of each
+benchmark command on a 2-vCPU Xeon guest.  In-process callers of :func:`main`
+never freeze.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -623,5 +631,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
 
 
+def console() -> int:
+    """The process entry point: :func:`main` on ``sys.argv``, with the heap
+    frozen as it returns (see the module docstring)."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console())

@@ -109,9 +109,16 @@ def enumerate_reachable(
         i = queue.popleft()
         base = configs[i]
         succ: dict[int, int] = {}
+        held = {a: base.count(a) for a in set(base)}
+        # an initiator in a state that fires with no state another agent
+        # holds has n - 1 null pairs, counted at once
+        idle = {a: not any(table[a][b] != (a, b) and k > (a == b) for b, k in held.items()) for a in held}
         # ordered pairs (u, v), u != v, in order; a null one is a self-loop
         for u in range(n):
             a = base[u]
+            if idle[a]:
+                succ[i] = succ.get(i, 0) + n - 1
+                continue
             for v in chain(range(u), range(u + 1, n)):
                 b = base[v]
                 a2, b2 = table[a][b]

@@ -14,7 +14,6 @@ to the entry's document gets them and one that only borrows its name does not.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -160,6 +159,8 @@ def protocol_from_dict(doc: dict) -> Protocol:
 
 def load_protocol(path: Union[str, Path]) -> Protocol:
     """Load a protocol definition from a JSON file."""
+    import json  # here, so that a catalog run never loads it
+
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:

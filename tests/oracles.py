@@ -2,15 +2,18 @@
 two-sample Kolmogorov-Smirnov statistic and its large-sample critical value,
 the block-decomposition lower bound on the epidemic's first passage to
 ceil(n**(2/3)), the per-word rule that forms a block's pairs one draw at a
-time, and the forward influencer sets of a recorded schedule."""
+time, the forward influencer sets of a recorded schedule, and the
+reachable configurations of a protocol found one ordered pair at a time."""
 
 import math
 from array import array
-from itertools import islice
+from collections import deque
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 import numpy as np
 
+from popsim.core import Protocol
 from popsim.influence import InfluencerTable, InteractionLog
 from popsim.stats import ceil_rational_power
 
@@ -97,3 +100,40 @@ def pairs_by_words(r: np.ndarray, n: int, drop: int, u: int) -> tuple[array, arr
                 add_v(k if k < u else k + 1)
                 u = -1
     return U, V, u
+
+
+def reachable_by_pairs(protocol: Protocol, n: int) -> tuple[list, dict, list]:
+    """``(configs, index, successors)`` of ``exact.enumerate_reachable``,
+    with no budget, each configuration's n(n-1) ordered pairs walked one at
+    a time: the reference for the enumerator, which counts an idle
+    initiator's null pairs at once."""
+    table = protocol.transitions
+    start = (protocol.initial_state,) * n
+    configs, index, successors = [start], {start: 0}, [{}]
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        base = configs[i]
+        succ = {}
+        for u in range(n):
+            a = base[u]
+            for v in chain(range(u), range(u + 1, n)):
+                b = base[v]
+                a2, b2 = table[a][b]
+                if a2 == a and b2 == b:
+                    succ[i] = succ.get(i, 0) + 1
+                    continue
+                mutable = list(base)
+                mutable[u] = a2
+                mutable[v] = b2
+                nxt = tuple(mutable)
+                j = index.get(nxt)
+                if j is None:
+                    j = len(configs)
+                    index[nxt] = j
+                    configs.append(nxt)
+                    successors.append({})
+                    queue.append(j)
+                succ[j] = succ.get(j, 0) + 1
+        successors[i] = succ
+    return configs, index, successors

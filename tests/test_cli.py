@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -1066,3 +1067,89 @@ def test_commands_without_pair_streams_load_neither_numpy_nor_hashlib(tmp_path):
             env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
+
+
+def test_a_catalog_run_loads_no_json():
+    # the harness above imports json itself; this child imports nothing but
+    # popsim, so it sees whether the run did
+    script = textwrap.dedent("""
+        import sys
+        from popsim.cli import main
+        code = main(["run", "--protocol", "pairwise-elimination", "--n", "5", "--trials", "2"])
+        sys.exit(code or "json" in sys.modules)
+    """)
+    src = Path(popsim.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("# schema=popsim.run.v1 ")
+
+
+# ------------------------------------------------------------------- exit path
+
+EXIT_CASES = [
+    (["exact", "--protocol", "pairwise-elimination", "--n", "4"], {}, 0),
+    (["run", "--protocol", "nope", "--n", "4"], {}, 2),
+    (["run", "--protocol", "pairwise-elimination", "--n", "four"], {}, 2),
+    (["exact", "--protocol", "pairwise-elimination", "--n", "6"], {"POPSIM_BUDGET": "5"}, 3),
+]
+
+
+@pytest.mark.parametrize("argv, env, code", EXIT_CASES)
+def test_console_exits_as_main_returns(argv, env, code, monkeypatch, capsys):
+    # python -m popsim.cli runs console(), which freezes the heap on its way
+    # out: the process writes what in-process main writes and exits with its
+    # code; usage text is wrapped to COLUMNS on both sides
+    env = {"COLUMNS": "80", **env}
+    src = Path(popsim.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "popsim.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src), **env}, timeout=60)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert got == code
+
+
+def test_console_freezes_the_heap_on_every_way_out():
+    script = textwrap.dedent("""
+        import gc, sys
+        from popsim.cli import console
+        for argv in (["exact", "--protocol", "pairwise-elimination", "--n", "3", "--out", sys.argv[1]],
+                     ["exact", "--n", "three"]):
+            sys.argv = ["popsim", *argv]
+            try:
+                code = console()
+            except SystemExit as exc:
+                code = exc.code
+            print(code, gc.get_freeze_count() > 0)
+            gc.unfreeze()
+    """)
+    src = Path(popsim.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script, os.devnull], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.stdout.splitlines() == ["0 True", "2 True"], proc.stderr
+    # python -m popsim.cli runs console too: the heap is frozen when atexit runs
+    script = textwrap.dedent("""
+        import atexit, gc, runpy, sys
+        atexit.register(lambda: print(gc.get_freeze_count() > 0))
+        sys.argv = ["popsim", "exact", "--protocol", "pairwise-elimination", "--n", "3", "--out", sys.argv[1]]
+        runpy.run_module("popsim.cli", run_name="__main__")
+    """)
+    proc = subprocess.run([sys.executable, "-c", script, os.devnull], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+    # the installed script is console too
+    pyproject = Path(popsim.__file__).resolve().parents[2] / "pyproject.toml"
+    if pyproject.exists():
+        assert 'popsim = "popsim.cli:console"' in pyproject.read_text()
+
+
+def test_in_process_main_never_freezes(tmp_path):
+    assert main(["exact", "--protocol", "pairwise-elimination", "--n", "3", "--out", str(tmp_path / "r.json")]) == 0
+    assert main(["run", "--protocol", "nope", "--n", "4"]) == 2
+    assert gc.get_freeze_count() == 0

@@ -14,7 +14,9 @@ from popsim.exact import (
     expected_hitting_steps,
     safety_verdicts,
 )
-from popsim.protocols import make_protocol
+from popsim.protocols import CATALOG, make_protocol
+
+from oracles import reachable_by_pairs
 
 
 def _replay(protocol, config, path):
@@ -121,6 +123,26 @@ def test_one_state_enumeration_holds_no_list_of_pairs():
         tracemalloc.stop()
     assert space.configs == [(0,) * 1000] and space.successors == [{0: 999000}]
     assert peak < 2 * 2**20
+
+
+FIXTURES = [identity_protocol, leader_swap_protocol, leader_decay_protocol, tired_leader_protocol,
+            cyclic_token_protocol]
+
+
+@pytest.mark.parametrize("name", [*CATALOG, *(make.__name__ for make in FIXTURES)])
+def test_enumeration_matches_the_pair_by_pair_walk(name):
+    # idle initiators' null pairs are counted at once, yet every successor
+    # dict keeps the walk's key order, which the witness search and the
+    # solve's component order follow
+    makers = {make.__name__: make for make in FIXTURES}
+    sizes = [2, 3, 4, 5, 6, *([8] if name == "pairwise-elimination" else [])]
+    for n in sizes:
+        proto = makers[name]() if name in makers else make_protocol(name, n)
+        space = enumerate_reachable(proto, n)
+        configs, index, successors = reachable_by_pairs(proto, n)
+        assert space.configs == configs
+        assert list(space.index.items()) == list(index.items())
+        assert [list(s.items()) for s in space.successors] == [list(s.items()) for s in successors]
 
 
 def test_budget_error_names_the_size():
