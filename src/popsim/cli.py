@@ -137,7 +137,8 @@ def threshold_count(expr: str, n: int) -> int:
 
 def _resolve_protocol(args, n: int) -> Optional[Protocol]:
     """The protocol of ``--protocol-file`` or ``--protocol`` at this n, or
-    None for a command that takes neither (``influencer``, ``coupon``)."""
+    None for a command that takes neither (``influencer``, ``coupon``).  A
+    sweep reads it once, for every size."""
     if getattr(args, "protocol_file", None):
         from .protocols import load_protocol
 
@@ -234,26 +235,31 @@ def _map_jobs(fn, jobs_list, workers: int):
 
 
 def _sweep(args, job, *extra):
-    """Run ``job`` on every trial of every ``--n``, yielding
-    ``(n, threshold, rows)`` per size with the rows in trial order
-    whatever ``--jobs``.  A job is ``(protocol, n, threshold, trial, seed,
-    max_steps, *plan, *extra)``; threshold is None when no ``--threshold``
-    is set, and protocol when the command takes none.  ``plan`` is the
-    size's ``(stop_event, initial)`` from :func:`_run_plan`, made once per
-    size, and empty when there is no protocol."""
-    for n in args.n:
-        if n >= 1 << 32:  # refused before a plan's start or a trial's states is built
-            from .rng import check_population
+    """Check every ``--n``, then return the generator that runs ``job`` on
+    every trial of each size, yielding ``(n, threshold, rows)`` per size with
+    the rows in trial order whatever ``--jobs``.  A job is ``(protocol, n,
+    threshold, trial, seed, max_steps, *plan, *extra)``; threshold is None
+    when no ``--threshold`` is set, and protocol when the command takes none.
+    ``plan`` is the size's ``(stop_event, initial)`` from :func:`_run_plan`,
+    and empty when there is no protocol.  The step budget, the schedule's
+    range, the threshold and the plan refuse a size before any trial runs."""
+    from .rng import check_population
 
-            check_population(n, 2)
-        protocol = _resolve_protocol(args, n)
+    for n in args.n:  # first: a plan's start has n entries, and make_protocol refuses n < 1 only
+        step_budget(n, args.max_steps)
+        check_population(n, 2)
+    protocol = _resolve_protocol(args, args.n[0])
+    sizes = []
+    for n in args.n:
         threshold = threshold_count(args.threshold, n) if args.threshold is not None else None
-        plan = () if protocol is None else _run_plan(protocol, n, threshold)
-        jobs = [
-            (protocol, n, threshold, t, derive_seed(args.seed, t), args.max_steps, *plan, *extra)
-            for t in range(args.trials)
-        ]
-        yield n, threshold, _map_jobs(job, jobs, args.jobs)
+        sizes.append((n, threshold, () if protocol is None else _run_plan(protocol, n, threshold)))
+
+    def run(n, threshold, plan):
+        jobs = [(protocol, n, threshold, t, derive_seed(args.seed, t), args.max_steps, *plan, *extra)
+                for t in range(args.trials)]
+        return n, threshold, _map_jobs(job, jobs, args.jobs)
+
+    return (run(*size) for size in sizes)
 
 
 def _format_cell(value) -> str:
@@ -280,13 +286,11 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str, schema: str) ->
         for row in rows:
             lines.append(" ".join(_format_cell(row.get(col, "")) or "nan" for col in columns))
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        import json
+    import json  # the one format left: argparse's choices allow no other
 
-        cleaned = [{col: row.get(col, None) for col in columns} for row in rows]
-        doc = {"schema": schema, "tool": f"popsim/{__version__}", "rows": cleaned}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    raise ValueError(f"unknown output format {fmt!r}")
+    cleaned = [{col: row.get(col, None) for col in columns} for row in rows]
+    doc = {"schema": schema, "tool": f"popsim/{__version__}", "rows": cleaned}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _open_out(path: Optional[str]):
@@ -340,7 +344,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_influencer(args) -> int:
-    from .influence import mask_words, write_size_series
+    from .influence import _check_agent, mask_words, write_size_series
     from .rng import pair_stream
     from .stats import PERCENTILE_LEVELS
 
@@ -351,6 +355,8 @@ def cmd_influencer(args) -> int:
     for n in args.n:
         if n > budget:
             raise BudgetExceededError(f"n={n} exceeds budget {budget}")
+        if args.agent is not None:
+            _check_agent(n, args.agent)
     if args.series_out:  # the series of the first size replays masks
         n, words = args.n[0], mask_words(args.n[0])
         if words > budget:
@@ -398,23 +404,17 @@ def _summary_path(args) -> Optional[str]:
 
 
 def cmd_coupon(args) -> int:
-    from .rng import check_population
     from .stats import coupon_spec, expected_coupon_sum, f_star, variance_coupon_sum
 
-    # Every size is checked before any trial runs, in the order its trials and
-    # its summary would check it, so a refused size prints the same message.
+    sweep = _sweep(args, _coupon_job)
     summary_rows = []
-    for n in args.n:
-        check_population(max(n, 2), 2)  # refuses n >= 2^32 only
-        if n < 1:
-            raise ValueError("population size must be >= 1")
+    for n in args.n:  # each threshold is checked against its n before any trial runs
         f = threshold_count(args.threshold, n)
-        step_budget(n, args.max_steps)
         spec = coupon_spec(n, f)
         summary_rows.append({"n": n, "f": f, "f_star": f_star(f), "analytic_mean": expected_coupon_sum(spec),
                              "analytic_variance": variance_coupon_sum(spec)})
     trial_rows = []
-    for (_, _, results), summary in zip(_sweep(args, _coupon_job), summary_rows):
+    for (_, _, results), summary in zip(sweep, summary_rows):
         trial_rows.extend(results)
         steps = [row["steps"] for row in results if not row["truncated"]]
         if steps:

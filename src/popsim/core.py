@@ -62,26 +62,19 @@ class Protocol:
     ``transitions[a][b]`` is the ordered pair of next states when an agent in
     state ``a`` initiates an interaction with a responder in state ``b``.
     The table is total by construction, so every reachable state id is valid.
-    A protocol is not modified after construction: it compares and hashes
-    by its five fields.
+    ``num_states`` is the table's number of rows; every row, and ``outputs``,
+    must have one entry per state.  A protocol is not modified after
+    construction: it compares and hashes by its four arguments.
     """
 
     __slots__ = ("num_states", "initial_state", "transitions", "outputs", "name", "_mask", "_rows")
 
-    def __init__(
-        self,
-        num_states: int,
-        initial_state: int,
-        transitions: TransitionTable,
-        outputs: tuple[str, ...],
-        name: str = "",
-    ):
-        if num_states < 1:
+    def __init__(self, initial_state: int, transitions: TransitionTable, outputs: tuple[str, ...], name: str = ""):
+        num_states = len(transitions)
+        if not num_states:
             raise ValueError("protocol needs at least one state")
         if not 0 <= initial_state < num_states:
             raise ValueError("initial state out of range")
-        if len(transitions) != num_states:
-            raise ValueError("transition table must have one row per state")
         for a, row in enumerate(transitions):
             if len(row) != num_states:
                 raise ValueError(f"transition row {a} is not total")
@@ -99,7 +92,7 @@ class Protocol:
         self._rows = _RuleRows(transitions)
 
     def _fields(self) -> tuple:
-        return self.num_states, self.initial_state, self.transitions, self.outputs, self.name
+        return self.initial_state, self.transitions, self.outputs, self.name
 
     def __eq__(self, other):
         return self._fields() == other._fields() if type(other) is Protocol else NotImplemented
@@ -108,7 +101,7 @@ class Protocol:
         return hash(self._fields())
 
     def __repr__(self):
-        return "Protocol({}, {}, {!r}, {!r}, name={!r})".format(*self._fields())
+        return "Protocol({}, {!r}, {!r}, name={!r})".format(*self._fields())
 
     def output_states(self, symbol: str) -> tuple[int, ...]:
         """State ids mapped to ``symbol`` by the output function."""
@@ -220,21 +213,17 @@ def step_budget(n: int, max_steps: Optional[int]) -> int:
 
 
 class Trial:
-    """Mutable engine state for one execution; owned by exactly one run."""
+    """Mutable engine state for one execution; owned by exactly one run.
+    ``n`` is the number of agents in ``states`` and ``counts`` the number
+    in each state, both read off ``states`` here."""
 
     __slots__ = ("protocol", "n", "states", "counts", "step")
 
-    def __init__(self, protocol: Protocol, n: int, states: Configuration, counts: Optional[list[int]] = None):
-        """``counts``, when given, must be the number of agents of ``states``
-        in each state; otherwise they are counted here."""
+    def __init__(self, protocol: Protocol, states: Configuration):
         self.protocol = protocol
-        self.n = n
+        self.n = len(states)
         self.states = states
-        if counts is None:
-            counts = [0] * protocol.num_states
-            for s in states:
-                counts[s] += 1
-        self.counts = counts
+        self.counts = [states.count(s) for s in range(protocol.num_states)]
         self.step = 0
 
 
@@ -367,22 +356,14 @@ def run_trial(
         rows = protocol._rows[watched]  # checks the window's states
     trial = None
     if notify_fns or type(stop) is not CountWindow:
-        if initial is None:
-            counts = [0] * protocol.num_states
-            counts[protocol.initial_state] = n
-            trial = Trial(protocol, n, states, counts)
-        else:
-            trial = Trial(protocol, n, states)
+        trial = Trial(protocol, states)
         counts = trial.counts
         # with observers every step takes the change path, null or not
         rows = protocol._rows[None if notify_fns else frozenset()]
         stopped = stop is not None and stop(trial)
     else:
         low, high = stop.low, stop.high
-        if initial is None:
-            count = n if protocol.initial_state in watched else 0
-        else:
-            count = sum(map(watched.__contains__, states))
+        count = sum(map(states.count, watched))
         stopped = low <= count <= high
     events: dict[str, int] = {}
     if stopped:

@@ -52,21 +52,15 @@ class ConfigurationSpace:
     -> number of ordered interactions leading there (the multiset of
     successors over all n(n-1) interactions).  ``budget`` is the budget it
     was enumerated under, which the hitting-time solve is held to as well.
+    ``n``, the population size, is the length of the start.
     """
 
     __slots__ = ("protocol", "n", "configs", "index", "successors", "budget")
 
-    def __init__(
-        self,
-        protocol: Protocol,
-        n: int,
-        configs: list[Config],
-        index: dict[Config, int],
-        successors: list[dict[int, int]],
-        budget: int,
-    ):
+    def __init__(self, protocol: Protocol, configs: list[Config], index: dict[Config, int],
+                 successors: list[dict[int, int]], budget: int):
         self.protocol = protocol
-        self.n = n
+        self.n = len(configs[0])
         self.configs = configs
         self.index = index
         self.successors = successors
@@ -139,7 +133,7 @@ def enumerate_reachable(
                 succ[j] = succ.get(j, 0) + 1
         successors[i] = succ
 
-    return ConfigurationSpace(protocol, n, configs, index, successors, budget)
+    return ConfigurationSpace(protocol, configs, index, successors, budget)
 
 
 class SafetyVerdict(NamedTuple):

@@ -149,7 +149,6 @@ def protocol_from_dict(doc: dict) -> Protocol:
         table[a][b] = (a2, b2)
 
     return Protocol(
-        num_states=len(state_names),
         initial_state=initial_id,
         transitions=tuple(map(tuple, table)),
         outputs=outputs,

@@ -205,7 +205,7 @@ def test_one_leader_stop_agrees_with_leader_sum(doc):
         return sum(trial.counts[s] for s in protocol.output_states(LEADER)) == 1
 
     for states in itertools.product(range(protocol.num_states), repeat=n):
-        trial = Trial(protocol, n, list(states))
+        trial = Trial(protocol, list(states))
         assert pred(trial) == by_sum(trial)
     for seed in range(20):
         assert run_trial(protocol, n, seed, stop_event=("e", pred)) == run_trial(
@@ -698,6 +698,54 @@ def test_coupon_refuses_a_threshold_above_n_before_any_trial(tmp_path, monkeypat
     assert code == 2
     assert capsys.readouterr().err == "popsim: threshold 6 out of range [1, 5]\n"
     assert trials == []
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each sweep's later size is refused (exact takes one size), so it must exit 2
+# before its first size's kernel runs and open none of its outputs; the first
+# sizes would run for seconds
+REFUSALS = {
+    "run-n-1": (["run", "--protocol", "pairwise-elimination", "--n", "1000", "--n", "1", "--trials", "20",
+                 "--save-log", "t.log"], "population size must be >= 2"),
+    "run-n-2^32": (["run", "--protocol", "one-way-epidemic", "--n", "1000", "--n", str(1 << 32)],
+                   "population size must be >= 2 and below 2^32, the range of a schedule's entries"),
+    "run-threshold": (["run", "--protocol", "leave-init", "--n", "10", "--n", "1000", "--threshold", "n^200"],
+                      "1000^200 is not below 2^1024, the float range of thresholds"),
+    "influencer-n-1": (["influencer", "--n", "1048576", "--n", "1", "--trials", "3"],
+                       "population size must be >= 2"),
+    "influencer-n-0": (["influencer", "--n", "1024", "--n", "0", "--series-out", "s.csv"],
+                       "population size must be >= 2"),
+    "influencer-agent": (["influencer", "--n", "1024", "--n", "8", "--agent", "10", "--series-out", "s.csv"],
+                         "agent 10 out of range for n=8"),
+    "exact-two-n": (["exact", "--protocol", "pairwise-elimination", "--n", "3", "--n", "4"],
+                    "exact analysis takes a single --n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_a_refused_size_exits_2_before_any_kernel_runs(tmp_path, monkeypatch, capsys, case):
+    import popsim.cli
+
+    argv, message = REFUSALS[case]
+    calls = []
+    for name in ("run_trial", "first_exceed_time", "enumerate_reachable"):
+        monkeypatch.setattr(popsim.cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == 2
+    assert capsys.readouterr().err == f"popsim: {message}\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_internal_assertion_exits_4(tmp_path, monkeypatch, capsys):
+    import popsim.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("counts out of step")
+
+    monkeypatch.setattr(popsim.cli, "run_trial", fail)
+    assert main(["run", "--protocol", "pairwise-elimination", "--n", "5", "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == "popsim: internal assertion failed: counts out of step\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -30,33 +30,38 @@ CHI2_CRIT_DF55_P999 = 93.16753277222854
 
 def identity_protocol(num_states=2):
     table = tuple(tuple((a, b) for b in range(num_states)) for a in range(num_states))
-    return Protocol(num_states, 0, table, ("F",) * num_states, name="identity")
+    return Protocol(0, table, ("F",) * num_states, name="identity")
 
 
 # ---------------------------------------------------------------- protocol type
 
 
 def test_protocol_rejects_partial_table():
-    with pytest.raises(ValueError):
-        Protocol(2, 0, (((0, 0),),), ("F", "F"))
+    with pytest.raises(ValueError, match="transition row 1 is not total"):
+        Protocol(0, (((0, 0), (0, 1)), ((1, 0),)), ("F", "F"))
+
+
+def test_protocol_rejects_no_states():
+    with pytest.raises(ValueError, match="protocol needs at least one state"):
+        Protocol(0, (), ())
 
 
 def test_protocol_rejects_out_of_range_entries():
     table = (((0, 2), (0, 1)), ((1, 0), (1, 1)))
     with pytest.raises(ValueError):
-        Protocol(2, 0, table, ("F", "F"))
+        Protocol(0, table, ("F", "F"))
 
 
 def test_protocol_rejects_bad_initial_state():
     table = (((0, 0),),)
     with pytest.raises(ValueError):
-        Protocol(1, 1, table, ("F",))
+        Protocol(1, table, ("F",))
 
 
 def test_protocol_rejects_partial_outputs():
     table = (((0, 0), (0, 1)), ((1, 0), (1, 1)))
     with pytest.raises(ValueError):
-        Protocol(2, 0, table, ("F",))
+        Protocol(0, table, ("F",))
 
 
 # ------------------------------------------------------------ apply_interaction
@@ -244,7 +249,7 @@ def cyclic_protocol():
     # the initiator advances mod 3, so the final configuration depends on
     # which agent initiated each step
     table = tuple(tuple(((a + 1) % 3, b) for b in range(3)) for a in range(3))
-    return Protocol(3, 0, table, ("F", "F", "F"), name="cycle")
+    return Protocol(0, table, ("F", "F", "F"), name="cycle")
 
 
 # At n=2 every pair takes exactly two words, so the blocks of 32, 64 and 128
@@ -443,7 +448,7 @@ def window_runs(draw):
     seed = draw(st.integers(0, 2**64 - 1))
     k = rnd.randint(1, 4)
     table = tuple(tuple((rnd.randrange(k), rnd.randrange(k)) for _ in range(k)) for _ in range(k))
-    protocol = Protocol(k, rnd.randrange(k), table, ("F",) * k, name="random")
+    protocol = Protocol(rnd.randrange(k), table, ("F",) * k, name="random")
     n = rnd.randint(2, rnd.choice([16, 1025]))
     initial = None
     if rnd.random() < 0.5:

@@ -27,7 +27,7 @@ def _replay(protocol, config, path):
 
 def identity_protocol(num_states=3):
     table = tuple(tuple((a, b) for b in range(num_states)) for a in range(num_states))
-    return Protocol(num_states, 0, table, ("F",) * num_states, name="identity")
+    return Protocol(0, table, ("F",) * num_states, name="identity")
 
 
 def leader_swap_protocol():
@@ -42,7 +42,7 @@ def leader_swap_protocol():
     table = [[(a, b) for b in range(3)] for a in range(3)]
     table[0][0] = (1, 2)
     table[1][2] = (2, 1)
-    return Protocol(3, 0, tuple(map(tuple, table)), ("F", LEADER, "F"), name="leader-swap")
+    return Protocol(0, tuple(map(tuple, table)), ("F", LEADER, "F"), name="leader-swap")
 
 
 def leader_decay_protocol():
@@ -52,7 +52,7 @@ def leader_decay_protocol():
     come back unsafe with an output-change witness path.
     """
     table = [[(0, 1), (1, 1)], [(1, 0), (1, 1)]]
-    return Protocol(2, 0, tuple(tuple(r) for r in table), (LEADER, "F"), name="leader-decay")
+    return Protocol(0, tuple(tuple(r) for r in table), (LEADER, "F"), name="leader-decay")
 
 
 def tired_leader_protocol():
@@ -68,7 +68,7 @@ def tired_leader_protocol():
     table[0][0] = (0, 1)
     table[0][1] = (2, 1)
     table[2][1] = (1, 1)
-    return Protocol(3, 0, tuple(map(tuple, table)), (LEADER, "F", LEADER), name="tired-leader")
+    return Protocol(0, tuple(map(tuple, table)), (LEADER, "F", LEADER), name="tired-leader")
 
 
 def cyclic_token_protocol():
@@ -83,7 +83,7 @@ def cyclic_token_protocol():
     table[0][0] = (0, 2)
     table[0][2] = (0, 1)
     table[1][2] = (0, 2)
-    return Protocol(3, 0, tuple(map(tuple, table)), (LEADER, "F", LEADER), name="cyclic-token")
+    return Protocol(0, tuple(map(tuple, table)), (LEADER, "F", LEADER), name="cyclic-token")
 
 
 # ----------------------------------------------------------------- enumeration
@@ -104,6 +104,11 @@ def test_identity_protocol_single_configuration():
     space = enumerate_reachable(identity_protocol(), 4)
     assert len(space) == 1
     assert space.successors[0] == {0: 12}  # all n(n-1) interactions loop
+
+
+def test_enumeration_needs_two_agents():
+    with pytest.raises(ValueError, match="population size must be >= 2"):
+        enumerate_reachable(make_protocol("pairwise-elimination", 1), 1)
 
 
 def test_successor_multiset_counts_sum_to_pair_count():

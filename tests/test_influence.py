@@ -107,6 +107,11 @@ def test_initial_sets_are_singletons():
         assert table.size(v) == 1
 
 
+def test_influencer_table_needs_an_agent():
+    with pytest.raises(ValueError, match="population size must be >= 1"):
+        InfluencerTable(0)
+
+
 def test_untouched_agent_keeps_singleton():
     log = InteractionLog(4, [Interaction(0, 1), Interaction(1, 0), Interaction(0, 1)])
     table = forward_sets(log)
@@ -874,9 +879,12 @@ def test_log_load_skips_blank_lines_and_keeps_its_messages(tmp_path):
     path = tmp_path / "log"
     path.write_bytes(b"\n3\n\n0 1\r\n  \n2 1")
     assert InteractionLog.load(path).entries == [Interaction(0, 1), Interaction(2, 1)]
+    out_of_range = f"{path}: population size must be >= 1 and below 2^32, the range of a schedule's entries"
     for text, message in [
         ("\n \n", f"{path}: empty interaction log"),
         ("x\n0 1\n", f"{path}: first line must be the population size"),
+        ("0\n", out_of_range),
+        (f"{1 << 32}\n0 1\n", out_of_range),
         ("4\n1 2 3\n", f"{path}: malformed entry '1 2 3'"),
         ("4\n1 2\n3\n", f"{path}: malformed entry '3'"),
         ("3\n0 x\n", f"{path}: malformed entry '0 x'"),

@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ def test_catalog_entries_carry_stop_and_start():
 
     def stops(name, states, threshold=None):
         entry = CATALOG[name]
-        return entry.stop(n, threshold)(Trial(make_protocol(name, n), n, states))
+        return entry.stop(n, threshold)(Trial(make_protocol(name, n), states))
 
     assert stops("pairwise-elimination", [1, 0, 1, 1])
     assert not stops("pairwise-elimination", [0, 0, 1, 1])
@@ -169,13 +170,26 @@ def test_epidemic_absorbs_at_all_infected():
 # documents.
 PINNED = {
     "pairwise-elimination": Protocol(
-        2, 0, (((0, 1), (0, 1)), ((1, 0), (1, 1))), ("L", "F"), name="pairwise-elimination"
+        0, (((0, 1), (0, 1)), ((1, 0), (1, 1))), ("L", "F"), name="pairwise-elimination"
     ),
-    "leave-init": Protocol(2, 0, (((1, 1), (1, 1)), ((1, 1), (1, 1))), ("F", "F"), name="leave-init"),
+    "leave-init": Protocol(0, (((1, 1), (1, 1)), ((1, 1), (1, 1))), ("F", "F"), name="leave-init"),
     "one-way-epidemic": Protocol(
-        2, 0, (((0, 0), (1, 1)), ((1, 1), (1, 1))), ("F", "F"), name="one-way-epidemic"
+        0, (((0, 0), (1, 1)), ((1, 1), (1, 1))), ("F", "F"), name="one-way-epidemic"
     ),
 }
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_protocols_hash_and_repr_by_their_fields(name):
+    # a catalog protocol and a copy parsed again from its document are one
+    # dict key, and the repr, which gives no state count, builds it again
+    protocol, copy = make_protocol(name, 4), protocol_from_dict(CATALOG[name].document)
+    assert copy is not protocol and hash(copy) == hash(protocol)
+    assert {protocol: name}[copy] == name and len({protocol, copy}) == 1
+    assert eval(repr(copy), {"Protocol": Protocol}) == protocol == PINNED[name]
+    if name == "pairwise-elimination":
+        assert repr(protocol) == ("Protocol(0, (((0, 1), (0, 1)), ((1, 0), (1, 1))), ('L', 'F'), "
+                                  "name='pairwise-elimination')")
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -237,6 +251,13 @@ def test_loader_rejects_bad_json(tmp_path):
         load_protocol(path)
 
 
+def test_loader_rejects_a_document_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ProtocolLoadError, match="^" + re.escape(f"{path}: document must be a JSON object") + "$"):
+        load_protocol(path)
+
+
 def test_loader_defaults_unlisted_pairs_to_identity():
     doc = dict(PAIRWISE_DOC, rules=[])
     proto = protocol_from_dict(doc)
@@ -258,6 +279,8 @@ MALFORMED = {
     "initial-a-list": (dict(PAIRWISE_DOC, initial=["L"]), "'initial'"),
     "outputs-a-list": (dict(PAIRWISE_DOC, outputs=[["L", "L"], ["F", "F"]]), "'outputs'"),
     "states-missing": ({k: v for k, v in PAIRWISE_DOC.items() if k != "states"}, "'states'"),
+    "outputs-unknown-state": (dict(PAIRWISE_DOC, outputs={"L": "L", "F": "F", "X": "F"}),
+                              "unknown state name 'X' in outputs"),
 }
 
 

@@ -87,6 +87,8 @@ def test_p_epidemic_boundaries():
         p_epidemic(0, 4)
     with pytest.raises(ValueError):
         p_epidemic(5, 4)
+    with pytest.raises(ValueError, match="population size must be >= 2"):
+        p_epidemic(1, 1)
 
 
 def test_p_epidemic_symmetric():
@@ -138,6 +140,12 @@ def test_coupon_spec_boundary_threshold():
     assert coupon_spec(8, 8).probabilities == (1.0,)
     assert len(coupon_spec(9, 9).probabilities) == 0  # f* = 10 > n: empty
     assert expected_coupon_sum(coupon_spec(9, 9)) <= 1
+
+
+def test_coupon_spec_needs_two_agents():
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="population size must be >= 2"):
+            coupon_spec(n, 1)
 
 
 def test_coupon_spec_accepts_fractional_threshold():
@@ -240,6 +248,12 @@ def test_ceil_rational_power_known_values():
     assert ceil_rational_power(16, 1, 2) == 4
     assert ceil_rational_power(17, 1, 2) == 5
     assert ceil_rational_power(5, 0, 3) == 1
+
+
+@pytest.mark.parametrize("n, num, den", [(0, 2, 3), (-1, 1, 1), (4, -1, 2), (4, 1, 0)])
+def test_ceil_rational_power_rejects_its_domain(n, num, den):
+    with pytest.raises(ValueError, match="^need n >= 1, num >= 0, den >= 1$"):
+        ceil_rational_power(n, num, den)
 
 
 def test_ceil_rational_power_definition():
